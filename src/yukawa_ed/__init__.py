@@ -33,9 +33,7 @@ from .hamiltonian import (
     InteractionTerm,
     Model,
     ModelParams,
-    assemble_free,
     assemble_interaction,
-    assemble_total,
     boson_field,
     build_model,
     chi_spatial_fourier,

@@ -14,12 +14,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import yaml
 
@@ -125,6 +124,35 @@ def load_config(path: str) -> RunConfig:
     return config_from_dict(raw)
 
 
+def _optional(cast: Callable) -> Callable:
+    return lambda value: None if value is None else cast(value)
+
+
+def _points(value):
+    return _points_from(value, "model.lattice")
+
+
+# YAML key -> cast, per section.  Only keys present in the YAML are passed on,
+# so every default lives in the dataclass that owns the field.
+LATTICE_KEYS = {
+    "fermion_V": float,
+    "fermion_L": float,
+    "boson_V": _optional(float),
+    "boson_L": _optional(float),
+    "fermion_points": _points,
+    "boson_points": _points,
+}
+TRUNCATION_KEYS = {"n_max": int, "total": _optional(int)}
+LIMIT_KEYS = {"basis_cap": int, "point_cap": int, "chi_hat_floor": float}
+SOLVER_KEYS = {"k": int, "tol": float, "max_iter": int, "seed": int, "dense_cap": int}
+SCAN_KEYS = {"kappa_grid": lambda grid: [float(v) for v in grid], "axis": str, "values": list}
+VERIFY_KEYS = {"samples": int, "field_points": int}
+
+
+def _cast(section: Dict, casts: Dict[str, Callable]) -> Dict:
+    return {key: casts[key](value) for key, value in section.items()}
+
+
 def config_from_dict(raw: Dict) -> RunConfig:
     _check_keys(raw, ("model", "solver", "scan", "verify", "output", "limits"), "top level")
     model = raw.get("model")
@@ -142,17 +170,20 @@ def config_from_dict(raw: Dict) -> RunConfig:
     cutoffs = model.get("cutoffs") or {}
     _check_keys(cutoffs, ("dirac", "kg", "spatial"), "model.cutoffs")
     lattice = model.get("lattice") or {}
-    _check_keys(
-        lattice,
-        ("fermion_V", "fermion_L", "boson_V", "boson_L", "fermion_points", "boson_points"),
-        "model.lattice",
-    )
+    _check_keys(lattice, LATTICE_KEYS, "model.lattice")
     trunc = model.get("truncation") or {}
-    _check_keys(trunc, ("n_max", "total"), "model.truncation")
+    _check_keys(trunc, TRUNCATION_KEYS, "model.truncation")
     limits = raw.get("limits") or {}
-    _check_keys(limits, ("basis_cap", "point_cap", "chi_hat_floor"), "limits")
+    _check_keys(limits, LIMIT_KEYS, "limits")
 
     try:
+        given = {
+            **_cast(lattice, LATTICE_KEYS),
+            **_cast(trunc, TRUNCATION_KEYS),
+            **_cast(limits, LIMIT_KEYS),
+        }
+        if "total" in given:
+            given["total_boson_cap"] = given.pop("total")
         params = ModelParams(
             dirac_mass=float(model["dirac_mass"]),
             boson_mass=float(model["boson_mass"]),
@@ -160,51 +191,28 @@ def config_from_dict(raw: Dict) -> RunConfig:
             chi_dirac=_profile_from(cutoffs.get("dirac"), "model.cutoffs.dirac"),
             chi_kg=_profile_from(cutoffs.get("kg"), "model.cutoffs.kg"),
             chi_spatial=_profile_from(cutoffs.get("spatial"), "model.cutoffs.spatial"),
-            fermion_V=float(lattice.get("fermion_V", 2.0 * math.pi)),
-            fermion_L=float(lattice.get("fermion_L", 0.5)),
-            boson_V=None if lattice.get("boson_V") is None else float(lattice["boson_V"]),
-            boson_L=None if lattice.get("boson_L") is None else float(lattice["boson_L"]),
-            fermion_points=_points_from(lattice.get("fermion_points"), "model.lattice"),
-            boson_points=_points_from(lattice.get("boson_points"), "model.lattice"),
-            n_max=int(trunc.get("n_max", 3)),
-            total_boson_cap=None if trunc.get("total") is None else int(trunc["total"]),
-            chi_hat_floor=float(limits.get("chi_hat_floor", 1e-14)),
-            point_cap=int(limits.get("point_cap", 250_000)),
-            basis_cap=int(limits.get("basis_cap", 2_000_000)),
+            **given,
         )
     except (ParameterError, TypeError, ValueError) as err:
         raise ConfigError(f"invalid model parameters: {err}") from err
 
     solver_raw = raw.get("solver") or {}
-    _check_keys(solver_raw, ("k", "tol", "max_iter", "seed", "dense_cap"), "solver")
-    solver = SolverConfig(
-        k=int(solver_raw.get("k", 2)),
-        tol=float(solver_raw.get("tol", 1e-10)),
-        max_iter=int(solver_raw.get("max_iter", 400)),
-        seed=int(solver_raw.get("seed", 1234)),
-        dense_cap=int(solver_raw.get("dense_cap", DEFAULT_DENSE_CAP)),
-    )
+    _check_keys(solver_raw, SOLVER_KEYS, "solver")
+    solver = SolverConfig(**_cast(solver_raw, SOLVER_KEYS))
     if solver.k < 1:
         raise ConfigError(f"solver.k must be >= 1, got {solver.k}")
 
     scan_raw = raw.get("scan") or {}
-    _check_keys(scan_raw, ("kappa_grid", "axis", "values"), "scan")
-    scan = ScanConfig(
-        kappa_grid=[float(v) for v in scan_raw.get("kappa_grid", [0.0, 0.5, 1.0])],
-        axis=str(scan_raw.get("axis", "n_max")),
-        values=list(scan_raw.get("values", [1, 2, 3])),
-    )
+    _check_keys(scan_raw, SCAN_KEYS, "scan")
+    scan = ScanConfig(**_cast(scan_raw, SCAN_KEYS))
     if not scan.kappa_grid:
         raise ConfigError("scan.kappa_grid must not be empty")
     if any(b <= a for a, b in zip(scan.values, scan.values[1:])):
         raise ConfigError("scan.values must be strictly increasing")
 
     verify_raw = raw.get("verify") or {}
-    _check_keys(verify_raw, ("samples", "field_points"), "verify")
-    verify = VerifyConfig(
-        samples=int(verify_raw.get("samples", 1000)),
-        field_points=int(verify_raw.get("field_points", 10)),
-    )
+    _check_keys(verify_raw, VERIFY_KEYS, "verify")
+    verify = VerifyConfig(**_cast(verify_raw, VERIFY_KEYS))
     if verify.samples < 1:
         raise ConfigError("verify.samples must be >= 1")
 

@@ -1,4 +1,4 @@
-"""Assembly of the free and interacting Hamiltonians.
+"""Assembly of the free and interacting Hamiltonians; ``build_model`` is the only entry.
 
 The interaction is the spatially-weighted coupling of the fermion density to
 the scalar field: integral chi_spatial(x) * psibar(x) psi(x) (x) phi(x) dx.
@@ -7,6 +7,12 @@ with plane-wave phases, so the x-integral collapses to the Fourier transform
 of the spatial cutoff evaluated at the signed momentum balance of each term.
 Only gaussian spatial cutoffs are supported, for which that transform is
 closed-form.
+
+Each term is a fermion bilinear times one boson ladder operator B_r, r one of
+a_k or a*_k, so the assembled interaction is H_int = sum_r F_r (x) B_r with
+F_r on the 2^(4 N_f) fermion-mask space.  B_r moves the boson occupation by
+-e_k or +e_k, a shift no other ladder shares, so distinct blocks occupy
+disjoint entries and the 2 N_b blocks add without overlap.
 
 No normal ordering is applied: the antiparticle bilinear is kept in the d d*
 order in which the density is written, so the assembled matrix contains the
@@ -56,7 +62,14 @@ from .spinor import (
     fermion_coefficients,
 )
 
-FERMION_KINDS = ("b*b", "b*d*", "db", "dd*")
+# left and right mask factor of each fermion bilinear, as (species, creator?)
+BILINEAR_FACTORS = {
+    "b*b": (("b", True), ("b", False)),
+    "b*d*": (("b", True), ("d", True)),
+    "db": (("d", False), ("b", False)),
+    "dd*": (("d", False), ("d", True)),
+}
+FERMION_KINDS = tuple(BILINEAR_FACTORS)
 BOSON_KINDS = ("a", "a*")
 
 
@@ -258,91 +271,45 @@ def enumerate_interaction_terms(
     return terms
 
 
-def _fermion_bilinear(
-    basis: FockBasis,
-    kind: str,
-    spins: Tuple[float, float],
-    qi: int,
-    qpi: int,
-    cache: Dict,
-    mode_cache: Dict,
-) -> sp.csr_matrix:
-    key = (kind, spins, qi, qpi)
-    if key in cache:
-        return cache[key]
-
-    def mask_op(species: str, spin: float, point: int, create: bool) -> sp.csr_matrix:
-        mkey = (species, spin, point, create)
-        if mkey not in mode_cache:
-            idx = basis.mode_index(FermionMode(species, spin, point))
-            op = mask_annihilator(basis.n_fermion_modes, idx)
-            mode_cache[mkey] = op.conj().T.tocsr() if create else op
-        return mode_cache[mkey]
-
-    s, s_p = spins
-    if kind == "b*b":
-        mat = mask_op("b", s, qi, True) @ mask_op("b", s_p, qpi, False)
-    elif kind == "b*d*":
-        mat = mask_op("b", s, qi, True) @ mask_op("d", s_p, qpi, True)
-    elif kind == "db":
-        mat = mask_op("d", s, qi, False) @ mask_op("b", s_p, qpi, False)
-    elif kind == "dd*":
-        mat = mask_op("d", s, qi, False) @ mask_op("d", s_p, qpi, True)
-    else:
-        raise ParameterError(f"unknown fermion bilinear kind {kind!r}")
-    cache[key] = mat
-    return mat
-
-
 def assemble_interaction(terms: Sequence[InteractionTerm], basis: FockBasis) -> sp.csr_matrix:
-    """Sum the term list into a sparse matrix on the product basis.
+    """Sum the term list into H_int = sum_r F_r (x) B_r on the product basis.
 
-    Terms sharing a fermion bilinear are grouped so the bosonic factor is
-    built once per group as a smeared ladder combination.
+    Terms are grouped by boson ladder r = (boson_kind, k_index).  F_r sums the
+    group's coefficient-weighted fermion bilinears on the mask space in one
+    COO pass, exact zeros eliminated; the blocks are disjoint (module
+    docstring), so the sum over r never merges entries.
     """
-    groups: Dict[Tuple, np.ndarray] = {}
-    n_b = basis.n_boson_modes
+    n_modes = basis.n_fermion_modes
+    annihilators = [mask_annihilator(n_modes, j) for j in range(n_modes)]
+    ladder_ops = {False: annihilators, True: [c.conj().T.tocsr() for c in annihilators]}
+
+    def bilinear(kind: str, spins: Tuple[float, float], qi: int, qpi: int) -> sp.coo_matrix:
+        (left, left_create), (right, right_create) = BILINEAR_FACTORS[kind]
+        i = basis.mode_index(FermionMode(left, spins[0], qi))
+        j = basis.mode_index(FermionMode(right, spins[1], qpi))
+        return (ladder_ops[left_create][i] @ ladder_ops[right_create][j]).tocoo()
+
+    groups: Dict[Tuple[str, int], Dict[Tuple, complex]] = {}
     for term in terms:
+        group = groups.setdefault((term.boson_kind, term.k_index), {})
         key = (term.fermion_kind, term.spins, term.q_index, term.qp_index)
-        bucket = groups.setdefault(key, np.zeros((2, n_b), dtype=complex))
-        bucket[BOSON_KINDS.index(term.boson_kind), term.k_index] += term.coefficient
+        group[key] = group.get(key, 0) + term.coefficient
+    keys = dict.fromkeys(key for group in groups.values() for key in group)
+    bilinears = {key: bilinear(*key) for key in keys}
 
-    blocks_a = [boson_block_annihilator(basis, k) for k in range(n_b)]
-    blocks_c = [blk.conj().T.tocsr() for blk in blocks_a]
-
-    bilinear_cache: Dict = {}
-    mode_cache: Dict = {}
     total = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for key, bucket in groups.items():
-        kind, spins, qi, qpi = key
-        fmat = _fermion_bilinear(basis, kind, spins, qi, qpi, bilinear_cache, mode_cache)
-        if fmat.nnz == 0:
-            continue
-        bmat = sp.csr_matrix((basis.boson_dim, basis.boson_dim), dtype=complex)
-        for k in range(n_b):
-            if bucket[0, k] != 0:
-                bmat = bmat + bucket[0, k] * blocks_a[k]
-            if bucket[1, k] != 0:
-                bmat = bmat + bucket[1, k] * blocks_c[k]
-        if bmat.nnz == 0:
-            continue
-        total = total + sp.kron(fmat, bmat, format="csr")
+    for (bkind, k), group in groups.items():
+        mats = [bilinears[key] for key in group]
+        rows = np.concatenate([m.row for m in mats])
+        cols = np.concatenate([m.col for m in mats])
+        vals = np.concatenate([c * m.data for c, m in zip(group.values(), mats)])
+        f_r = sp.csr_matrix((vals, (rows, cols)), shape=(basis.fermion_dim,) * 2)
+        f_r.eliminate_zeros()
+        b_r = boson_block_annihilator(basis, k)
+        if bkind == "a*":
+            b_r = b_r.conj().T
+        total = total + sp.kron(f_r, b_r, format="csr")
     return total
-
-
-def assemble_free(params: ModelParams, basis: FockBasis) -> sp.csr_matrix:
-    """Diagonal free Hamiltonian: fermion energies plus boson energies."""
-    h_dirac = second_quantization(
-        discretize(lambda q: dirac_energy(q, params.dirac_mass), basis.fermion_lattice),
-        basis,
-        side="fermion",
-    )
-    h_kg = second_quantization(
-        discretize(lambda k: boson_energy(k, params.boson_mass), basis.boson_lattice),
-        basis,
-        side="boson",
-    )
-    return (h_dirac + h_kg).tocsr()
 
 
 def hermiticity_defect(mat: sp.spmatrix) -> float:
@@ -430,20 +397,6 @@ def build_model(
         h_int=h_int,
         terms=terms,
     )
-
-
-def assemble_total(
-    params: ModelParams,
-    basis: Optional[FockBasis] = None,
-    algebra: Optional[DiracAlgebra] = None,
-) -> sp.csr_matrix:
-    """Total Hamiltonian at the coupling in ``params``; zero coupling returns the free part exactly."""
-    model = build_model(params, algebra=algebra, basis=basis)
-    total = model.hamiltonian()
-    defect = hermiticity_defect(total)
-    if defect > 1e-12:
-        raise AssemblyError(f"total matrix hermiticity defect {defect:.3e} exceeds 1e-12")
-    return total
 
 
 # -- field operators at a point and the direct form evaluation ------------------

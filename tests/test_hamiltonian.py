@@ -1,15 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from yukawa_ed.errors import ParameterError
-from yukawa_ed.fock import FockState, enumerate_basis
+from yukawa_ed import hamiltonian
+from yukawa_ed.errors import AssemblyError, ParameterError
+from yukawa_ed.fock import (
+    FermionMode,
+    FockState,
+    boson_annihilator,
+    boson_creator,
+    enumerate_basis,
+    fermion_annihilator,
+    fermion_creator,
+)
 from yukawa_ed.hamiltonian import (
     ModelParams,
-    assemble_free,
-    assemble_total,
     boson_field,
     build_model,
     chi_spatial_fourier,
@@ -109,7 +117,7 @@ class TestFreeHamiltonian:
     def test_vacuum_energy_zero_and_spectrum_contains_zero(self):
         params = minimal_params()
         basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-        h0 = assemble_free(params, basis)
+        h0 = build_model(params, basis=basis).h_free
         diag = h0.diagonal().real
         assert diag[0] == 0.0
         assert np.min(diag) == 0.0
@@ -118,13 +126,13 @@ class TestFreeHamiltonian:
         for M, m in [(1.0, 1.0), (1.0, 0.5), (0.3, 2.0)]:
             params = minimal_params(dirac_mass=M, boson_mass=m)
             basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-            diag = assemble_free(params, basis).diagonal().real
+            diag = build_model(params, basis=basis).h_free.diagonal().real
             assert np.min(diag[diag > 0]) == pytest.approx(min(M, m), abs=1e-15)
 
     def test_mixed_state_additivity(self):
         params = minimal_params(dirac_mass=0.8, boson_mass=1.7)
         basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-        diag = assemble_free(params, basis).diagonal().real
+        diag = build_model(params, basis=basis).h_free.diagonal().real
         idx = basis.index_of(FockState(0b0001, (1,)))  # one b-particle, one boson at rest
         assert diag[idx] == pytest.approx(0.8 + 1.7, rel=1e-15)
 
@@ -237,8 +245,9 @@ class TestAssembly:
     def test_zero_coupling_returns_free_part_exactly(self):
         params = minimal_params(coupling=0.0)
         basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-        total = assemble_total(params, basis=basis)
-        free = assemble_free(params, basis)
+        model = build_model(params, basis=basis)
+        total = model.hamiltonian()
+        free = model.h_free
         assert (total - free).nnz == 0
 
     def test_hermiticity_at_random_parameters(self):
@@ -249,16 +258,16 @@ class TestAssembly:
                 coupling=float(RNG.uniform(-1.5, 1.5)),
                 chi_dirac=CutoffProfile.gaussian(float(RNG.uniform(0.5, 2.0))),
             )
-            total = assemble_total(params)
+            total = build_model(params).hamiltonian()
             assert hermiticity_defect(total) < 1e-12
 
     def test_coupling_linearity(self):
         params = minimal_params()
         basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-        h_a = assemble_total(params.with_coupling(0.3), basis=basis)
-        h_b = assemble_total(params.with_coupling(1.1), basis=basis)
-        h_free = assemble_free(params, basis)
-        h_sum = assemble_total(params.with_coupling(1.4), basis=basis)
+        h_a = build_model(params.with_coupling(0.3), basis=basis).hamiltonian()
+        h_b = build_model(params.with_coupling(1.1), basis=basis).hamiltonian()
+        h_free = build_model(params, basis=basis).h_free
+        h_sum = build_model(params.with_coupling(1.4), basis=basis).hamiltonian()
         defect = (h_a + h_b - h_free - h_sum).toarray()
         assert np.max(np.abs(defect)) < 1e-13
 
@@ -271,11 +280,50 @@ class TestAssembly:
 
     def test_spectrum_invariant_under_chiral_representation(self):
         params = minimal_params(coupling=0.8, boson_mass=0.7)
-        h_dirac_rep = assemble_total(params)
-        h_chiral_rep = assemble_total(params, algebra=dirac_algebra("chiral"))
+        h_dirac_rep = build_model(params).hamiltonian()
+        h_chiral_rep = build_model(params, algebra=dirac_algebra("chiral")).hamiltonian()
         e1 = np.linalg.eigvalsh(h_dirac_rep.toarray())
         e2 = np.linalg.eigvalsh(h_chiral_rep.toarray())
         assert np.allclose(e1, e2, atol=1e-10)
+
+    def test_interaction_matches_full_space_ladder_products(self):
+        # oracle: each term as a product of full-space ladder operators, no mask-space factors
+        model = build_model(two_point_params())
+        assert {t.fermion_kind for t in model.terms} == {"b*b", "b*d*", "db", "dd*"}
+        factors = {
+            "b*b": (("b", True), ("b", False)),
+            "b*d*": (("b", True), ("d", True)),
+            "db": (("d", False), ("b", False)),
+            "dd*": (("d", False), ("d", True)),
+        }
+
+        def fermion_op(species, create, spin, point):
+            mode = FermionMode(species, spin, point)
+            op = fermion_creator if create else fermion_annihilator
+            return op(mode, model.basis)
+
+        expected = sp.csr_matrix((model.basis.dim, model.basis.dim), dtype=complex)
+        for t in model.terms:
+            (left, left_create), (right, right_create) = factors[t.fermion_kind]
+            boson_op = boson_annihilator if t.boson_kind == "a" else boson_creator
+            expected = expected + t.coefficient * (
+                fermion_op(left, left_create, t.spins[0], t.q_index)
+                @ fermion_op(right, right_create, t.spins[1], t.qp_index)
+                @ boson_op(t.k_index, model.basis)
+            )
+        assert np.max(np.abs((model.h_int - expected).toarray())) < 1e-14
+
+    def test_hermiticity_defect_is_rejected(self, monkeypatch):
+        enumerate_terms = hamiltonian.enumerate_interaction_terms
+
+        def perturbed(*args):
+            terms = enumerate_terms(*args)
+            terms[0] = replace(terms[0], coefficient=terms[0].coefficient * (1 + 1e-6))
+            return terms
+
+        monkeypatch.setattr(hamiltonian, "enumerate_interaction_terms", perturbed)
+        with pytest.raises(AssemblyError):
+            build_model(two_point_params())
 
     def test_interaction_conserves_charge(self):
         model = build_model(two_point_params())

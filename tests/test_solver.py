@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from yukawa_ed.errors import CapacityError, ConvergenceError, ParameterError
 from yukawa_ed.fock import enumerate_basis
-from yukawa_ed.hamiltonian import ModelParams, assemble_free, build_model
+from yukawa_ed.hamiltonian import ModelParams, build_model
 from yukawa_ed.solver import (
     converge_scan,
     dense_lowest,
@@ -57,7 +57,7 @@ class TestDenseLowest:
     def test_free_hamiltonian_minimal_basis(self):
         params = minimal_params(coupling=0.0)
         basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-        h0 = assemble_free(params, basis)
+        h0 = build_model(params, basis=basis).h_free
         result = dense_lowest(h0, 4)
         assert result.ground_energy == 0.0
         assert result.gap == pytest.approx(1.0, abs=1e-15)
@@ -105,7 +105,7 @@ class TestLanczosLowest:
     def test_zero_coupling_ground_state_is_exact_vacuum(self):
         params = minimal_params(coupling=0.0)
         basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-        h0 = assemble_free(params, basis)
+        h0 = build_model(params, basis=basis).h_free
         result = lanczos_lowest(h0, 2, tol=1e-12, seed=11)
         assert abs(result.ground_energy) < 1e-12
         assert result.residual < 1e-11
