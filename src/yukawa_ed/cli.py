@@ -5,8 +5,9 @@ masses and the coupling.  Outputs are JSON (spectrum, converge, verify) or
 CSV with a JSON sidecar (scan-kappa), all embedding the fully resolved
 configuration and a schema_version for provenance.  With --threads 1 (the
 default) outputs are byte-for-byte reproducible for a fixed config and seed;
-wall-clock timings are only recorded when explicitly requested, since they
-would break that reproducibility.
+wall-clock timings, with each solve's route and work counts, are only
+recorded when explicitly requested, since they would break that
+reproducibility.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import yaml
@@ -25,7 +26,7 @@ import yaml
 from .bounds import compute_constants, verify_inequalities
 from .errors import CapacityError, ConfigError, ConvergenceError, ParameterError
 from .hamiltonian import ModelParams, build_model
-from .solver import DEFAULT_DENSE_CAP, converge_scan, solve_lowest
+from .solver import DEFAULT_DENSE_CAP, SOLVE_STATS, converge_scan, solve_lowest
 from .spinor import CutoffProfile
 
 SCHEMA_VERSION = 1
@@ -92,16 +93,6 @@ def _check_keys(section: Dict, allowed: Sequence[str], where: str):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _profile_from(section, where: str, default_kind="gaussian") -> CutoffProfile:
-    if section is None:
-        return CutoffProfile(default_kind, 1.0)
-    _check_keys(section, ("kind", "scale"), where)
-    try:
-        return CutoffProfile(section.get("kind", default_kind), float(section.get("scale", 1.0)))
-    except (ParameterError, TypeError, ValueError) as err:
-        raise ConfigError(f"bad cutoff in {where}: {err}") from err
-
-
 def _points_from(value, where: str):
     if value is None:
         return None
@@ -147,10 +138,31 @@ LIMIT_KEYS = {"basis_cap": int, "point_cap": int, "chi_hat_floor": float}
 SOLVER_KEYS = {"k": int, "tol": float, "max_iter": int, "seed": int, "dense_cap": int}
 SCAN_KEYS = {"kappa_grid": lambda grid: [float(v) for v in grid], "axis": str, "values": list}
 VERIFY_KEYS = {"samples": int, "field_points": int}
+OUTPUT_KEYS = {"path": lambda path: path, "record_timings": bool}
+CUTOFF_KEYS = {"kind": lambda kind: kind, "scale": float}
+# YAML cutoff section -> the ModelParams field whose default it overrides
+CUTOFF_FIELDS = {"dirac": "chi_dirac", "kg": "chi_kg", "spatial": "chi_spatial"}
 
 
 def _cast(section: Dict, casts: Dict[str, Callable]) -> Dict:
     return {key: casts[key](value) for key, value in section.items()}
+
+
+def _profiles(cutoffs: Dict) -> Dict[str, CutoffProfile]:
+    """The cutoff sections the YAML gives, each over its ModelParams default."""
+    defaults = {f.name: f.default for f in fields(ModelParams)}
+    profiles = {}
+    for name, key in CUTOFF_FIELDS.items():
+        section = cutoffs.get(name)
+        if section is None:
+            continue
+        where = f"model.cutoffs.{name}"
+        _check_keys(section, CUTOFF_KEYS, where)
+        try:
+            profiles[key] = replace(defaults[key], **_cast(section, CUTOFF_KEYS))
+        except (ParameterError, TypeError, ValueError) as err:
+            raise ConfigError(f"bad cutoff in {where}: {err}") from err
+    return profiles
 
 
 def config_from_dict(raw: Dict) -> RunConfig:
@@ -168,7 +180,7 @@ def config_from_dict(raw: Dict) -> RunConfig:
             raise ConfigError(f"missing required field model.{required}")
 
     cutoffs = model.get("cutoffs") or {}
-    _check_keys(cutoffs, ("dirac", "kg", "spatial"), "model.cutoffs")
+    _check_keys(cutoffs, CUTOFF_FIELDS, "model.cutoffs")
     lattice = model.get("lattice") or {}
     _check_keys(lattice, LATTICE_KEYS, "model.lattice")
     trunc = model.get("truncation") or {}
@@ -188,9 +200,7 @@ def config_from_dict(raw: Dict) -> RunConfig:
             dirac_mass=float(model["dirac_mass"]),
             boson_mass=float(model["boson_mass"]),
             coupling=float(model["coupling"]),
-            chi_dirac=_profile_from(cutoffs.get("dirac"), "model.cutoffs.dirac"),
-            chi_kg=_profile_from(cutoffs.get("kg"), "model.cutoffs.kg"),
-            chi_spatial=_profile_from(cutoffs.get("spatial"), "model.cutoffs.spatial"),
+            **_profiles(cutoffs),
             **given,
         )
     except (ParameterError, TypeError, ValueError) as err:
@@ -217,16 +227,11 @@ def config_from_dict(raw: Dict) -> RunConfig:
         raise ConfigError("verify.samples must be >= 1")
 
     output = raw.get("output") or {}
-    _check_keys(output, ("path", "record_timings"), "output")
-    return RunConfig(
-        params=params,
-        solver=solver,
-        scan=scan,
-        verify=verify,
-        output_path=output.get("path"),
-        record_timings=bool(output.get("record_timings", False)),
-    )
-
+    _check_keys(output, OUTPUT_KEYS, "output")
+    given = _cast(output, OUTPUT_KEYS)
+    if "path" in given:
+        given["output_path"] = given.pop("path")
+    return RunConfig(params=params, solver=solver, scan=scan, verify=verify, **given)
 
 def _resolve_out(config: RunConfig, override: Optional[str], default_name: str) -> str:
     path = override or config.output_path or default_name
@@ -246,19 +251,31 @@ def _write_json(path: str, payload: Dict):
 
 
 def _timed(config: RunConfig):
+    """Stamp for the opt-in ``timings`` block; extra entries (solver stats) ride along."""
     start = time.perf_counter()
 
-    def stamp():
-        return {"wall_seconds": time.perf_counter() - start} if config.record_timings else None
+    def stamp(extra: Optional[Dict] = None):
+        if not config.record_timings:
+            return None
+        return {"wall_seconds": time.perf_counter() - start, **(extra or {})}
 
     return stamp
+
+
+def _per_row(stats: Sequence[Dict]) -> Dict[str, list]:
+    """Solver stats of a scan, one list entry per row."""
+    return {key: [row[key] for row in stats] for key in SOLVE_STATS}
 
 
 @contextlib.contextmanager
 def _thread_limit(threads: int):
     try:
         from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover - present in the supported env
+    except ImportError:
+        print(
+            f"warning: threadpoolctl is not installed; --threads {threads} is not enforced",
+            file=sys.stderr,
+        )
         yield
         return
     with threadpool_limits(limits=threads):
@@ -289,7 +306,7 @@ def run_spectrum(config: RunConfig, out_path: str) -> Dict:
         "residual": result.residual,
         "method": result.method,
         "free_gap": config.params.free_gap,
-        "timings": stamp(),
+        "timings": stamp(result.stats()),
     }
     _write_json(out_path, payload)
     return payload
@@ -299,6 +316,7 @@ def run_scan_kappa(config: RunConfig, out_path: str) -> Dict:
     stamp = _timed(config)
     model = build_model(config.params)
     rows = []
+    stats = []
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("kappa,E0,gap,residual\n")
         fh.flush()
@@ -313,6 +331,7 @@ def run_scan_kappa(config: RunConfig, out_path: str) -> Dict:
                 dense_cap=config.solver.dense_cap,
             )
             rows.append((kappa, result.ground_energy, result.gap, result.residual))
+            stats.append(result.stats())
             fh.write(f"{kappa!r},{result.ground_energy!r},{result.gap!r},{result.residual!r}\n")
             fh.flush()
     sidecar = {
@@ -321,7 +340,7 @@ def run_scan_kappa(config: RunConfig, out_path: str) -> Dict:
         "config": config.resolved(),
         "rows": len(rows),
         "all_gaps_positive": bool(all(gap > 0 for _, _, gap, _ in rows)),
-        "timings": stamp(),
+        "timings": stamp(_per_row(stats)),
     }
     _write_json(out_path + ".meta.json", sidecar)
     return sidecar
@@ -344,7 +363,7 @@ def run_converge(config: RunConfig, out_path: str) -> Dict:
         "command": "converge",
         "config": config.resolved(),
         "report": report.to_dict(),
-        "timings": stamp(),
+        "timings": stamp(_per_row(report.solves)),
     }
     _write_json(out_path, payload)
     return payload

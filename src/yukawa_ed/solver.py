@@ -1,11 +1,14 @@
 """Lowest eigenvalues, spectral gaps, sector minima, and refinement scans.
 
-Two routes to the bottom of the spectrum: full Hermitian diagonalization
-(authoritative under a dimension cap) and a Lanczos iteration with full
+Two routes to the bottom of the spectrum: dense Hermitian diagonalization
+through LAPACK's subset driver (authoritative under a dimension cap; only
+the lowest k eigenpairs are computed) and a Lanczos iteration with full
 reorthogonalization.  The Lanczos route restarts in the orthogonal
 complement of converged eigenvectors, so degenerate eigenvalues are
 resolved with their multiplicities and the two routes can be compared
-eigenvalue by eigenvalue.
+eigenvalue by eigenvalue.  Each Lanczos sweep writes its vectors into one
+preallocated Krylov block (one row per vector) and reorthogonalizes against
+row views of it, so its bookkeeping stays linear in the step count.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .hamiltonian import ModelParams, build_model
 
 DEFAULT_DENSE_CAP = 4096
 DEGENERACY_TOL = 1e-10
+# SpectralResult fields that say how a solve went (route and work done)
+SOLVE_STATS = ("method", "iterations", "matvecs")
 
 
 @dataclass
@@ -53,13 +58,16 @@ class SpectralResult:
         raw = float(self.eigenvalues[1] - self.eigenvalues[0])
         return 0.0 if raw < DEGENERACY_TOL else raw
 
+    def stats(self) -> Dict:
+        return {key: getattr(self, key) for key in SOLVE_STATS}
+
 
 def _as_operator(h):
     return h.tocsr() if sp.issparse(h) else np.asarray(h)
 
 
 def dense_lowest(h, k: int, dense_cap: int = DEFAULT_DENSE_CAP) -> SpectralResult:
-    """Full Hermitian diagonalization; the oracle route under the cap."""
+    """Lowest ``k`` eigenpairs by LAPACK's subset driver; the oracle route under the cap."""
     dim = h.shape[0]
     if dim > dense_cap:
         raise CapacityError(
@@ -71,11 +79,11 @@ def dense_lowest(h, k: int, dense_cap: int = DEFAULT_DENSE_CAP) -> SpectralResul
         raise ParameterError(f"need k >= 1, got {k}")
     k = min(k, dim)
     dense = h.toarray() if sp.issparse(h) else np.asarray(h)
-    vals, vecs = np.linalg.eigh(dense)
+    vals, vecs = sla.eigh(dense, subset_by_index=[0, k - 1])
     ground = vecs[:, 0]
     residual = float(np.linalg.norm(dense @ ground - vals[0] * ground))
     return SpectralResult(
-        eigenvalues=vals[:k].copy(),
+        eigenvalues=vals,
         ground_vector=ground,
         residual=residual,
         method="dense",
@@ -83,7 +91,13 @@ def dense_lowest(h, k: int, dense_cap: int = DEFAULT_DENSE_CAP) -> SpectralResul
 
 
 class _LanczosState:
-    """Converged eigenpairs plus iteration counters across deflation rounds."""
+    """Converged eigenpairs plus iteration counters across deflation rounds.
+
+    Each round keeps its Lanczos vectors as the rows of one preallocated
+    complex Krylov block and the converged vectors as the rows of one
+    deflation block.  Projections use row views of those blocks and conjugate
+    only the vector being projected, so no per-step basis copy is made.
+    """
 
     def __init__(self, h, rng):
         self.h = h
@@ -103,33 +117,33 @@ class _LanczosState:
         complement; the caller distinguishes via the remaining dimension).
         """
         dim = self.h.shape[0]
-        deflate = np.column_stack(self.vectors) if self.vectors else None
+        deflate = np.array(self.vectors) if self.vectors else None
         start = self.rng.standard_normal(dim) + 1j * self.rng.standard_normal(dim)
         if deflate is not None:
-            start -= deflate @ (deflate.conj().T @ start)
+            _project_out(deflate, start)
         nrm = float(np.linalg.norm(start))
         if nrm < 1e-10:
             return None
-        start /= nrm
 
-        basis_vecs = [start]
+        steps = min(max_iter, dim - len(self.values))
+        krylov = np.empty((steps + 1, dim), dtype=complex)
+        np.divide(start, nrm, out=krylov[0])
         alphas: List[float] = []
         betas: List[float] = []
-        steps = min(max_iter, dim - len(self.values))
         for j in range(steps):
             self.iterations += 1
-            w = self.h @ basis_vecs[-1]
+            w = self.h @ krylov[j]
             self.matvecs += 1
-            alpha = float(np.vdot(basis_vecs[-1], w).real)
+            alpha = float(np.vdot(krylov[j], w).real)
             alphas.append(alpha)
-            w = w - alpha * basis_vecs[-1]
+            w = w - alpha * krylov[j]
             if j > 0:
-                w = w - betas[-1] * basis_vecs[-2]
+                w = w - betas[-1] * krylov[j - 1]
             if deflate is not None:
-                w -= deflate @ (deflate.conj().T @ w)
-            vmat = np.column_stack(basis_vecs)
-            w -= vmat @ (vmat.conj().T @ w)
-            w -= vmat @ (vmat.conj().T @ w)
+                _project_out(deflate, w)
+            basis = krylov[: j + 1]
+            _project_out(basis, w)
+            _project_out(basis, w)
             beta = float(np.linalg.norm(w))
 
             theta, smat = sla.eigh_tridiagonal(alphas, betas)
@@ -144,14 +158,20 @@ class _LanczosState:
                 take = len(theta) if exhausted else prefix
                 if take == 0:
                     return None
-                ritz = vmat @ smat[:, :take]
+                ritz = basis.T @ smat[:, :take]
                 for col in range(take):
                     self.values.append(float(theta[col]))
                     self.vectors.append(np.ascontiguousarray(ritz[:, col]))
                 return float(theta[0])
             betas.append(beta)
-            basis_vecs.append(w / beta)
+            np.divide(w, beta, out=krylov[j + 1])
         return None
+
+
+def _project_out(rows: np.ndarray, w: np.ndarray) -> None:
+    """Remove from ``w`` (in place) its components along the orthonormal rows."""
+    coeffs = (rows @ w.conj()).conj()
+    w -= rows.T @ coeffs
 
 
 def lanczos_lowest(
@@ -345,11 +365,13 @@ class ConvergenceReport:
 
     The successive-difference column is a convergence diagnostic, not a
     proof: coarse and fine model spaces differ, so only the spectra are
-    compared.
+    compared.  ``solves`` holds each row's ``SpectralResult.stats()``; it is
+    not part of ``to_dict``.
     """
 
     axis: str
     rows: List[ScanRow] = field(default_factory=list)
+    solves: List[Dict] = field(default_factory=list)
 
     @property
     def deltas(self) -> List[float]:
@@ -447,4 +469,5 @@ def converge_scan(
                 method=result.method,
             )
         )
+        report.solves.append(result.stats())
     return report

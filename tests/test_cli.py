@@ -1,12 +1,17 @@
+import contextlib
 import json
 import math
 import os
+import sys
+import types
+from dataclasses import fields
 
 import pytest
 import yaml
 
 from yukawa_ed.cli import EXIT_CAPACITY, EXIT_CONFIG, EXIT_OK, load_config, main
 from yukawa_ed.errors import ConfigError
+from yukawa_ed.hamiltonian import ModelParams
 
 
 def base_config(**model_overrides):
@@ -55,6 +60,17 @@ class TestConfigLoading:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/path.yaml")
+
+    def test_absent_cutoffs_resolve_to_model_params_defaults(self, tmp_path):
+        defaults = {f.name: f.default for f in fields(ModelParams)}
+        config = load_config(write_config(tmp_path, base_config()))
+        for key in ("chi_dirac", "chi_kg", "chi_spatial"):
+            assert getattr(config.params, key) == defaults[key]
+        partial = base_config(cutoffs={"dirac": {"scale": 2.0}, "kg": None})
+        config = load_config(write_config(tmp_path, partial, name="partial.yaml"))
+        assert config.params.chi_dirac.kind == defaults["chi_dirac"].kind
+        assert config.params.chi_dirac.scale == 2.0
+        assert config.params.chi_kg == defaults["chi_kg"]
 
 
 class TestSpectrumCommand:
@@ -172,6 +188,95 @@ class TestConvergeCommand:
         data["scan"] = {"axis": "warp_factor", "values": [1, 2]}
         cfg = write_config(tmp_path, data)
         assert main(["converge", "--config", cfg]) == EXIT_CONFIG
+
+
+# payload keys of each command with the default (timings off) output
+PAYLOAD_KEYS = {
+    "spectrum": {
+        "schema_version", "command", "config", "dimension", "eigenvalues", "ground_energy",
+        "gap", "ground_multiplicity", "residual", "method", "free_gap", "timings",
+    },
+    "scan-kappa": {"schema_version", "command", "config", "rows", "all_gaps_positive", "timings"},
+    "converge": {"schema_version", "command", "config", "report", "timings"},
+}
+
+
+def run_payload(tmp_path, command, data, name):
+    cfg = write_config(tmp_path, data, name=name + ".yaml")
+    out = str(tmp_path / name)
+    assert main([command, "--config", cfg, "--out", out]) == EXIT_OK
+    meta = out + ".meta.json" if command == "scan-kappa" else out
+    return json.loads(open(meta).read())
+
+
+class TestSolverStats:
+    @staticmethod
+    def lanczos_config(record_timings):
+        data = base_config(coupling=0.5)
+        data["solver"] = {"dense_cap": 16}
+        data["scan"] = {"kappa_grid": [0.0, 0.5], "axis": "n_max", "values": [2, 3]}
+        data["output"] = {"record_timings": record_timings}
+        return data
+
+    @pytest.mark.parametrize("command", sorted(PAYLOAD_KEYS))
+    def test_timings_off_payload_has_no_stats(self, tmp_path, command):
+        payload = run_payload(tmp_path, command, self.lanczos_config(False), "off")
+        assert set(payload) == PAYLOAD_KEYS[command]
+        assert payload["timings"] is None
+
+    def test_spectrum_reports_route_and_work(self, tmp_path):
+        payload = run_payload(tmp_path, "spectrum", self.lanczos_config(True), "spec.json")
+        timings = payload["timings"]
+        assert set(payload) == PAYLOAD_KEYS["spectrum"]
+        assert timings["method"] == payload["method"] == "lanczos"
+        assert timings["matvecs"] == timings["iterations"] > 0
+
+    @pytest.mark.parametrize("command", ["scan-kappa", "converge"])
+    def test_scans_report_one_entry_per_row(self, tmp_path, command):
+        payload = run_payload(tmp_path, command, self.lanczos_config(True), "scan")
+        timings = payload["timings"]
+        assert timings["wall_seconds"] > 0
+        assert timings["method"] == ["lanczos", "lanczos"]
+        assert all(m > 0 for m in timings["matvecs"])
+        assert timings["iterations"] == timings["matvecs"]
+        if command == "converge":
+            assert [row["method"] for row in payload["report"]["rows"]] == timings["method"]
+
+    def test_dense_route_does_no_lanczos_work(self, tmp_path):
+        data = base_config(coupling=0.5)
+        data["output"] = {"record_timings": True}
+        timings = run_payload(tmp_path, "spectrum", data, "dense.json")["timings"]
+        assert (timings["method"], timings["iterations"], timings["matvecs"]) == ("dense", 0, 0)
+
+
+class TestThreadLimit:
+    def run_spectrum(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, base_config(coupling=0.8))
+        out = tmp_path / name
+        assert main(["spectrum", "--config", cfg, "--out", str(out), "--threads", "2"]) == EXIT_OK
+        return out.read_bytes(), capsys.readouterr().err
+
+    def test_missing_threadpoolctl_warns_once(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now raises
+        written, err = self.run_spectrum(tmp_path, capsys, "x.json")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning:") and "--threads 2" in lines[0]
+
+        calls = []
+
+        @contextlib.contextmanager
+        def threadpool_limits(limits):
+            calls.append(limits)
+            yield
+
+        fake = types.ModuleType("threadpoolctl")
+        fake.threadpool_limits = threadpool_limits
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        pinned, err = self.run_spectrum(tmp_path, capsys, "x.json")
+        assert err == ""
+        assert calls == [2]
+        assert pinned == written
 
 
 class TestVerifyCommand:

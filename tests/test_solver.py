@@ -43,6 +43,14 @@ def strong_coupling_params(**kwargs):
     return ModelParams(**defaults)
 
 
+def hermitian_with_spectrum(eigenvalues, rng):
+    """Dense Hermitian matrix with the given spectrum in a random unitary basis."""
+    dim = len(eigenvalues)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    mat = (q * np.asarray(eigenvalues)) @ q.conj().T
+    return (mat + mat.conj().T) / 2
+
+
 def random_hermitian(dim, rng, degenerate=False):
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = (mat + mat.conj().T) / 2
@@ -78,6 +86,16 @@ class TestDenseLowest:
         h = random_hermitian(40, RNG)
         result = dense_lowest(h, 2)
         assert result.residual < 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 7, 60])
+    def test_subset_matches_full_eigvalsh(self, dim):
+        h = random_hermitian(dim, RNG)
+        full = np.linalg.eigvalsh(h.toarray())
+        for k in (1, dim):
+            result = dense_lowest(h, k)
+            assert result.eigenvalues.shape == (k,)
+            assert np.allclose(result.eigenvalues, full[:k], rtol=0, atol=1e-10)
+            assert result.residual < 1e-10
 
 
 class TestLanczosLowest:
@@ -127,6 +145,38 @@ class TestLanczosLowest:
         h = sp.diags([1.0, 2.0]).tocsr()
         result = lanczos_lowest(h, 5, seed=1)
         assert np.allclose(result.eigenvalues, [1.0, 2.0], atol=1e-10)
+
+    def test_max_iter_above_dimension(self):
+        h = random_hermitian(40, RNG)
+        dense = dense_lowest(h, 3)
+        fast = lanczos_lowest(h, 3, tol=1e-11, max_iter=500, seed=2)
+        assert np.allclose(fast.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-10)
+
+    def test_k_equal_dimension_deflates_whole_space(self):
+        dim = 12
+        h = random_hermitian(dim, RNG)
+        dense = dense_lowest(h, dim)
+        fast = lanczos_lowest(h, dim, tol=1e-11, seed=4)
+        assert fast.eigenvalues.shape == (dim,)
+        assert np.allclose(fast.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-10)
+
+    def test_dense_ndarray_input(self):
+        h = random_hermitian(50, RNG)
+        from_sparse = lanczos_lowest(h, 2, tol=1e-11, seed=6)
+        from_array = lanczos_lowest(h.toarray(), 2, tol=1e-11, seed=6)
+        assert isinstance(from_array.ground_vector, np.ndarray)
+        assert np.allclose(from_array.eigenvalues, from_sparse.eigenvalues, rtol=0, atol=1e-10)
+        assert from_array.residual < 1e-9
+
+    def test_threefold_degenerate_ground_level_keeps_multiplicity(self):
+        spectrum = np.concatenate([[-3.0, -3.0, -3.0], np.sort(RNG.uniform(-2.0, 4.0, size=57))])
+        h = hermitian_with_spectrum(spectrum, RNG)
+        dense = dense_lowest(h, 4)
+        fast = lanczos_lowest(h, 4, tol=1e-11, seed=8)
+        assert dense.ground_multiplicity == 3
+        assert fast.ground_multiplicity == 3
+        assert fast.gap == 0.0
+        assert np.allclose(fast.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-10)
 
     def test_interacting_model_matches_dense(self):
         model = build_model(strong_coupling_params())
