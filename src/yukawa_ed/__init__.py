@@ -41,6 +41,7 @@ from .hamiltonian import (
     dirac_field_component,
     enumerate_interaction_terms,
     interaction_form_quadrature,
+    ladder_factors,
 )
 from .lattice import DiscreteCoefficients, MomentumLattice, build_lattice, discretize
 from .solver import (

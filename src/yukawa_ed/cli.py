@@ -7,13 +7,15 @@ configuration and a schema_version for provenance.  With --threads 1 (the
 default) outputs are byte-for-byte reproducible for a fixed config and seed;
 wall-clock timings, with each solve's route and work counts, are only
 recorded when explicitly requested, since they would break that
-reproducibility.
+reproducibility.  The timed block also says whether the BLAS thread pools
+were actually at the requested size, as read back from the loaded libraries.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import os
 import sys
@@ -250,14 +252,42 @@ def _write_json(path: str, payload: Dict):
         fh.write("\n")
 
 
+def _blas_thread_counts() -> List[int]:
+    """Pool size of each loaded OpenBLAS, read back through its own C API."""
+    try:
+        with open("/proc/self/maps", "r", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return []
+    counts = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            getter = getattr(lib, f"{prefix}_get_num_threads64_", None) or getattr(
+                lib, f"{prefix}_get_num_threads", None
+            )
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts.append(int(getter()))
+                break
+    return counts
+
+
 def _timed(config: RunConfig):
-    """Stamp for the opt-in ``timings`` block; extra entries (solver stats) ride along."""
+    """Stamp for the opt-in ``timings`` block; extra entries (solver stats) ride along.
+
+    ``threads_pinned`` is true only when some BLAS pool could be read and
+    every pool read has exactly ``config.threads`` threads.
+    """
     start = time.perf_counter()
 
     def stamp(extra: Optional[Dict] = None):
         if not config.record_timings:
             return None
-        return {"wall_seconds": time.perf_counter() - start, **(extra or {})}
+        wall = time.perf_counter() - start
+        counts = _blas_thread_counts()
+        pinned = bool(counts) and all(count == config.threads for count in counts)
+        return {"wall_seconds": wall, "threads_pinned": pinned, **(extra or {})}
 
     return stamp
 

@@ -271,13 +271,14 @@ def enumerate_interaction_terms(
     return terms
 
 
-def assemble_interaction(terms: Sequence[InteractionTerm], basis: FockBasis) -> sp.csr_matrix:
-    """Sum the term list into H_int = sum_r F_r (x) B_r on the product basis.
+Ladder = Tuple[str, int]  # (boson_kind, k_index)
 
-    Terms are grouped by boson ladder r = (boson_kind, k_index).  F_r sums the
-    group's coefficient-weighted fermion bilinears on the mask space in one
-    COO pass, exact zeros eliminated; the blocks are disjoint (module
-    docstring), so the sum over r never merges entries.
+
+def ladder_factors(terms: Sequence[InteractionTerm], basis: FockBasis) -> Dict[Ladder, sp.csr_matrix]:
+    """The mask-space factor F_r of each boson ladder r = (boson_kind, k_index).
+
+    F_r sums the group's coefficient-weighted fermion bilinears on the
+    2^(4 N_f) mask space in one COO pass, exact zeros eliminated.
     """
     n_modes = basis.n_fermion_modes
     annihilators = [mask_annihilator(n_modes, j) for j in range(n_modes)]
@@ -289,7 +290,7 @@ def assemble_interaction(terms: Sequence[InteractionTerm], basis: FockBasis) -> 
         j = basis.mode_index(FermionMode(right, spins[1], qpi))
         return (ladder_ops[left_create][i] @ ladder_ops[right_create][j]).tocoo()
 
-    groups: Dict[Tuple[str, int], Dict[Tuple, complex]] = {}
+    groups: Dict[Ladder, Dict[Tuple, complex]] = {}
     for term in terms:
         group = groups.setdefault((term.boson_kind, term.k_index), {})
         key = (term.fermion_kind, term.spins, term.q_index, term.qp_index)
@@ -297,14 +298,26 @@ def assemble_interaction(terms: Sequence[InteractionTerm], basis: FockBasis) -> 
     keys = dict.fromkeys(key for group in groups.values() for key in group)
     bilinears = {key: bilinear(*key) for key in keys}
 
-    total = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
-    for (bkind, k), group in groups.items():
+    factors = {}
+    for ladder, group in groups.items():
         mats = [bilinears[key] for key in group]
         rows = np.concatenate([m.row for m in mats])
         cols = np.concatenate([m.col for m in mats])
         vals = np.concatenate([c * m.data for c, m in zip(group.values(), mats)])
         f_r = sp.csr_matrix((vals, (rows, cols)), shape=(basis.fermion_dim,) * 2)
         f_r.eliminate_zeros()
+        factors[ladder] = f_r
+    return factors
+
+
+def assemble_interaction(factors: Dict[Ladder, sp.csr_matrix], basis: FockBasis) -> sp.csr_matrix:
+    """Sum the ladder factors into H_int = sum_r F_r (x) B_r on the product basis.
+
+    The blocks are disjoint (module docstring), so the sum over r never
+    merges entries.
+    """
+    total = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    for (bkind, k), f_r in factors.items():
         b_r = boson_block_annihilator(basis, k)
         if bkind == "a*":
             b_r = b_r.conj().T
@@ -315,6 +328,23 @@ def assemble_interaction(terms: Sequence[InteractionTerm], basis: FockBasis) -> 
 def hermiticity_defect(mat: sp.spmatrix) -> float:
     diff = (mat - mat.conj().T).tocoo()
     return 0.0 if diff.nnz == 0 else float(np.max(np.abs(diff.data)))
+
+
+def interaction_hermiticity_defect(factors: Dict[Ladder, sp.csr_matrix], basis: FockBasis) -> float:
+    """``hermiticity_defect`` of H_int, checked on the mask-space factors.
+
+    The a_k and a*_k blocks of H_int - H_int^H are (F_{a,k} - F_{a*,k}^H) (x) B_k
+    and its adjoint.  Kron entries are products, so the defect is the largest
+    max|F_{a,k} - F_{a*,k}^H| * max|B_k|; the first factor is the defect of
+    [[0, F_{a,k}], [F_{a*,k}, 0]].  An absent ladder counts as zero.
+    """
+    zero = sp.csr_matrix((basis.fermion_dim,) * 2, dtype=complex)
+    defect = 0.0
+    for k in sorted({k for _, k in factors}):
+        pair = sp.bmat([[None, factors.get(("a", k), zero)], [factors.get(("a*", k), zero), None]])
+        scale = np.max(np.abs(boson_block_annihilator(basis, k).data), initial=0.0)
+        defect = max(defect, hermiticity_defect(pair) * scale)
+    return defect
 
 
 @dataclass
@@ -380,10 +410,11 @@ def build_model(
         side="boson",
     ).tocsr()
     terms = enumerate_interaction_terms(params, f, g, h, algebra.beta)
-    h_int = assemble_interaction(terms, basis)
-    defect = hermiticity_defect(h_int)
+    factors = ladder_factors(terms, basis)
+    defect = interaction_hermiticity_defect(factors, basis)
     if defect > 1e-12:
         raise AssemblyError(f"interaction matrix hermiticity defect {defect:.3e} exceeds 1e-12")
+    h_int = assemble_interaction(factors, basis)
     return Model(
         params=params,
         algebra=algebra,

@@ -1,14 +1,21 @@
 """Lowest eigenvalues, spectral gaps, sector minima, and refinement scans.
 
-Two routes to the bottom of the spectrum: dense Hermitian diagonalization
-through LAPACK's subset driver (authoritative under a dimension cap; only
-the lowest k eigenpairs are computed) and a Lanczos iteration with full
-reorthogonalization.  The Lanczos route restarts in the orthogonal
-complement of converged eigenvectors, so degenerate eigenvalues are
-resolved with their multiplicities and the two routes can be compared
-eigenvalue by eigenvalue.  Each Lanczos sweep writes its vectors into one
-preallocated Krylov block (one row per vector) and reorthogonalizes against
-row views of it, so its bookkeeping stays linear in the step count.
+Three routes to the bottom of the spectrum.  A matrix with nothing nonzero
+off its diagonal (the free Hamiltonian) is read off that diagonal exactly.
+Otherwise LAPACK's subset driver (dense; only the lowest k eigenpairs)
+runs up to ``DEFAULT_DENSE_CAP``, the measured break-even dimension, and
+Lanczos with full reorthogonalization above it.  The dense route doubles
+as the oracle up to ``ORACLE_DENSE_CAP``.  Both work in real arithmetic
+whenever the matrix's imaginary part is exactly zero (on-axis lattices):
+float64 values sharing the CSR index arrays, a real start vector and Krylov
+block, and the real subset driver.  A nonzero imaginary part keeps complex.
+
+Lanczos restarts in the orthogonal complement of converged eigenvectors, so
+degenerate levels keep their multiplicities and the routes can be compared
+eigenvalue by eigenvalue.  Each sweep writes its vectors into one
+preallocated Krylov block.  Every step projects the new vector against it
+once and repeats only when the first pass removed more than half of the
+squared norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976).
 """
 
 from __future__ import annotations
@@ -25,7 +32,10 @@ from .errors import CapacityError, ConvergenceError, ParameterError
 from .fock import FockBasis
 from .hamiltonian import ModelParams, build_model
 
-DEFAULT_DENSE_CAP = 4096
+# dense route at or below this dimension, Lanczos above (measured break-even)
+DEFAULT_DENSE_CAP = 680
+# memory guard of the dense oracle routes, whatever the route choice
+ORACLE_DENSE_CAP = 4096
 DEGENERACY_TOL = 1e-10
 # SpectralResult fields that say how a solve went (route and work done)
 SOLVE_STATS = ("method", "iterations", "matvecs")
@@ -63,10 +73,44 @@ class SpectralResult:
 
 
 def _as_operator(h):
-    return h.tocsr() if sp.issparse(h) else np.asarray(h)
+    """CSR or ndarray of ``h``; float64 when its imaginary part is exactly zero.
+
+    A real CSR shares the parent's ``indices``/``indptr`` and copies only the
+    real parts of the values.
+    """
+    if sp.issparse(h):
+        h = h.tocsr()
+        if np.iscomplexobj(h) and not np.any(h.data.imag):
+            return sp.csr_matrix((h.data.real.copy(), h.indices, h.indptr), shape=h.shape)
+    else:
+        h = np.asarray(h)
+        if np.iscomplexobj(h) and not np.any(h.imag):
+            return h.real.copy()
+    return h if np.iscomplexobj(h) else h.astype(float, copy=False)
 
 
-def dense_lowest(h, k: int, dense_cap: int = DEFAULT_DENSE_CAP) -> SpectralResult:
+def _as_dense(h) -> np.ndarray:
+    h = _as_operator(h)
+    return h.toarray() if sp.issparse(h) else h
+
+
+def _diagonal_lowest(h, k: int) -> Optional[SpectralResult]:
+    """Lowest ``k`` entries of ``h``'s diagonal when nothing off it is nonzero, else None.
+
+    Every stored nonzero lies on the diagonal exactly when the stored values
+    hold no more nonzeros than the diagonal does.
+    """
+    diag = h.diagonal()
+    if np.count_nonzero(h.data if sp.issparse(h) else h) > np.count_nonzero(diag):
+        return None
+    diag = diag.real
+    order = np.argsort(diag, kind="stable")[: min(k, len(diag))]
+    ground = np.zeros(len(diag))
+    ground[order[0]] = 1.0
+    return SpectralResult(eigenvalues=diag[order], ground_vector=ground, residual=0.0, method="diagonal")
+
+
+def dense_lowest(h, k: int, dense_cap: int = ORACLE_DENSE_CAP) -> SpectralResult:
     """Lowest ``k`` eigenpairs by LAPACK's subset driver; the oracle route under the cap."""
     dim = h.shape[0]
     if dim > dense_cap:
@@ -78,7 +122,7 @@ def dense_lowest(h, k: int, dense_cap: int = DEFAULT_DENSE_CAP) -> SpectralResul
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     k = min(k, dim)
-    dense = h.toarray() if sp.issparse(h) else np.asarray(h)
+    dense = _as_dense(h)
     vals, vecs = sla.eigh(dense, subset_by_index=[0, k - 1])
     ground = vecs[:, 0]
     residual = float(np.linalg.norm(dense @ ground - vals[0] * ground))
@@ -94,8 +138,8 @@ class _LanczosState:
     """Converged eigenpairs plus iteration counters across deflation rounds.
 
     Each round keeps its Lanczos vectors as the rows of one preallocated
-    complex Krylov block and the converged vectors as the rows of one
-    deflation block.  Projections use row views of those blocks and conjugate
+    Krylov block of ``h``'s dtype and the converged vectors as the rows of
+    one deflation block.  Projections use row views of those blocks and conjugate
     only the vector being projected, so no per-step basis copy is made.
     """
 
@@ -118,7 +162,9 @@ class _LanczosState:
         """
         dim = self.h.shape[0]
         deflate = np.array(self.vectors) if self.vectors else None
-        start = self.rng.standard_normal(dim) + 1j * self.rng.standard_normal(dim)
+        start = self.rng.standard_normal(dim)
+        if np.iscomplexobj(self.h):
+            start = start + 1j * self.rng.standard_normal(dim)
         if deflate is not None:
             _project_out(deflate, start)
         nrm = float(np.linalg.norm(start))
@@ -126,7 +172,7 @@ class _LanczosState:
             return None
 
         steps = min(max_iter, dim - len(self.values))
-        krylov = np.empty((steps + 1, dim), dtype=complex)
+        krylov = np.empty((steps + 1, dim), dtype=start.dtype)
         np.divide(start, nrm, out=krylov[0])
         alphas: List[float] = []
         betas: List[float] = []
@@ -142,9 +188,12 @@ class _LanczosState:
             if deflate is not None:
                 _project_out(deflate, w)
             basis = krylov[: j + 1]
-            _project_out(basis, w)
+            before = float(np.linalg.norm(w))
             _project_out(basis, w)
             beta = float(np.linalg.norm(w))
+            if beta < before / math.sqrt(2.0):
+                _project_out(basis, w)
+                beta = float(np.linalg.norm(w))
 
             theta, smat = sla.eigh_tridiagonal(alphas, betas)
             resid_est = np.abs(beta * smat[-1, :])
@@ -254,21 +303,26 @@ def solve_lowest(
     seed: int = 0,
     dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> SpectralResult:
-    """Dense route under the cap, Lanczos above it."""
+    """Diagonal route for a diagonal matrix, else dense up to the cap and Lanczos above it."""
+    if k < 1:
+        raise ParameterError(f"need k >= 1, got {k}")
+    h = h.tocsr() if sp.issparse(h) else np.asarray(h)
+    diagonal = _diagonal_lowest(h, k)
+    if diagonal is not None:
+        return diagonal
     if h.shape[0] <= dense_cap:
         return dense_lowest(h, k, dense_cap)
     return lanczos_lowest(h, k, tol=tol, max_iter=max_iter, seed=seed)
 
 
-def operator_norm_dense(h, dense_cap: int = DEFAULT_DENSE_CAP) -> float:
+def operator_norm_dense(h, dense_cap: int = ORACLE_DENSE_CAP) -> float:
     """Spectral norm via dense Hermitian eigenvalues (small instances only)."""
     dim = h.shape[0]
     if dim > dense_cap:
         raise CapacityError(
             f"dense norm of dimension {dim} exceeds cap {dense_cap}", projected=dim, cap=dense_cap
         )
-    dense = h.toarray() if sp.issparse(h) else np.asarray(h)
-    vals = np.linalg.eigvalsh(dense)
+    vals = np.linalg.eigvalsh(_as_dense(h))
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 

@@ -233,11 +233,13 @@ class TestSolverStats:
 
     @pytest.mark.parametrize("command", ["scan-kappa", "converge"])
     def test_scans_report_one_entry_per_row(self, tmp_path, command):
+        # the kappa = 0 row of scan-kappa is the diagonal free Hamiltonian
+        methods = {"scan-kappa": ["diagonal", "lanczos"], "converge": ["lanczos", "lanczos"]}[command]
         payload = run_payload(tmp_path, command, self.lanczos_config(True), "scan")
         timings = payload["timings"]
         assert timings["wall_seconds"] > 0
-        assert timings["method"] == ["lanczos", "lanczos"]
-        assert all(m > 0 for m in timings["matvecs"])
+        assert timings["method"] == methods
+        assert [m > 0 for m in timings["matvecs"]] == [m == "lanczos" for m in methods]
         assert timings["iterations"] == timings["matvecs"]
         if command == "converge":
             assert [row["method"] for row in payload["report"]["rows"]] == timings["method"]
@@ -277,6 +279,33 @@ class TestThreadLimit:
         assert err == ""
         assert calls == [2]
         assert pinned == written
+
+
+class TestThreadsPinned:
+    @pytest.mark.parametrize(
+        "counts, threads, pinned",
+        [([1, 1], 1, True), ([1, 2], 1, False), ([2], 2, True), ([], 1, False)],
+    )
+    def test_flag_follows_pools_read_back(self, tmp_path, monkeypatch, counts, threads, pinned):
+        from yukawa_ed import cli
+
+        monkeypatch.setattr(cli, "_blas_thread_counts", lambda: counts)
+        data = base_config(coupling=0.0)
+        data["output"] = {"record_timings": True}
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "t.json"
+        assert main(["spectrum", "--config", cfg, "--out", str(out), "--threads", str(threads)]) == EXIT_OK
+        assert json.loads(out.read_text())["timings"]["threads_pinned"] is pinned
+
+    def test_pools_are_read_from_the_loaded_blas(self):
+        import numpy as np
+
+        from yukawa_ed.cli import _blas_thread_counts
+
+        counts = _blas_thread_counts()
+        assert all(isinstance(c, int) and c >= 1 for c in counts)
+        if "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+            assert counts
 
 
 class TestVerifyCommand:

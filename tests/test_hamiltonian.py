@@ -24,8 +24,11 @@ from yukawa_ed.hamiltonian import (
     chi_spatial_l1_norm,
     dirac_field_component,
     fourier_quadrature,
+    assemble_interaction,
     hermiticity_defect,
     interaction_form_quadrature,
+    interaction_hermiticity_defect,
+    ladder_factors,
 )
 from yukawa_ed.spinor import CutoffProfile, dirac_algebra
 
@@ -324,6 +327,21 @@ class TestAssembly:
         monkeypatch.setattr(hamiltonian, "enumerate_interaction_terms", perturbed)
         with pytest.raises(AssemblyError):
             build_model(two_point_params())
+
+    def test_ladder_defect_equals_full_defect(self):
+        model = build_model(two_point_params(n_max=2, total_boson_cap=2))
+        factors = ladder_factors(model.terms, model.basis)
+        assert interaction_hermiticity_defect(factors, model.basis) == 0.0
+        assert hermiticity_defect(assemble_interaction(factors, model.basis)) == 0.0
+        ladder = ("a", 1)
+        f_r = factors[ladder].tocoo()
+        f_r.data[0] *= 1 + 1e-6
+        broken = {**factors, ladder: f_r.tocsr()}
+        absent = {key: f for key, f in factors.items() if key != ("a*", 0)}
+        for mutated in (broken, absent):
+            full = hermiticity_defect(assemble_interaction(mutated, model.basis))
+            assert full > 1e-12
+            assert interaction_hermiticity_defect(mutated, model.basis) == pytest.approx(full, rel=1e-12)
 
     def test_interaction_conserves_charge(self):
         model = build_model(two_point_params())

@@ -8,6 +8,7 @@ from yukawa_ed.errors import CapacityError, ConvergenceError, ParameterError
 from yukawa_ed.fock import enumerate_basis
 from yukawa_ed.hamiltonian import ModelParams, build_model
 from yukawa_ed.solver import (
+    _LanczosState,
     converge_scan,
     dense_lowest,
     lanczos_lowest,
@@ -49,6 +50,27 @@ def hermitian_with_spectrum(eigenvalues, rng):
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     mat = (q * np.asarray(eigenvalues)) @ q.conj().T
     return (mat + mat.conj().T) / 2
+
+
+def w1_hamiltonian():
+    """Ladder row W1 (dim 4 096); on-axis points, so H is exactly real."""
+    params = ModelParams(
+        dirac_mass=1.0,
+        boson_mass=1.0,
+        coupling=0.5,
+        fermion_points=((0, 0, 0), (0, 0, 1)),
+        fermion_V=TWO_PI,
+        fermion_L=1.5,
+        n_max=3,
+        total_boson_cap=6,
+    )
+    return build_model(params).hamiltonian()
+
+
+def phase_conjugated(h, rng):
+    """D h D^H for a random diagonal unitary D: same spectrum, complex entries."""
+    phases = sp.diags(np.exp(1j * rng.uniform(0, TWO_PI, size=h.shape[0])))
+    return (phases @ sp.csr_matrix(h) @ phases.conj()).tocsr()
 
 
 def random_hermitian(dim, rng, degenerate=False):
@@ -184,6 +206,112 @@ class TestLanczosLowest:
         dense = dense_lowest(h, 4)
         fast = lanczos_lowest(h, 4, tol=1e-11, seed=5)
         assert np.allclose(fast.eigenvalues, dense.eigenvalues, atol=1e-8)
+
+
+class TestRealRoute:
+    def test_real_and_complex_routes_agree_on_w1(self):
+        h = w1_hamiltonian()
+        assert not np.any(h.data.imag)
+        real = lanczos_lowest(h, 4, seed=5)
+        cplx = lanczos_lowest(phase_conjugated(h, RNG), 4, seed=5)
+        assert np.isrealobj(real.ground_vector) and np.iscomplexobj(cplx.ground_vector)
+        assert np.allclose(real.eigenvalues, cplx.eigenvalues, rtol=0, atol=1e-10)
+
+    def test_threefold_degenerate_level_on_both_routes(self):
+        spectrum = np.concatenate([[-3.0, -3.0, -3.0], np.sort(RNG.uniform(-2.0, 4.0, size=57))])
+        q, _ = np.linalg.qr(RNG.normal(size=(60, 60)))
+        mat = (q * spectrum) @ q.T
+        h = sp.csr_matrix((mat + mat.T) / 2 + 0j)  # exactly real, stored complex
+        oracle = dense_lowest(h, 4)
+        for op in (h, phase_conjugated(h, RNG)):
+            for result in (dense_lowest(op, 4), lanczos_lowest(op, 4, tol=1e-11, seed=8)):
+                assert result.ground_multiplicity == 3
+                assert np.allclose(result.eigenvalues, oracle.eigenvalues, rtol=0, atol=1e-10)
+
+    def test_off_axis_model_keeps_complex_arithmetic(self):
+        params = ModelParams(
+            dirac_mass=1.0,
+            boson_mass=1.0,
+            coupling=1.0,
+            fermion_points=((0, 0, 0), (1, 0, 0), (0, 1, 0)),
+            boson_points=((0, 0, 0),),
+            fermion_V=math.pi,
+            fermion_L=0.9,
+            n_max=1,
+            total_boson_cap=1,
+        )
+        model = build_model(params)
+        inside = np.flatnonzero(model.basis.charge() == 3)
+        block = model.hamiltonian()[np.ix_(inside, inside)]
+        assert 1e-4 < np.max(np.abs(block.data.imag)) < 1e-3
+        oracle = dense_lowest(block, 2)
+        fast = lanczos_lowest(block, 2, tol=1e-11, seed=2)
+        assert np.iscomplexobj(oracle.ground_vector) and np.iscomplexobj(fast.ground_vector)
+        assert np.allclose(fast.eigenvalues, oracle.eigenvalues, rtol=0, atol=1e-10)
+        # the imaginary part matters: the real part alone misses far beyond 1e-10
+        dropped = dense_lowest(sp.csr_matrix(block.real), 2)
+        assert np.max(np.abs(dropped.eigenvalues - oracle.eigenvalues)) > 1e-9
+
+    def test_ritz_vectors_orthonormal_on_w1(self):
+        h = w1_hamiltonian()
+        state = _LanczosState(h.real.tocsr(), np.random.default_rng(3))
+        while len(state.values) < 4:
+            assert state.run_round(4 - len(state.values), 1e-10, 400) is not None
+        vecs = np.array(state.vectors)
+        gram = vecs @ vecs.T
+        assert np.max(np.abs(gram - np.eye(len(vecs)))) < 1e-12
+
+
+class TestReorthogonalization:
+    def test_second_pass_only_when_first_removes_most(self, monkeypatch):
+        import yukawa_ed.solver as solver_mod
+
+        calls = []
+        original = solver_mod._project_out
+
+        def recording(rows, w):
+            before = np.linalg.norm(w)
+            original(rows, w)
+            calls.append((rows.shape[0], np.linalg.norm(w) < before / math.sqrt(2.0)))
+
+        monkeypatch.setattr(solver_mod, "_project_out", recording)
+        # tol 0 runs the sweep to the full dimension: at the last step the
+        # basis spans the space, the first pass removes nearly all of w and
+        # only there must the projection repeat
+        state = _LanczosState(random_hermitian(8, RNG), np.random.default_rng(1))
+        state.run_round(1, 0.0, 400)
+        passes, first_dropped = {}, {}
+        for rows, dropped in calls:
+            passes[rows] = passes.get(rows, 0) + 1
+            first_dropped.setdefault(rows, dropped)
+        assert set(passes.values()) <= {1, 2}
+        assert {rows for rows, n in passes.items() if n == 2} == {8}
+        assert {rows for rows, dropped in first_dropped.items() if dropped} == {8}
+
+
+class TestDiagonalRoute:
+    def test_exact_values_and_multiplicities(self):
+        diag = np.array([3.0, -1.0, 2.0, -1.0, 0.5, -1.0])
+        h = sp.diags(diag).tocsr() + 0j
+        for k in (1, 4, 6, 9):
+            result = solve_lowest(h, k, dense_cap=0)
+            assert result.method == "diagonal"
+            assert result.eigenvalues.tolist() == sorted(diag)[: min(k, len(diag))]
+            assert (result.iterations, result.matvecs, result.residual) == (0, 0, 0.0)
+        assert result.ground_multiplicity == 3
+        assert result.ground_vector.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+
+    def test_free_hamiltonian_is_read_off_exactly(self):
+        h0 = build_model(minimal_params(coupling=0.0)).h_free
+        result = solve_lowest(h0, 2)
+        assert result.method == "diagonal"
+        assert result.eigenvalues.tolist() == [0.0, 1.0]
+
+    def test_one_off_diagonal_entry_takes_another_route(self):
+        h = sp.diags([0.0, 1.0, 2.0]).tolil()
+        h[0, 2] = h[2, 0] = 1e-300
+        assert solve_lowest(h.tocsr(), 1).method == "dense"
+        assert solve_lowest(h.toarray(), 1).method == "dense"
 
 
 class TestPerturbationBound:
