@@ -30,7 +30,6 @@ from .fock import (
     smeared_fermion,
 )
 from .hamiltonian import (
-    InteractionTerm,
     Model,
     ModelParams,
     assemble_interaction,

@@ -8,11 +8,15 @@ of the spatial cutoff evaluated at the signed momentum balance of each term.
 Only gaussian spatial cutoffs are supported, for which that transform is
 closed-form.
 
-Each term is a fermion bilinear times one boson ladder operator B_r, r one of
-a_k or a*_k, so the assembled interaction is H_int = sum_r F_r (x) B_r with
-F_r on the 2^(4 N_f) fermion-mask space.  B_r moves the boson occupation by
--e_k or +e_k, a shift no other ladder shares, so distinct blocks occupy
-disjoint entries and the 2 N_b blocks add without overlap.
+The expansion is one numpy record table with a row per monomial
+(``enumerate_interaction_terms``): every coefficient is a product of separable
+factors, so the table comes from one broadcast over the term axes.  Each row
+is a fermion bilinear times one boson ladder operator B_r, r one of a_k or
+a*_k, so the assembled interaction is H_int = sum_r F_r (x) B_r with F_r on
+the 2^(4 N_f) fermion-mask space (``ladder_factors`` groups the rows with
+numpy).  B_r moves the boson occupation by -e_k or +e_k, a shift no other
+ladder shares, so distinct blocks occupy disjoint entries and the 2 N_b
+blocks add without overlap.
 
 No normal ordering is applied: the antiparticle bilinear is kept in the d d*
 order in which the density is written, so the assembled matrix contains the
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -131,20 +135,22 @@ class ModelParams:
         return build_lattice(V, L, self.point_cap)
 
 
-def chi_spatial_fourier(xi: np.ndarray, profile: CutoffProfile) -> float:
+def chi_spatial_fourier(xi: np.ndarray, profile: CutoffProfile) -> np.ndarray:
     """Closed-form integral of chi(x) exp(-i xi.x) dx for a gaussian profile.
 
-    Real and positive: (2 pi sigma^2)^(3/2) exp(-sigma^2 |xi|^2 / 2).
+    Real and positive: (2 pi sigma^2)^(3/2) exp(-sigma^2 |xi|^2 / 2), taken
+    over the last axis of ``xi`` (shape (..., 3)).
     """
     if profile.kind != "gaussian":
         raise ParameterError("closed-form transform requires a gaussian spatial cutoff")
     sigma2 = profile.scale * profile.scale
-    return (2.0 * math.pi * sigma2) ** 1.5 * math.exp(-0.5 * sigma2 * float(np.dot(xi, xi)))
+    xi = np.asarray(xi, dtype=float)
+    return (2.0 * math.pi * sigma2) ** 1.5 * np.exp(-0.5 * sigma2 * np.sum(xi * xi, axis=-1))
 
 
 def chi_spatial_l1_norm(profile: CutoffProfile) -> float:
     """L1 norm of the spatial cutoff; equals its transform at zero."""
-    return chi_spatial_fourier(np.zeros(3), profile)
+    return float(chi_spatial_fourier(np.zeros(3), profile))
 
 
 def fourier_quadrature(
@@ -165,26 +171,20 @@ def fourier_quadrature(
     return complex(out)
 
 
-@dataclass(frozen=True)
-class InteractionTerm:
-    """One ladder-operator monomial of the expanded interaction.
-
-    ``components`` are the density indices contracted against gamma0 from the
-    conjugated and plain field respectively; they coincide in the standard
-    representation where gamma0 is diagonal.  ``coefficient`` is the full
-    scalar multiplying the operator product, cell-volume weights and the
-    momentum-balance transform included.
-    """
-
-    fermion_kind: str
-    boson_kind: str
-    spins: Tuple[float, float]
-    components: Tuple[int, int]
-    q_index: int
-    qp_index: int
-    k_index: int
-    momentum_balance: Tuple[float, float, float]
-    coefficient: complex
+# One row per ladder-operator monomial of the expanded interaction.  The
+# components are the density indices contracted against gamma0 from the
+# conjugated and the plain field; they coincide in the standard representation
+# where gamma0 is diagonal.  ``coefficient`` is the full scalar multiplying the
+# operator product, cell-volume weights and the momentum-balance transform
+# included.
+TERM_DTYPE = np.dtype(
+    [("fermion_kind", "U4"), ("boson_kind", "U2"), ("spin", float), ("spin_p", float)]
+    + [(name, int) for name in ("component", "component_p", "q_index", "qp_index", "k_index")]
+    + [("momentum_balance", float, 3), ("coefficient", complex)]
+)
+# broadcast axes of the coefficient tensor, in row order of the term table
+TERM_AXES = ("spin", "spin_p", "q_index", "qp_index", "component", "component_p", "fermion_kind", "k_index", "boson_kind")
+AXIS_LABELS = {"spin": SPINS, "spin_p": SPINS, "fermion_kind": FERMION_KINDS, "boson_kind": BOSON_KINDS}
 
 
 def enumerate_interaction_terms(
@@ -193,120 +193,104 @@ def enumerate_interaction_terms(
     g: Sequence[Sequence[DiscreteCoefficients]],
     h: DiscreteCoefficients,
     gamma0: np.ndarray,
-) -> List[InteractionTerm]:
-    """Expand the interaction into ladder-operator monomials.
+) -> np.recarray:
+    """Expand the interaction into a table of ladder-operator monomials.
 
-    Terms with exactly zero coefficient are dropped, as are terms whose
-    momentum-balance transform falls below ``chi_hat_floor`` relative to its
-    peak.  The surviving set is closed under taking adjoints with conjugated
-    coefficients, which keeps the assembled matrix Hermitian.
+    A coefficient is a product of separable factors (gamma0, one spinor
+    amplitude per fermion leg, the boson amplitude, the transform at the
+    momentum balance), so it is evaluated once by broadcasting over
+    ``TERM_AXES``; rows come in that axis order.  Terms with exactly zero
+    coefficient are dropped, as are terms whose momentum-balance transform
+    falls below ``chi_hat_floor`` relative to its peak.  The surviving set is
+    closed under taking adjoints with conjugated coefficients, which keeps
+    the assembled matrix Hermitian.
     """
-    lat_f = f[0][0].lattice
-    lat_b = h.lattice
-    peak = chi_spatial_fourier(np.zeros(3), params.chi_spatial)
-    floor = params.chi_hat_floor * peak
+    lat_f, lat_b = f[0][0].lattice, h.lattice
+    floor = params.chi_hat_floor * chi_spatial_l1_norm(params.chi_spatial)
     base = lat_f.cell_volume * math.sqrt(lat_b.cell_volume) / math.sqrt(2.0)
 
-    component_pairs = [
-        (lb, lk, gamma0[lb, lk])
-        for lb in range(4)
-        for lk in range(4)
-        if gamma0[lb, lk] != 0
-    ]
+    def leg(species: str, create: bool) -> Tuple[np.ndarray, float]:
+        """(spin, component, q) amplitudes and momentum sign of one fermion ladder factor."""
+        amp = np.array([[c.values for c in row] for row in (f if species == "b" else g)])
+        return (amp, -1.0) if create else (amp.conj(), 1.0)
 
-    terms: List[InteractionTerm] = []
-    q_pts = lat_f.points
-    k_pts = lat_b.points
-    for si, s in enumerate(SPINS):
-        for spi, s_p in enumerate(SPINS):
-            for qi in range(lat_f.n_points):
-                for qpi in range(lat_f.n_points):
-                    for lb, lk, gam in component_pairs:
-                        # bra factor from the conjugated field, ket factor from the plain one
-                        factors = {
-                            "b*b": f[si][lb].values[qi] * np.conj(f[spi][lk].values[qpi]),
-                            "b*d*": f[si][lb].values[qi] * g[spi][lk].values[qpi],
-                            "db": np.conj(g[si][lb].values[qi]) * np.conj(f[spi][lk].values[qpi]),
-                            "dd*": np.conj(g[si][lb].values[qi]) * g[spi][lk].values[qpi],
-                        }
-                        phases = {
-                            "b*b": -q_pts[qi] + q_pts[qpi],
-                            "b*d*": -q_pts[qi] - q_pts[qpi],
-                            "db": q_pts[qi] + q_pts[qpi],
-                            "dd*": q_pts[qi] - q_pts[qpi],
-                        }
-                        for kind in FERMION_KINDS:
-                            spinor_part = factors[kind]
-                            if spinor_part == 0:
-                                continue
-                            for ki in range(lat_b.n_points):
-                                for bkind in BOSON_KINDS:
-                                    if bkind == "a":
-                                        bos = np.conj(h.values[ki])
-                                        balance = phases[kind] - k_pts[ki]
-                                    else:
-                                        bos = h.values[ki]
-                                        balance = phases[kind] + k_pts[ki]
-                                    if bos == 0:
-                                        continue
-                                    hat = chi_spatial_fourier(balance, params.chi_spatial)
-                                    if hat < floor:
-                                        continue
-                                    coeff = gam * spinor_part * bos * hat * base
-                                    if coeff == 0:
-                                        continue
-                                    terms.append(
-                                        InteractionTerm(
-                                            fermion_kind=kind,
-                                            boson_kind=bkind,
-                                            spins=(s, s_p),
-                                            components=(lb, lk),
-                                            q_index=qi,
-                                            qp_index=qpi,
-                                            k_index=ki,
-                                            momentum_balance=tuple(float(c) for c in balance),
-                                            coefficient=complex(coeff),
-                                        )
-                                    )
+    # left factor from the conjugated field, right factor from the plain one
+    left = [leg(*pair[0]) for pair in BILINEAR_FACTORS.values()]
+    right = [leg(*pair[1]) for pair in BILINEAR_FACTORS.values()]
+    bra = np.stack([amp for amp, _ in left]).transpose(1, 3, 2, 0)[:, None, :, None, :, None, :, None, None]
+    ket = np.stack([amp for amp, _ in right]).transpose(1, 3, 2, 0)[None, :, None, :, None, :, :, None, None]
+    bos = np.stack([np.conj(h.values), h.values], axis=-1)  # (k, boson kind)
+
+    # momentum balance over (q, q', fermion kind, k, boson kind, xyz); -k for a, +k for a*
+    q, k = lat_f.points, lat_b.points
+    bra_sign = np.array([sign for _, sign in left])[:, None, None, None]
+    ket_sign = np.array([sign for _, sign in right])[:, None, None, None]
+    fermions = bra_sign * q[:, None, None, None, None] + ket_sign * q[None, :, None, None, None]
+    balance = fermions + np.array([-1.0, 1.0])[:, None] * k[:, None]
+    hat = chi_spatial_fourier(balance, params.chi_spatial)[:, :, None, None]
+
+    coefficient = gamma0[:, :, None, None, None] * (bra * ket) * bos * hat * base
+    idx = np.nonzero((coefficient != 0) & (hat >= floor))
+    terms = np.recarray(len(idx[0]), dtype=TERM_DTYPE)
+    for name, i in zip(TERM_AXES, idx):
+        terms[name] = np.asarray(AXIS_LABELS[name])[i] if name in AXIS_LABELS else i
+    terms.momentum_balance = balance[idx[2:4] + idx[6:]]
+    terms.coefficient = coefficient[idx]
     return terms
 
 
 Ladder = Tuple[str, int]  # (boson_kind, k_index)
 
+# an F_r entry at most this multiple of the summed magnitudes of its
+# contributions is the rounding residue of a sum that vanishes exactly
+RESIDUE_TOL = 64 * np.finfo(float).eps
 
-def ladder_factors(terms: Sequence[InteractionTerm], basis: FockBasis) -> Dict[Ladder, sp.csr_matrix]:
+
+def ladder_factors(terms: np.recarray, basis: FockBasis) -> Dict[Ladder, sp.csr_matrix]:
     """The mask-space factor F_r of each boson ladder r = (boson_kind, k_index).
 
-    F_r sums the group's coefficient-weighted fermion bilinears on the
-    2^(4 N_f) mask space in one COO pass, exact zeros eliminated.
+    F_r sums the coefficient-weighted fermion bilinears of the ladder's rows
+    on the 2^(4 N_f) mask space.  Exact zeros and rounding residues
+    (``RESIDUE_TOL``) are dropped, by the same rule on every ladder.
     """
-    n_modes = basis.n_fermion_modes
+    n_modes, dim = basis.n_fermion_modes, basis.fermion_dim
     annihilators = [mask_annihilator(n_modes, j) for j in range(n_modes)]
     ladder_ops = {False: annihilators, True: [c.conj().T.tocsr() for c in annihilators]}
 
-    def bilinear(kind: str, spins: Tuple[float, float], qi: int, qpi: int) -> sp.coo_matrix:
+    def bilinear(kind: str, spin: float, spin_p: float, qi: int, qpi: int) -> sp.coo_matrix:
         (left, left_create), (right, right_create) = BILINEAR_FACTORS[kind]
-        i = basis.mode_index(FermionMode(left, spins[0], qi))
-        j = basis.mode_index(FermionMode(right, spins[1], qpi))
+        i = basis.mode_index(FermionMode(left, spin, qi))
+        j = basis.mode_index(FermionMode(right, spin_p, qpi))
         return (ladder_ops[left_create][i] @ ladder_ops[right_create][j]).tocoo()
 
-    groups: Dict[Ladder, Dict[Tuple, complex]] = {}
-    for term in terms:
-        group = groups.setdefault((term.boson_kind, term.k_index), {})
-        key = (term.fermion_kind, term.spins, term.q_index, term.qp_index)
-        group[key] = group.get(key, 0) + term.coefficient
-    keys = dict.fromkeys(key for group in groups.values() for key in group)
-    bilinears = {key: bilinear(*key) for key in keys}
+    ladders, ladder_of = np.unique(terms[["k_index", "boson_kind"]], return_inverse=True)
+    keys, key_of = np.unique(terms[["fermion_kind", "spin", "spin_p", "q_index", "qp_index"]], return_inverse=True)
+    mats = [bilinear(*key) for key in keys.tolist()]
+    flat = [m.row.astype(np.int64) * dim + m.col for m in mats]  # linear index of each entry
 
+    # rows of one ladder that share a bilinear sum their coefficients and magnitudes
+    pairs, pair_of = np.unique(np.stack([ladder_of, key_of], axis=1), axis=0, return_inverse=True)
+    coefficient = np.bincount(pair_of, terms.coefficient.real) + 1j * np.bincount(pair_of, terms.coefficient.imag)
+    magnitude = np.bincount(pair_of, np.abs(terms.coefficient))
+
+    # then per F_r entry, each summed in table order (stable sort); bilinear
+    # entries are +-1, so the magnitudes add as they are
     factors = {}
-    for ladder, group in groups.items():
-        mats = [bilinears[key] for key in group]
-        rows = np.concatenate([m.row for m in mats])
-        cols = np.concatenate([m.col for m in mats])
-        vals = np.concatenate([c * m.data for c, m in zip(group.values(), mats)])
-        f_r = sp.csr_matrix((vals, (rows, cols)), shape=(basis.fermion_dim,) * 2)
-        f_r.eliminate_zeros()
-        factors[ladder] = f_r
+    for r, (k, bkind) in enumerate(ladders.tolist()):
+        mine = np.flatnonzero(pairs[:, 0] == r)
+        key = pairs[mine, 1]
+        entry = np.concatenate([flat[b] for b in key])
+        counts = [mats[b].nnz for b in key]
+        value = np.repeat(coefficient[mine], counts) * np.concatenate([mats[b].data for b in key])
+        order = np.argsort(entry, kind="stable")
+        entry = entry[order]
+        starts = np.flatnonzero(np.diff(entry, prepend=-1))
+        total = np.add.reduceat(value[order], starts)
+        bound = np.add.reduceat(np.repeat(magnitude[mine], counts)[order], starts)
+        keep = np.abs(total) > RESIDUE_TOL * bound
+        rows, cols = np.divmod(entry[starts][keep], dim)
+        indptr = np.searchsorted(rows, np.arange(dim + 1))
+        factors[(bkind, k)] = sp.csr_matrix((total[keep], cols, indptr), shape=(dim, dim))
     return factors
 
 
@@ -357,11 +341,10 @@ class Model:
     f: list
     g: list
     h: DiscreteCoefficients
-    h_dirac: sp.csr_matrix   # fermion number-energy, lifted to the product basis
-    h_kg: sp.csr_matrix      # boson number-energy, lifted
+    h_kg: sp.csr_matrix      # boson number-energy, lifted to the product basis
     h_free: sp.csr_matrix
     h_int: sp.csr_matrix
-    terms: List[InteractionTerm]
+    terms: np.recarray       # one row per interaction monomial (TERM_DTYPE)
 
     @property
     def fermion_lattice(self) -> MomentumLattice:
@@ -403,7 +386,7 @@ def build_model(
         discretize(lambda q: dirac_energy(q, params.dirac_mass), basis.fermion_lattice),
         basis,
         side="fermion",
-    ).tocsr()
+    )
     h_kg = second_quantization(
         discretize(lambda k: boson_energy(k, params.boson_mass), basis.boson_lattice),
         basis,
@@ -422,7 +405,6 @@ def build_model(
         f=f,
         g=g,
         h=h,
-        h_dirac=h_dirac,
         h_kg=h_kg,
         h_free=(h_dirac + h_kg).tocsr(),
         h_int=h_int,

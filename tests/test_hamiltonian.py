@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,7 +139,7 @@ class TestFreeHamiltonian:
         assert diag[idx] == pytest.approx(0.8 + 1.7, rel=1e-15)
 
 
-def brute_force_nonzero_combinations(f, g, h):
+def brute_force_nonzero_combinations(f, g, h, gamma0):
     """Independent count of surviving monomials from the coefficient arrays."""
     n_f = f[0][0].lattice.n_points
     n_b = h.lattice.n_points
@@ -150,37 +149,39 @@ def brute_force_nonzero_combinations(f, g, h):
             for qi in range(n_f):
                 for qpi in range(n_f):
                     for l in range(4):
-                        products = [
-                            f[si][l].values[qi] * np.conj(f[spi][l].values[qpi]),
-                            f[si][l].values[qi] * g[spi][l].values[qpi],
-                            np.conj(g[si][l].values[qi]) * np.conj(f[spi][l].values[qpi]),
-                            np.conj(g[si][l].values[qi]) * g[spi][l].values[qpi],
-                        ]
-                        alive = sum(1 for p in products if p != 0)
-                        for ki in range(n_b):
-                            if h.values[ki] != 0:
-                                count += 2 * alive  # one boson emission and one absorption kind
+                        for lp in range(4):
+                            if gamma0[l, lp] == 0:
+                                continue
+                            products = [
+                                f[si][l].values[qi] * np.conj(f[spi][lp].values[qpi]),
+                                f[si][l].values[qi] * g[spi][lp].values[qpi],
+                                np.conj(g[si][l].values[qi]) * np.conj(f[spi][lp].values[qpi]),
+                                np.conj(g[si][l].values[qi]) * g[spi][lp].values[qpi],
+                            ]
+                            alive = sum(1 for p in products if p != 0)
+                            for ki in range(n_b):
+                                if h.values[ki] != 0:
+                                    count += 2 * alive  # one boson emission and one absorption kind
     return count
 
 
 class TestInteractionTerms:
     def test_minimal_lattice_has_eight_terms_with_density_signs(self):
-        model = build_model(minimal_params())
-        assert len(model.terms) == 8
-        kinds = {t.fermion_kind for t in model.terms}
-        assert kinds == {"b*b", "dd*"}
-        for t in model.terms:
-            assert t.spins[0] == t.spins[1]
-            assert t.components[0] == t.components[1]
-            sign = 1.0 if t.components[0] in (0, 1) else -1.0
-            assert np.sign(t.coefficient.real) == sign
-            assert t.coefficient.imag == 0.0
+        terms = build_model(minimal_params()).terms
+        assert len(terms) == 8
+        assert set(terms.fermion_kind) == {"b*b", "dd*"}
+        assert np.all(terms.spin == terms.spin_p)
+        assert np.all(terms.component == terms.component_p)
+        sign = np.where(np.isin(terms.component, (0, 1)), 1.0, -1.0)
+        assert np.all(np.sign(terms.coefficient.real) == sign)
+        assert np.all(terms.coefficient.imag == 0.0)
 
     def test_term_count_matches_brute_force_oracle(self):
-        for params in (minimal_params(), two_point_params()):
-            model = build_model(params)
-            expected = brute_force_nonzero_combinations(model.f, model.g, model.h)
-            assert len(model.terms) == expected
+        for algebra in (dirac_algebra("dirac"), dirac_algebra("chiral")):
+            for params in (minimal_params(), two_point_params()):
+                model = build_model(params, algebra=algebra)
+                expected = brute_force_nonzero_combinations(model.f, model.g, model.h, algebra.beta)
+                assert len(model.terms) == expected
 
     def test_generic_momentum_point_count(self):
         # one lattice point at generic momentum: each spinor has one structural zero
@@ -188,42 +189,53 @@ class TestInteractionTerms:
             fermion_points=((1, 2, 3),), fermion_V=4 * math.pi, fermion_L=2.0
         )
         model = build_model(params)
-        expected = brute_force_nonzero_combinations(model.f, model.g, model.h)
+        expected = brute_force_nonzero_combinations(model.f, model.g, model.h, model.algebra.beta)
         assert len(model.terms) == expected == 72  # 36 surviving spin-component combos, two boson kinds
 
     def test_zero_dirac_cutoff_gives_empty_term_list(self):
         model = build_model(minimal_params(chi_dirac=CutoffProfile.zero()))
-        assert model.terms == []
+        assert len(model.terms) == 0
         assert model.h_int.nnz == 0
 
+    @pytest.mark.parametrize("representation", ["dirac", "chiral"])
+    def test_each_row_matches_a_scalar_recomputation_from_its_labels(self, representation):
+        algebra = dirac_algebra(representation)
+        model = build_model(two_point_params(fermion_points=((0, 0, 0), (1, 2, 1))), algebra=algebra)
+        f, g, h = model.f, model.g, model.h
+        q, k = model.fermion_lattice.points, model.boson_lattice.points
+        lat_f, lat_b = model.fermion_lattice, model.boson_lattice
+        base = lat_f.cell_volume * math.sqrt(lat_b.cell_volume) / math.sqrt(2.0)
+        spin = {0.5: 0, -0.5: 1}
+        assert len(model.terms) > 0
+        for t in model.terms:
+            si, spi, l, lp, qi, qpi = spin[t.spin], spin[t.spin_p], t.component, t.component_p, t.q_index, t.qp_index
+            spinor = {
+                "b*b": f[si][l].values[qi] * np.conj(f[spi][lp].values[qpi]),
+                "b*d*": f[si][l].values[qi] * g[spi][lp].values[qpi],
+                "db": np.conj(g[si][l].values[qi]) * np.conj(f[spi][lp].values[qpi]),
+                "dd*": np.conj(g[si][l].values[qi]) * g[spi][lp].values[qpi],
+            }[t.fermion_kind]
+            phase = {"b*b": -q[qi] + q[qpi], "b*d*": -q[qi] - q[qpi], "db": q[qi] + q[qpi], "dd*": q[qi] - q[qpi]}
+            if t.boson_kind == "a":
+                bos, balance = np.conj(h.values[t.k_index]), phase[t.fermion_kind] - k[t.k_index]
+            else:
+                bos, balance = h.values[t.k_index], phase[t.fermion_kind] + k[t.k_index]
+            hat = (2 * math.pi) ** 1.5 * math.exp(-0.5 * float(balance @ balance))
+            assert np.array_equal(t.momentum_balance, balance)
+            assert t.coefficient == pytest.approx(algebra.beta[l, lp] * spinor * bos * hat * base, rel=1e-14)
+
     def test_adjoint_closure_with_conjugated_coefficients(self):
-        model = build_model(two_point_params())
         adjoint_kind = {"b*b": "b*b", "dd*": "dd*", "b*d*": "db", "db": "b*d*"}
         adjoint_bkind = {"a": "a*", "a*": "a"}
-        index = {
-            (
-                t.fermion_kind,
-                t.boson_kind,
-                t.spins,
-                t.components,
-                t.q_index,
-                t.qp_index,
-                t.k_index,
-            ): t.coefficient
-            for t in model.terms
-        }
-        for t in model.terms:
-            key = (
-                adjoint_kind[t.fermion_kind],
-                adjoint_bkind[t.boson_kind],
-                (t.spins[1], t.spins[0]),
-                (t.components[1], t.components[0]),
-                t.qp_index,
-                t.q_index,
-                t.k_index,
-            )
-            assert key in index
-            assert index[key] == pytest.approx(np.conj(t.coefficient), rel=1e-14)
+        fields = ["fermion_kind", "boson_kind", "spin", "spin_p", "component", "component_p", "q_index", "qp_index", "k_index"]
+        for representation in ("dirac", "chiral"):
+            terms = build_model(two_point_params(), algebra=dirac_algebra(representation)).terms
+            rows = list(zip(terms[fields].tolist(), terms.coefficient))
+            index = dict(rows)
+            for (kind, bkind, s, s_p, l, l_p, qi, qpi, ki), coefficient in rows:
+                key = (adjoint_kind[kind], adjoint_bkind[bkind], s_p, s, l_p, l, qpi, qi, ki)
+                assert key in index
+                assert index[key] == pytest.approx(np.conj(coefficient), rel=1e-14)
 
 
 def independent_minimal_interaction(params):
@@ -292,7 +304,7 @@ class TestAssembly:
     def test_interaction_matches_full_space_ladder_products(self):
         # oracle: each term as a product of full-space ladder operators, no mask-space factors
         model = build_model(two_point_params())
-        assert {t.fermion_kind for t in model.terms} == {"b*b", "b*d*", "db", "dd*"}
+        assert set(model.terms.fermion_kind) == {"b*b", "b*d*", "db", "dd*"}
         factors = {
             "b*b": (("b", True), ("b", False)),
             "b*d*": (("b", True), ("d", True)),
@@ -310,8 +322,8 @@ class TestAssembly:
             (left, left_create), (right, right_create) = factors[t.fermion_kind]
             boson_op = boson_annihilator if t.boson_kind == "a" else boson_creator
             expected = expected + t.coefficient * (
-                fermion_op(left, left_create, t.spins[0], t.q_index)
-                @ fermion_op(right, right_create, t.spins[1], t.qp_index)
+                fermion_op(left, left_create, t.spin, t.q_index)
+                @ fermion_op(right, right_create, t.spin_p, t.qp_index)
                 @ boson_op(t.k_index, model.basis)
             )
         assert np.max(np.abs((model.h_int - expected).toarray())) < 1e-14
@@ -321,7 +333,7 @@ class TestAssembly:
 
         def perturbed(*args):
             terms = enumerate_terms(*args)
-            terms[0] = replace(terms[0], coefficient=terms[0].coefficient * (1 + 1e-6))
+            terms.coefficient[0] *= 1 + 1e-6
             return terms
 
         monkeypatch.setattr(hamiltonian, "enumerate_interaction_terms", perturbed)
@@ -342,6 +354,13 @@ class TestAssembly:
             full = hermiticity_defect(assemble_interaction(mutated, model.basis))
             assert full > 1e-12
             assert interaction_hermiticity_defect(mutated, model.basis) == pytest.approx(full, rel=1e-12)
+
+    @pytest.mark.parametrize("representation", ["dirac", "chiral"])
+    def test_no_rounding_residues_stored(self, representation):
+        # sums that vanish exactly (gamma0's signs cancelling components) store nothing
+        h_int = build_model(two_point_params(), algebra=dirac_algebra(representation)).h_int
+        magnitude = np.abs(h_int.data)
+        assert np.min(magnitude) >= 1e-12 * np.max(magnitude)
 
     def test_interaction_conserves_charge(self):
         model = build_model(two_point_params())
@@ -406,11 +425,11 @@ class TestBalancePruning:
         assert hermiticity_defect(wide.h_int) == 0.0
         peak = chi_spatial_l1_norm(wide.params.chi_spatial)
         floor = wide.params.chi_hat_floor * peak
-        balances = {tuple(np.round(t.momentum_balance, 12)) for t in wide.terms}
-        for t in tight.terms:
-            value = chi_spatial_fourier(np.array(t.momentum_balance), wide.params.chi_spatial)
+        balances = {tuple(b) for b in np.round(wide.terms.momentum_balance, 12).tolist()}
+        values = chi_spatial_fourier(tight.terms.momentum_balance, wide.params.chi_spatial)
+        for balance, value in zip(np.round(tight.terms.momentum_balance, 12).tolist(), values):
             if value < floor:
-                assert tuple(np.round(t.momentum_balance, 12)) not in balances
+                assert tuple(balance) not in balances
 
 
 class TestAnalyticLimits:
