@@ -42,6 +42,8 @@ EXIT_CONVERGENCE = 4
 
 @dataclass
 class SolverConfig:
+    """Keyword arguments of ``solve_lowest`` and ``converge_scan``, by name."""
+
     k: int = 2
     tol: float = 1e-10
     max_iter: int = 400
@@ -316,14 +318,7 @@ def run_spectrum(config: RunConfig, out_path: str) -> Dict:
     stamp = _timed(config)
     model = build_model(config.params)
     h = model.hamiltonian()
-    result = solve_lowest(
-        h,
-        config.solver.k,
-        tol=config.solver.tol,
-        max_iter=config.solver.max_iter,
-        seed=config.solver.seed,
-        dense_cap=config.solver.dense_cap,
-    )
+    result = solve_lowest(h, **asdict(config.solver))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "spectrum",
@@ -352,14 +347,7 @@ def run_scan_kappa(config: RunConfig, out_path: str) -> Dict:
         fh.flush()
         for kappa in config.scan.kappa_grid:
             h = model.hamiltonian(kappa)
-            result = solve_lowest(
-                h,
-                config.solver.k,
-                tol=config.solver.tol,
-                max_iter=config.solver.max_iter,
-                seed=config.solver.seed,
-                dense_cap=config.solver.dense_cap,
-            )
+            result = solve_lowest(h, **asdict(config.solver))
             rows.append((kappa, result.ground_energy, result.gap, result.residual))
             stats.append(result.stats())
             fh.write(f"{kappa!r},{result.ground_energy!r},{result.gap!r},{result.residual!r}\n")
@@ -378,16 +366,7 @@ def run_scan_kappa(config: RunConfig, out_path: str) -> Dict:
 
 def run_converge(config: RunConfig, out_path: str) -> Dict:
     stamp = _timed(config)
-    report = converge_scan(
-        config.params,
-        config.scan.axis,
-        config.scan.values,
-        k=config.solver.k,
-        tol=config.solver.tol,
-        max_iter=config.solver.max_iter,
-        seed=config.solver.seed,
-        dense_cap=config.solver.dense_cap,
-    )
+    report = converge_scan(config.params, config.scan.axis, config.scan.values, **asdict(config.solver))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "converge",

@@ -205,7 +205,7 @@ def mask_annihilator(n_modes: int, mode: int) -> sp.csr_matrix:
     rows = cols ^ (1 << mode)
     below = cols & ((1 << mode) - 1)
     signs = 1.0 - 2.0 * (np.bitwise_count(below) & 1).astype(float)
-    return sp.csr_matrix((signs.astype(complex), (rows, cols)), shape=(dim, dim))
+    return sp.csr_matrix((signs, (rows, cols)), shape=(dim, dim))
 
 
 def smeared_mask_annihilator(n_modes: int, modes: Sequence[int], weights: np.ndarray) -> sp.csr_matrix:
@@ -239,7 +239,7 @@ def boson_block_annihilator(basis: FockBasis, mode: int) -> sp.csr_matrix:
             cols.append(i)
             vals.append(np.sqrt(float(n)))
     return sp.csr_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)),
+        (np.asarray(vals, dtype=float), (rows, cols)),
         shape=(basis.boson_dim, basis.boson_dim),
     )
 
@@ -248,11 +248,11 @@ def boson_block_annihilator(basis: FockBasis, mode: int) -> sp.csr_matrix:
 
 
 def _lift_fermion(basis: FockBasis, mask_op: sp.spmatrix) -> sp.csr_matrix:
-    return sp.kron(mask_op, sp.identity(basis.boson_dim, dtype=complex, format="csr"), format="csr")
+    return sp.kron(mask_op, sp.identity(basis.boson_dim, format="csr"), format="csr")
 
 
 def _lift_boson(basis: FockBasis, block: sp.spmatrix) -> sp.csr_matrix:
-    return sp.kron(sp.identity(basis.fermion_dim, dtype=complex, format="csr"), block, format="csr")
+    return sp.kron(sp.identity(basis.fermion_dim, format="csr"), block, format="csr")
 
 
 def fermion_annihilator(mode: FermionMode, basis: FockBasis) -> sp.csr_matrix:
@@ -328,10 +328,8 @@ def fermion_number_diagonal(basis: FockBasis, point_energies: np.ndarray) -> np.
         raise ParameterError("need one energy per fermion lattice point")
     masks = np.arange(basis.fermion_dim, dtype=np.int64)
     diag = np.zeros(basis.fermion_dim)
-    for family in range(4):
-        for j in range(basis.fermion_lattice.n_points):
-            mode = family * basis.fermion_lattice.n_points + j
-            diag += energies[j] * ((masks >> mode) & 1)
+    for mode in range(basis.n_fermion_modes):  # family-major: point = mode % n_points
+        diag += energies[mode % len(energies)] * ((masks >> mode) & 1)
     return diag
 
 
@@ -361,4 +359,4 @@ def second_quantization(
         diag = np.tile(boson_number_diagonal(basis, energies.values), basis.fermion_dim)
     else:
         raise ParameterError(f"side must be 'fermion' or 'boson', got {side!r}")
-    return sp.diags(diag.astype(complex), format="csr")
+    return sp.diags(diag, format="csr")

@@ -18,6 +18,12 @@ numpy).  B_r moves the boson occupation by -e_k or +e_k, a shift no other
 ladder shares, so distinct blocks occupy disjoint entries and the 2 N_b
 blocks add without overlap.
 
+The ladder, number and identity operators are real, so the F_r alone decide
+the field: ``ladder_factors`` keeps them float64 when their summed
+coefficients are exactly real, which holds on every on-axis lattice, and
+``h_int``, ``h_free`` and ``hamiltonian(kappa)`` follow.  Off-axis points
+give complex coefficients and complex operators.
+
 No normal ordering is applied: the antiparticle bilinear is kept in the d d*
 order in which the density is written, so the assembled matrix contains the
 induced one-boson (tadpole) contribution.
@@ -251,7 +257,9 @@ def ladder_factors(terms: np.recarray, basis: FockBasis) -> Dict[Ladder, sp.csr_
 
     F_r sums the coefficient-weighted fermion bilinears of the ladder's rows
     on the 2^(4 N_f) mask space.  Exact zeros and rounding residues
-    (``RESIDUE_TOL``) are dropped, by the same rule on every ladder.
+    (``RESIDUE_TOL``) are dropped, by the same rule on every ladder.  The
+    factors are float64 when every summed (ladder, bilinear) coefficient has
+    an imaginary part of exactly zero, complex otherwise (module docstring).
     """
     n_modes, dim = basis.n_fermion_modes, basis.fermion_dim
     annihilators = [mask_annihilator(n_modes, j) for j in range(n_modes)]
@@ -270,7 +278,10 @@ def ladder_factors(terms: np.recarray, basis: FockBasis) -> Dict[Ladder, sp.csr_
 
     # rows of one ladder that share a bilinear sum their coefficients and magnitudes
     pairs, pair_of = np.unique(np.stack([ladder_of, key_of], axis=1), axis=0, return_inverse=True)
-    coefficient = np.bincount(pair_of, terms.coefficient.real) + 1j * np.bincount(pair_of, terms.coefficient.imag)
+    coefficient = np.bincount(pair_of, terms.coefficient.real)
+    imag = np.bincount(pair_of, terms.coefficient.imag)
+    if np.any(imag):
+        coefficient = coefficient + 1j * imag
     magnitude = np.bincount(pair_of, np.abs(terms.coefficient))
 
     # then per F_r entry, each summed in table order (stable sort); bilinear
@@ -300,7 +311,7 @@ def assemble_interaction(factors: Dict[Ladder, sp.csr_matrix], basis: FockBasis)
     The blocks are disjoint (module docstring), so the sum over r never
     merges entries.
     """
-    total = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    total = sp.csr_matrix((basis.dim, basis.dim))
     for (bkind, k), f_r in factors.items():
         b_r = boson_block_annihilator(basis, k)
         if bkind == "a*":
@@ -322,7 +333,7 @@ def interaction_hermiticity_defect(factors: Dict[Ladder, sp.csr_matrix], basis: 
     max|F_{a,k} - F_{a*,k}^H| * max|B_k|; the first factor is the defect of
     [[0, F_{a,k}], [F_{a*,k}, 0]].  An absent ladder counts as zero.
     """
-    zero = sp.csr_matrix((basis.fermion_dim,) * 2, dtype=complex)
+    zero = sp.csr_matrix((basis.fermion_dim,) * 2)
     defect = 0.0
     for k in sorted({k for _, k in factors}):
         pair = sp.bmat([[None, factors.get(("a", k), zero)], [factors.get(("a*", k), zero), None]])
@@ -361,7 +372,7 @@ class Model:
         return (self.h_free + kappa * self.h_int).tocsr()
 
     def kg_sqrt(self) -> sp.csr_matrix:
-        return sp.diags(np.sqrt(self.h_kg.diagonal().real), format="csr")
+        return sp.diags(np.sqrt(self.h_kg.diagonal()), format="csr")
 
 
 def build_model(

@@ -124,9 +124,6 @@ class DiscreteCoefficients:
         """Discrete L2 norm: sqrt(cell_volume * sum |value|^2)."""
         return float(np.sqrt(self.lattice.cell_volume * np.sum(np.abs(self.values) ** 2)))
 
-    def scaled(self, factor) -> "DiscreteCoefficients":
-        return DiscreteCoefficients(self.values * factor, self.lattice)
-
 
 def discretize(f: Callable[[np.ndarray], complex], lattice: MomentumLattice) -> DiscreteCoefficients:
     """Sample ``f`` at every lattice point.

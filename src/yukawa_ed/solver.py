@@ -5,10 +5,10 @@ off its diagonal (the free Hamiltonian) is read off that diagonal exactly.
 Otherwise LAPACK's subset driver (dense; only the lowest k eigenpairs)
 runs up to ``DEFAULT_DENSE_CAP``, the measured break-even dimension, and
 Lanczos with full reorthogonalization above it.  The dense route doubles
-as the oracle up to ``ORACLE_DENSE_CAP``.  Both work in real arithmetic
-whenever the matrix's imaginary part is exactly zero (on-axis lattices):
-float64 values sharing the CSR index arrays, a real start vector and Krylov
-block, and the real subset driver.  A nonzero imaginary part keeps complex.
+as the oracle up to ``ORACLE_DENSE_CAP``.  Both work in the matrix's own
+dtype: ``build_model`` assembles float64 operators for real models, which
+get a real start vector, Krylov block and subset driver, and complex ones
+for off-axis models, which keep complex arithmetic.
 
 Lanczos restarts in the orthogonal complement of converged eigenvectors, so
 degenerate levels keep their multiplicities and the routes can be compared
@@ -73,25 +73,9 @@ class SpectralResult:
 
 
 def _as_operator(h):
-    """CSR or ndarray of ``h``; float64 when its imaginary part is exactly zero.
-
-    A real CSR shares the parent's ``indices``/``indptr`` and copies only the
-    real parts of the values.
-    """
-    if sp.issparse(h):
-        h = h.tocsr()
-        if np.iscomplexobj(h) and not np.any(h.data.imag):
-            return sp.csr_matrix((h.data.real.copy(), h.indices, h.indptr), shape=h.shape)
-    else:
-        h = np.asarray(h)
-        if np.iscomplexobj(h) and not np.any(h.imag):
-            return h.real.copy()
+    """CSR or ndarray of ``h`` in its own dtype (float64 for integer input)."""
+    h = h.tocsr() if sp.issparse(h) else np.asarray(h)
     return h if np.iscomplexobj(h) else h.astype(float, copy=False)
-
-
-def _as_dense(h) -> np.ndarray:
-    h = _as_operator(h)
-    return h.toarray() if sp.issparse(h) else h
 
 
 def _diagonal_lowest(h, k: int) -> Optional[SpectralResult]:
@@ -122,7 +106,8 @@ def dense_lowest(h, k: int, dense_cap: int = ORACLE_DENSE_CAP) -> SpectralResult
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     k = min(k, dim)
-    dense = _as_dense(h)
+    h = _as_operator(h)
+    dense = h.toarray() if sp.issparse(h) else h
     vals, vecs = sla.eigh(dense, subset_by_index=[0, k - 1])
     ground = vecs[:, 0]
     residual = float(np.linalg.norm(dense @ ground - vals[0] * ground))
@@ -306,7 +291,7 @@ def solve_lowest(
     """Diagonal route for a diagonal matrix, else dense up to the cap and Lanczos above it."""
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
-    h = h.tocsr() if sp.issparse(h) else np.asarray(h)
+    h = _as_operator(h)
     diagonal = _diagonal_lowest(h, k)
     if diagonal is not None:
         return diagonal
@@ -322,7 +307,8 @@ def operator_norm_dense(h, dense_cap: int = ORACLE_DENSE_CAP) -> float:
         raise CapacityError(
             f"dense norm of dimension {dim} exceeds cap {dense_cap}", projected=dim, cap=dense_cap
         )
-    vals = np.linalg.eigvalsh(_as_dense(h))
+    h = _as_operator(h)
+    vals = np.linalg.eigvalsh(h.toarray() if sp.issparse(h) else h)
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 
@@ -392,15 +378,17 @@ def sector_minima(
 
 # -- refinement scans -------------------------------------------------------------
 
-SCAN_AXES = (
-    "n_max",
-    "total_cap",
-    "boson_V",
-    "boson_L",
-    "fermion_V",
-    "fermion_L",
-    "fermion_modes",
-)
+# scan axis -> (ModelParams field, cast); "fermion_modes" instead keeps a
+# prefix of the explicit fermion points
+STEP_FIELDS = {
+    "n_max": ("n_max", int),
+    "total_cap": ("total_boson_cap", int),
+    "boson_V": ("boson_V", float),
+    "boson_L": ("boson_L", float),
+    "fermion_V": ("fermion_V", float),
+    "fermion_L": ("fermion_L", float),
+}
+SCAN_AXES = (*STEP_FIELDS, "fermion_modes")
 
 
 @dataclass
@@ -460,18 +448,9 @@ class ConvergenceReport:
 
 
 def _params_for_step(params: ModelParams, axis: str, value) -> ModelParams:
-    if axis == "n_max":
-        return replace(params, n_max=int(value))
-    if axis == "total_cap":
-        return replace(params, total_boson_cap=int(value))
-    if axis == "boson_V":
-        return replace(params, boson_V=float(value))
-    if axis == "boson_L":
-        return replace(params, boson_L=float(value))
-    if axis == "fermion_V":
-        return replace(params, fermion_V=float(value))
-    if axis == "fermion_L":
-        return replace(params, fermion_L=float(value))
+    if axis in STEP_FIELDS:
+        name, cast = STEP_FIELDS[axis]
+        return replace(params, **{name: cast(value)})
     if axis == "fermion_modes":
         if params.fermion_points is None:
             raise ParameterError("fermion_modes scan needs explicit fermion_points")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from yukawa_ed.errors import CapacityError, ConvergenceError, ParameterError
 from yukawa_ed.fock import enumerate_basis
 from yukawa_ed.hamiltonian import ModelParams, build_model
 from yukawa_ed.solver import (
+    SCAN_AXES,
     _LanczosState,
+    _params_for_step,
     converge_scan,
     dense_lowest,
     lanczos_lowest,
@@ -52,9 +55,9 @@ def hermitian_with_spectrum(eigenvalues, rng):
     return (mat + mat.conj().T) / 2
 
 
-def w1_hamiltonian():
+def w1_params():
     """Ladder row W1 (dim 4 096); on-axis points, so H is exactly real."""
-    params = ModelParams(
+    return ModelParams(
         dirac_mass=1.0,
         boson_mass=1.0,
         coupling=0.5,
@@ -64,7 +67,25 @@ def w1_hamiltonian():
         n_max=3,
         total_boson_cap=6,
     )
-    return build_model(params).hamiltonian()
+
+
+def w1_hamiltonian():
+    return build_model(w1_params()).hamiltonian()
+
+
+def off_axis_params():
+    """The origin plus a fermion point on each of the x and y axes: complex coefficients."""
+    return ModelParams(
+        dirac_mass=1.0,
+        boson_mass=1.0,
+        coupling=1.0,
+        fermion_points=((0, 0, 0), (1, 0, 0), (0, 1, 0)),
+        boson_points=((0, 0, 0),),
+        fermion_V=math.pi,
+        fermion_L=0.9,
+        n_max=1,
+        total_boson_cap=1,
+    )
 
 
 def phase_conjugated(h, rng):
@@ -209,6 +230,15 @@ class TestLanczosLowest:
 
 
 class TestRealRoute:
+    def test_build_model_picks_the_field(self):
+        for params in (w1_params(), minimal_params()):
+            model = build_model(params)
+            for op in (model.h_int, model.h_free, model.hamiltonian()):
+                assert op.dtype == np.float64
+        model = build_model(off_axis_params())
+        for op in (model.h_int, model.hamiltonian()):
+            assert op.dtype == np.complex128
+
     def test_real_and_complex_routes_agree_on_w1(self):
         h = w1_hamiltonian()
         assert not np.any(h.data.imag)
@@ -221,7 +251,8 @@ class TestRealRoute:
         spectrum = np.concatenate([[-3.0, -3.0, -3.0], np.sort(RNG.uniform(-2.0, 4.0, size=57))])
         q, _ = np.linalg.qr(RNG.normal(size=(60, 60)))
         mat = (q * spectrum) @ q.T
-        h = sp.csr_matrix((mat + mat.T) / 2 + 0j)  # exactly real, stored complex
+        h = sp.csr_matrix((mat + mat.T) / 2)  # float64: the real route
+        assert h.dtype == np.float64
         oracle = dense_lowest(h, 4)
         for op in (h, phase_conjugated(h, RNG)):
             for result in (dense_lowest(op, 4), lanczos_lowest(op, 4, tol=1e-11, seed=8)):
@@ -229,18 +260,7 @@ class TestRealRoute:
                 assert np.allclose(result.eigenvalues, oracle.eigenvalues, rtol=0, atol=1e-10)
 
     def test_off_axis_model_keeps_complex_arithmetic(self):
-        params = ModelParams(
-            dirac_mass=1.0,
-            boson_mass=1.0,
-            coupling=1.0,
-            fermion_points=((0, 0, 0), (1, 0, 0), (0, 1, 0)),
-            boson_points=((0, 0, 0),),
-            fermion_V=math.pi,
-            fermion_L=0.9,
-            n_max=1,
-            total_boson_cap=1,
-        )
-        model = build_model(params)
+        model = build_model(off_axis_params())
         inside = np.flatnonzero(model.basis.charge() == 3)
         block = model.hamiltonian()[np.ix_(inside, inside)]
         assert 1e-4 < np.max(np.abs(block.data.imag)) < 1e-3
@@ -414,6 +434,39 @@ class TestConvergeScan:
         assert data["axis"] == "n_max"
         assert len(data["rows"]) == 2
         assert "diagnostic" in data["note"]
+
+
+class TestParamsForStep:
+    @pytest.mark.parametrize(
+        "axis, field, value, expected",
+        [
+            ("n_max", "n_max", 2.0, 2),
+            ("total_cap", "total_boson_cap", 5.0, 5),
+            ("boson_V", "boson_V", 3, 3.0),
+            ("boson_L", "boson_L", 2, 2.0),
+            ("fermion_V", "fermion_V", 4, 4.0),
+            ("fermion_L", "fermion_L", 1, 1.0),
+            ("fermion_modes", "fermion_points", 2.0, ((0, 0, -1), (0, 0, 0))),
+        ],
+    )
+    def test_each_axis_sets_its_field_with_its_type(self, axis, field, value, expected):
+        params = minimal_params(fermion_points=((0, 0, -1), (0, 0, 0), (0, 0, 1)))
+        step = _params_for_step(params, axis, value)
+        got = getattr(step, field)
+        assert got == expected and type(got) is type(expected)
+        assert step == replace(params, **{field: expected})
+
+    def test_axes_are_covered_and_errors_kept(self):
+        assert SCAN_AXES == (
+            "n_max", "total_cap", "boson_V", "boson_L", "fermion_V", "fermion_L", "fermion_modes",
+        )
+        with pytest.raises(ParameterError) as err:
+            _params_for_step(minimal_params(), "lattice_flavor", 1)
+        assert str(err.value) == f"unknown scan axis 'lattice_flavor'; expected one of {SCAN_AXES}"
+        with pytest.raises(ParameterError, match="needs explicit fermion_points"):
+            _params_for_step(minimal_params(), "fermion_modes", 1)
+        with pytest.raises(ParameterError, match="exceeds available points 1"):
+            _params_for_step(minimal_params(fermion_points=((0, 0, 0),)), "fermion_modes", 2)
 
 
 class TestScanAbort:
