@@ -141,6 +141,17 @@ def _largest_singular_value(op: sp.spmatrix, seed: int) -> float:
     return float(spla.svds(op.tocsc(), k=1, v0=v0, return_singular_vectors=False)[0])
 
 
+def _apply(op: sp.spmatrix, psi: np.ndarray) -> np.ndarray:
+    """``op @ psi``; a real operator acts on the real and imaginary parts of a
+    complex state separately, so its data is never cast to complex."""
+    if np.iscomplexobj(op) or not np.iscomplexobj(psi):
+        return op @ psi
+    out = np.empty(psi.shape, complex)
+    out.real = op @ psi.real
+    out.imag = op @ psi.imag
+    return out
+
+
 def _random_states(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
 
@@ -207,12 +218,12 @@ def verify_inequalities(
         ann = smeared_boson(eta, model.basis)
         cre = ann.conj().T.tocsr()
         for psi in _random_states(rng, dim, 5):
-            sqrt_term = np.linalg.norm(sqrt_kg @ psi)
-            lhs = np.linalg.norm(ann @ psi)
+            sqrt_term = np.linalg.norm(_apply(sqrt_kg, psi))
+            lhs = np.linalg.norm(_apply(ann, psi))
             worst["annihilator_relative"] = max(
                 worst["annihilator_relative"], _ratio(lhs, weighted.norm * sqrt_term)
             )
-            lhs = np.linalg.norm(cre @ psi)
+            lhs = np.linalg.norm(_apply(cre, psi))
             rhs = weighted.norm * sqrt_term + eta.norm * np.linalg.norm(psi)
             worst["creator_relative"] = max(worst["creator_relative"], _ratio(lhs, rhs))
 
@@ -227,9 +238,9 @@ def verify_inequalities(
             )
         phi_op = boson_field(model, x)
         for psi in _random_states(rng, dim, 3):
-            lhs = np.linalg.norm(phi_op @ psi)
+            lhs = np.linalg.norm(_apply(phi_op, psi))
             rhs = (
-                math.sqrt(2.0) * m_kg1 * np.linalg.norm(sqrt_kg @ psi)
+                math.sqrt(2.0) * m_kg1 * np.linalg.norm(_apply(sqrt_kg, psi))
                 + m_kg0 * np.linalg.norm(psi) / math.sqrt(2.0)
             )
             worst["boson_field_vector"] = max(worst["boson_field_vector"], _ratio(lhs, rhs))
@@ -237,8 +248,8 @@ def verify_inequalities(
     # quadratic form and vector bounds on the interaction
     for psi in _random_states(rng, dim, n_samples):
         norm_psi = np.linalg.norm(psi)
-        sqrt_term = np.linalg.norm(sqrt_kg @ psi)
-        int_psi = h_int @ psi
+        sqrt_term = np.linalg.norm(_apply(sqrt_kg, psi))
+        int_psi = _apply(h_int, psi)
         rhs_int = slope * sqrt_term + offset * norm_psi
         worst["interaction_relative"] = max(
             worst["interaction_relative"], _ratio(np.linalg.norm(int_psi), rhs_int)
@@ -248,8 +259,8 @@ def verify_inequalities(
         worst["form_bound"] = max(
             worst["form_bound"], _ratio(lhs, rhs_int * np.linalg.norm(phi))
         )
-        kg_term = np.linalg.norm(h_kg @ psi)
-        free_term = np.linalg.norm(h_free @ psi)
+        kg_term = np.linalg.norm(_apply(h_kg, psi))
+        free_term = np.linalg.norm(_apply(h_free, psi))
         for eps in eps_values:
             rhs_half = eps * kg_term + norm_psi / (4.0 * eps)
             worst["sqrt_interpolation"] = max(
@@ -263,7 +274,7 @@ def verify_inequalities(
     # the vacuum carries no boson energy, so the offset alone must bound it
     vacuum = np.zeros(dim, dtype=complex)
     vacuum[0] = 1.0
-    worst["vacuum_interaction"] = _ratio(float(np.linalg.norm(h_int @ vacuum)), offset)
+    worst["vacuum_interaction"] = _ratio(float(np.linalg.norm(_apply(h_int, vacuum))), offset)
 
     for name, ratio in worst.items():
         report.checks[name] = InequalityCheck(name=name, worst_ratio=float(ratio), samples=n_samples)

@@ -229,19 +229,15 @@ def boson_block_annihilator(basis: FockBasis, mode: int) -> sp.csr_matrix:
     """
     if not 0 <= mode < basis.n_boson_modes:
         raise ParameterError(f"boson mode {mode} outside [0, {basis.n_boson_modes})")
-    rows, cols, vals = [], [], []
-    for i, occ in enumerate(basis.boson_occupations):
-        n = occ[mode]
-        if n > 0:
-            target = occ.copy()
-            target[mode] -= 1
-            rows.append(basis.boson_index[tuple(target)])
-            cols.append(i)
-            vals.append(np.sqrt(float(n)))
-    return sp.csr_matrix(
-        (np.asarray(vals, dtype=float), (rows, cols)),
-        shape=(basis.boson_dim, basis.boson_dim),
-    )
+    occupations = basis.boson_occupations
+    cols = np.flatnonzero(occupations[:, mode])
+    target = occupations[cols]
+    target[:, mode] -= 1
+    rows = np.array([basis.boson_index[occ] for occ in map(tuple, target.tolist())], dtype=int)
+    order = np.argsort(rows)  # one entry per row
+    indptr = np.searchsorted(rows[order], np.arange(basis.boson_dim + 1))
+    values = np.sqrt(occupations[cols[order], mode].astype(float))
+    return sp.csr_matrix((values, cols[order], indptr), shape=(basis.boson_dim, basis.boson_dim))
 
 
 # -- full-space operators ------------------------------------------------------

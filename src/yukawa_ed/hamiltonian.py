@@ -18,6 +18,13 @@ numpy).  B_r moves the boson occupation by -e_k or +e_k, a shift no other
 ladder shares, so distinct blocks occupy disjoint entries and the 2 N_b
 blocks add without overlap.
 
+``build_model`` keeps the factors on the model (``Model.factors``, checked
+for hermiticity per ladder) and never assembles the full space.
+``assemble_interaction`` writes the CSR of sum_r F_r (x) B_r from them in
+one pass when it is needed: ``Model.h_int`` on first access, and
+``Model.hamiltonian(kappa)`` with the coupling and the free diagonal merged
+in, without ``h_int``.
+
 The ladder, number and identity operators are real, so the F_r alone decide
 the field: ``ladder_factors`` keeps them float64 when their summed
 coefficients are exactly real, which holds on every on-axis lattice, and
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -305,19 +313,162 @@ def ladder_factors(terms: np.recarray, basis: FockBasis) -> Dict[Ladder, sp.csr_
     return factors
 
 
-def assemble_interaction(factors: Dict[Ladder, sp.csr_matrix], basis: FockBasis) -> sp.csr_matrix:
-    """Sum the ladder factors into H_int = sum_r F_r (x) B_r on the product basis.
+def _union_pattern(mats: Sequence[sp.csr_matrix], n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Union of the factor patterns as sorted linear keys row * n + col, and
+    the position of every factor entry in it."""
 
-    The blocks are disjoint (module docstring), so the sum over r never
-    merges entries.
+    def keys(m: sp.csr_matrix) -> np.ndarray:
+        return np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(m.indptr)) + m.indices
+
+    ones = [sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=(n, n)) for m in mats]
+    union = keys(sum(ones, sp.csr_matrix((n, n))))
+    return union, [np.searchsorted(union, keys(m)) for m in mats]
+
+
+def _union_values(factors: Dict[Ladder, sp.csr_matrix], n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union U of the factor patterns as CSR (indptr, indices), and every
+    factor's values on U (zero where it has no entry), one column each."""
+    mats = [sp.csr_matrix(f_r) for f_r in factors.values()]
+    for m in mats:
+        m.sum_duplicates()
+    first = mats[0] if mats else sp.csr_matrix((n, n))
+    # ladder_factors gives every factor one pattern
+    if all(np.array_equal(m.indptr, first.indptr) and np.array_equal(m.indices, first.indices) for m in mats):
+        u_ptr, u_col, where = first.indptr, first.indices, [slice(None)] * len(mats)
+    else:
+        keys = [np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(m.indptr)) + m.indices for m in mats]
+        union = np.unique(np.concatenate(keys))
+        where = [np.searchsorted(union, key) for key in keys]
+        u_row, u_col = np.divmod(union, n)
+        u_ptr = np.searchsorted(u_row, np.arange(n + 1))
+    values = np.zeros((len(u_col), len(mats)), np.result_type(float, *(m.dtype for m in mats)))
+    for r, (m, at) in enumerate(zip(mats, where)):
+        values[at, r] = m.data
+    return u_ptr, u_col, values
+
+
+def _boson_slots(factors: Dict[Ladder, sp.csr_matrix], basis: FockBasis) -> Tuple[np.ndarray, ...]:
+    """Every entry of every B_r as (row, col, value, ladder position r), sorted by (row, col)."""
+    lowering = {k: boson_block_annihilator(basis, k).tocoo() for k in {k for _, k in factors}}
+    parts = [(np.zeros(0, int),) * 4]
+    for r, (bkind, k) in enumerate(factors):
+        b_k = lowering[k]
+        row, col = (b_k.row, b_k.col) if bkind == "a" else (b_k.col, b_k.row)
+        parts.append((row, col, b_k.data, np.full(b_k.nnz, r)))
+    row, col, value, ladder = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((col, row))
+    return row[order], col[order], value[order], ladder[order]
+
+
+def _gather_templates(
+    u: np.ndarray, below: np.ndarray, on: np.ndarray, s_len: np.ndarray, s_col: np.ndarray, s_pair: np.ndarray,
+    n_pairs: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gather indices of each kind of row group, back to back.
+
+    A row group with |U_i| = u reads its u x pairs products and its u x n_b
+    columns.  Its entries run in (beta, j, gamma) order: block (kind, beta)
+    holds u * S_beta entries; where ``on``, a placeholder for the diagonal
+    entry goes after the first ``below`` of them.
     """
-    total = sp.csr_matrix((basis.dim, basis.dim))
-    for (bkind, k), f_r in factors.items():
-        b_r = boson_block_annihilator(basis, k)
-        if bkind == "a*":
-            b_r = b_r.conj().T
-        total = total + sp.kron(f_r, b_r, format="csr")
-    return total
+    s_ptr = np.concatenate(([0], np.cumsum(s_len)))
+    block = np.outer(u, s_len).ravel()
+    block_start = np.cumsum(block) - block
+    of = np.repeat(np.arange(block.size), block)
+    beta = of % len(s_len)
+    p, s = np.divmod(np.arange(of.size) - block_start[of], s_len[beta])
+    slot = s_ptr[beta] + s
+    at = (block_start + below.ravel())[on.ravel()]
+    take_values = np.insert(p * n_pairs + s_pair[slot], at, 0)
+    take_columns = np.insert(p * len(s_len) + s_col[slot], at, 0)
+    widths = block.reshape(on.shape).sum(axis=1) + on.sum(axis=1)
+    return take_values, take_columns, np.concatenate(([0], np.cumsum(widths)))
+
+
+def assemble_interaction(
+    factors: Dict[Ladder, sp.csr_matrix],
+    basis: FockBasis,
+    coupling: Optional[float] = None,
+    diagonal: Optional[np.ndarray] = None,
+) -> sp.csr_matrix:
+    """The canonical CSR of sum_r F_r (x) B_r on the product basis, in one pass.
+
+    With ``coupling`` every entry is (F_r * b) * coupling, and ``diagonal``
+    (one value per basis state; zeros are left out) is merged in: the result
+    is ``(diags(diagonal) + coupling * H_int).tocsr()`` to the last bit,
+    without its intermediate matrices.
+
+    The blocks are disjoint (module docstring), every row of a B_r has at
+    most one entry and none on the diagonal.  With U the union of the factor
+    patterns, row (i, beta) is therefore (j in U_i) x (the slots of beta,
+    sorted by target), which fixes the sorted layout before any value
+    exists.  ``data`` and ``indices`` are allocated once; the rows (i, beta)
+    of mask row i are written by two gathers, from U_i times each distinct
+    (ladder, slot value) product and from U_i's columns, through templates
+    shared by every mask row of the same kind (|U_i|, diagonal position,
+    diagonal pattern), and the diagonal by one scatter.  Entries that come
+    out zero (a factor without an entry of U, explicit zeros) are dropped last.
+    """
+    n_f, n_b = basis.fermion_dim, basis.boson_dim
+    u_ptr, u_col, values = _union_values(factors, n_f)
+    u_len = np.diff(u_ptr)
+    u_row = np.repeat(np.arange(n_f), u_len)
+
+    # slot t of a boson row reads column s_pair[t] of ``products``: one column
+    # per distinct (ladder, value), F * b then * coupling, as a sparse product has it
+    s_row, s_col, s_val, s_ladder = _boson_slots(factors, basis)
+    s_len = np.bincount(s_row, minlength=n_b)
+    b_values, b_of = np.unique(s_val, return_inverse=True)
+    pairs, s_pair = np.unique(s_ladder * len(b_values) + b_of, return_inverse=True)
+    products = values[:, pairs // len(b_values)] * b_values[pairs % len(b_values)]
+    if coupling is not None:
+        products *= coupling
+    products += 0  # signed zeros read +0.0, as after a sparse sum
+
+    diagonal = np.zeros(basis.dim) if diagonal is None else diagonal + 0
+    keep = (diagonal != 0).reshape(n_f, n_b)
+    # the diagonal entry of row (i, beta) follows the entries (j, gamma) with
+    # j < i, or j == i and gamma < beta
+    lt = np.bincount(u_row[u_col < u_row], minlength=n_f) * keep.any(axis=1)
+    eq = np.bincount(u_row[u_col == u_row], minlength=n_f) * keep.any(axis=1)
+    below = np.outer(lt, s_len) + np.outer(eq, np.bincount(s_row[s_col < s_row], minlength=n_b))
+    row_len = np.outer(u_len, s_len) + keep
+    nnz = int(row_len.sum())
+    index = np.int32 if max(nnz, basis.dim) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(basis.dim + 1, index)
+    np.cumsum(row_len, out=indptr[1:])
+    data = np.empty(nnz, np.result_type(products.dtype, diagonal.dtype))
+    indices = np.empty(nnz, index)
+
+    # a kind's diagonal pattern is all or none of its rows; any other is its own kind
+    pattern = np.where(keep.all(axis=1), 0, np.where(keep.any(axis=1), 2 + np.arange(n_f), 1))
+    _, first, kind_of = np.unique(((pattern * (n_f + 1) + u_len) * (n_f + 1) + lt) * 2 + eq,
+                                  return_index=True, return_inverse=True)
+    take_values, take_columns, template_start = _gather_templates(
+        u_len[first], below[first], keep[first], s_len, s_col, s_pair, len(pairs))
+    products = products.ravel()
+    columns = np.add.outer(u_col.astype(index) * n_b, np.arange(n_b, dtype=index)).ravel()
+    starts = indptr[::n_b]
+    order = np.argsort(kind_of, kind="stable")
+    bounds = np.searchsorted(kind_of[order], np.arange(len(first) + 1))
+    # row groups of one kind run back to back, so their templates stay in cache
+    for kind, (t0, t1) in enumerate(zip(template_start[:-1].tolist(), template_start[1:].tolist())):
+        rows = order[bounds[kind]:bounds[kind + 1]]
+        if u_len[rows[0]] == 0:  # diagonal entries only
+            continue
+        take_v, take_c, width = take_values[t0:t1], take_columns[t0:t1], t1 - t0
+        # mode="clip": under the default mode numpy buffers ``out``
+        for lo, a in zip(starts[rows].tolist(), u_ptr[rows].tolist()):
+            np.take(products[a * len(pairs):], take_v, out=data[lo:lo + width], mode="clip")
+            np.take(columns[a * n_b:], take_c, out=indices[lo:lo + width], mode="clip")
+    at = indptr[:-1][keep.ravel()] + below.ravel()[keep.ravel()]
+    data[at] = diagonal[keep.ravel()]
+    indices[at] = np.flatnonzero(keep)
+    if not products.all():
+        kept = data != 0
+        indptr = np.concatenate(([0], np.cumsum(kept)))[indptr].astype(index)
+        data, indices = data[kept], indices[kept]
+    return sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
 
 
 def hermiticity_defect(mat: sp.spmatrix) -> float:
@@ -344,7 +495,13 @@ def interaction_hermiticity_defect(factors: Dict[Ladder, sp.csr_matrix], basis: 
 
 @dataclass
 class Model:
-    """All assembled ingredients for one parameter set."""
+    """All ingredients of one parameter set; the interaction is kept factored.
+
+    ``factors`` holds the mask-space factor F_r of each boson ladder, so
+    H_int = sum_r F_r (x) B_r is never stored by ``build_model``:
+    ``assemble_interaction`` writes it on demand, as ``h_int`` (built on
+    first access, then cached) or straight into ``hamiltonian(kappa)``.
+    """
 
     params: ModelParams
     algebra: DiracAlgebra
@@ -354,7 +511,7 @@ class Model:
     h: DiscreteCoefficients
     h_kg: sp.csr_matrix      # boson number-energy, lifted to the product basis
     h_free: sp.csr_matrix
-    h_int: sp.csr_matrix
+    factors: Dict[Ladder, sp.csr_matrix]
     terms: np.recarray       # one row per interaction monomial (TERM_DTYPE)
 
     @property
@@ -365,11 +522,16 @@ class Model:
     def boson_lattice(self) -> MomentumLattice:
         return self.basis.boson_lattice
 
+    @cached_property
+    def h_int(self) -> sp.csr_matrix:
+        return assemble_interaction(self.factors, self.basis)
+
     def hamiltonian(self, coupling: Optional[float] = None) -> sp.csr_matrix:
+        """h_free + coupling * h_int in one assembly pass; ``h_free`` itself at coupling 0."""
         kappa = self.params.coupling if coupling is None else coupling
         if kappa == 0:
             return self.h_free
-        return (self.h_free + kappa * self.h_int).tocsr()
+        return assemble_interaction(self.factors, self.basis, kappa, self.h_free.diagonal())
 
     def kg_sqrt(self) -> sp.csr_matrix:
         return sp.diags(np.sqrt(self.h_kg.diagonal()), format="csr")
@@ -380,7 +542,7 @@ def build_model(
     algebra: Optional[DiracAlgebra] = None,
     basis: Optional[FockBasis] = None,
 ) -> Model:
-    """Sample coefficients, enumerate the basis, and assemble all operators."""
+    """Sample coefficients, enumerate the basis, build h_free and the checked ladder factors."""
     algebra = algebra or dirac_algebra()
     if basis is None:
         basis = enumerate_basis(
@@ -408,7 +570,6 @@ def build_model(
     defect = interaction_hermiticity_defect(factors, basis)
     if defect > 1e-12:
         raise AssemblyError(f"interaction matrix hermiticity defect {defect:.3e} exceeds 1e-12")
-    h_int = assemble_interaction(factors, basis)
     return Model(
         params=params,
         algebra=algebra,
@@ -418,7 +579,7 @@ def build_model(
         h=h,
         h_kg=h_kg,
         h_free=(h_dirac + h_kg).tocsr(),
-        h_int=h_int,
+        factors=factors,
         terms=terms,
     )
 

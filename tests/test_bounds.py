@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from yukawa_ed.bounds import RATIO_TOL, compute_constants, verify_inequalities
+from yukawa_ed.bounds import RATIO_TOL, _apply, compute_constants, verify_inequalities
 from yukawa_ed.hamiltonian import ModelParams, build_model, chi_spatial_l1_norm, fourier_quadrature
 from yukawa_ed.spinor import CutoffProfile
 
@@ -108,3 +108,14 @@ class TestInequalities:
         assert data["all_passed"] is True
         assert set(data["checks"]) == set(report.checks)
         assert data["epsilon_ceiling"] > 0
+
+    def test_real_operators_act_on_both_parts_bitwise(self):
+        # verify_inequalities applies real operators to the real and imaginary
+        # parts of complex states; the products must equal the complex ones
+        model = build_model(two_point_params())
+        rng = np.random.default_rng(4)
+        psi = rng.standard_normal(model.basis.dim) + 1j * rng.standard_normal(model.basis.dim)
+        for op in (model.h_int, model.h_free, model.h_kg, model.kg_sqrt()):
+            assert op.dtype == np.float64
+            assert _apply(op, psi).tobytes() == (op.astype(complex) @ psi).tobytes()
+        assert np.array_equal(_apply(model.h_int, psi.real), model.h_int @ psi.real)

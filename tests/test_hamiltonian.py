@@ -10,6 +10,7 @@ from yukawa_ed.fock import (
     FermionMode,
     FockState,
     boson_annihilator,
+    boson_block_annihilator,
     boson_creator,
     enumerate_basis,
     fermion_annihilator,
@@ -367,6 +368,113 @@ class TestAssembly:
         charge = model.basis.charge()
         coo = model.h_int.tocoo()
         assert np.all(charge[coo.row] == charge[coo.col])
+
+
+def kron_sum_oracle(factors, basis):
+    """H_int as 2 N_b sparse additions of sp.kron(F_r, B_r), one per boson ladder."""
+    total = sp.csr_matrix((basis.dim, basis.dim))
+    for (bkind, k), f_r in factors.items():
+        b_r = boson_block_annihilator(basis, k)
+        if bkind == "a*":
+            b_r = b_r.conj().T
+        total = total + sp.kron(f_r, b_r, format="csr")
+    return total
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+KERNEL_MODELS = {
+    "minimal": minimal_params(),
+    "w1": two_point_params(coupling=0.5, n_max=3, total_boson_cap=6),
+    "off_axis": ModelParams(  # complex coefficients
+        dirac_mass=1.0,
+        boson_mass=1.0,
+        coupling=1.0,
+        fermion_points=((0, 0, 0), (1, 0, 0), (0, 1, 0)),
+        boson_points=((0, 0, 0),),
+        fermion_V=math.pi,
+        fermion_L=0.9,
+        n_max=1,
+        total_boson_cap=1,
+    ),
+    "no_terms": minimal_params(coupling=0.0, chi_dirac=CutoffProfile.zero()),
+}
+
+
+class TestAssemblyKernel:
+    @pytest.mark.parametrize("name", list(KERNEL_MODELS))
+    def test_kernel_matches_kron_sum_bitwise(self, name):
+        model = build_model(KERNEL_MODELS[name])
+        assert_bitwise_equal(assemble_interaction(model.factors, model.basis), kron_sum_oracle(model.factors, model.basis))
+        assert_bitwise_equal(model.h_int, kron_sum_oracle(model.factors, model.basis))
+        assert model.h_int.has_canonical_format
+
+    def test_kernel_on_factors_with_different_patterns(self):
+        model = build_model(KERNEL_MODELS["w1"])
+        factors = dict(model.factors)
+        thinned, grown, emptied = list(factors)[:3]
+        f_r = factors[thinned].tocoo()
+        factors[thinned] = sp.csr_matrix((f_r.data[::2], (f_r.row[::2], f_r.col[::2])), shape=f_r.shape)
+        factors[grown] = factors[grown] + 0.25 * sp.eye(f_r.shape[0], format="csr")
+        factors[emptied] = sp.csr_matrix(f_r.shape)
+        patterns = {(f.nnz, f.indices.tobytes()) for f in factors.values()}
+        assert len(patterns) == 4
+        got = assemble_interaction(factors, model.basis)
+        assert_bitwise_equal(got, kron_sum_oracle(factors, model.basis))
+        diagonal = model.h_free.diagonal()
+        want = (model.h_free + 0.5 * kron_sum_oracle(factors, model.basis)).tocsr()
+        assert_bitwise_equal(assemble_interaction(factors, model.basis, 0.5, diagonal), want)
+
+    @pytest.mark.parametrize("name", list(KERNEL_MODELS))
+    def test_hamiltonian_matches_sparse_sum_bitwise(self, name):
+        model = build_model(KERNEL_MODELS[name])
+        for kappa in (0.5, -1.3, model.params.coupling):
+            if kappa != 0:
+                assert_bitwise_equal(model.hamiltonian(kappa), (model.h_free + kappa * model.h_int).tocsr())
+        assert model.hamiltonian(0.0) is model.h_free
+
+    def test_assembly_is_lazy(self, monkeypatch):
+        calls = []
+        kernel, kron = hamiltonian.assemble_interaction, sp.kron
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return kernel(*args, **kwargs)
+
+        def no_kron(*args, **kwargs):
+            raise AssertionError("full-space Kronecker product")
+
+        monkeypatch.setattr(hamiltonian, "assemble_interaction", counted)
+        monkeypatch.setattr(sp, "kron", no_kron)
+        model = build_model(KERNEL_MODELS["w1"])
+        assert calls == []
+        model.hamiltonian()
+        assert len(calls) == 1
+        assert model.h_int is model.h_int
+        assert len(calls) == 2
+        assert model.hamiltonian(0.0) is model.h_free
+        assert len(calls) == 2
+        monkeypatch.setattr(sp, "kron", kron)
+        assert_bitwise_equal(model.h_int, kron_sum_oracle(model.factors, model.basis))
+
+    def test_corrupted_factor_is_rejected_by_build_model(self, monkeypatch):
+        build_factors = hamiltonian.ladder_factors
+
+        def corrupted(terms, basis):
+            factors = build_factors(terms, basis)
+            key = next(iter(factors))
+            factors[key] = factors[key].copy()
+            factors[key].data[0] *= 1 + 1e-6
+            return factors
+
+        monkeypatch.setattr(hamiltonian, "ladder_factors", corrupted)
+        with pytest.raises(AssemblyError):
+            build_model(KERNEL_MODELS["w1"])
 
 
 class TestFieldOperators:
