@@ -4,7 +4,7 @@ Three routes to the bottom of the spectrum.  A matrix with nothing nonzero
 off its diagonal (the free Hamiltonian) is read off that diagonal exactly.
 Otherwise LAPACK's subset driver (dense; only the lowest k eigenpairs)
 runs up to ``DEFAULT_DENSE_CAP``, the measured break-even dimension, and
-Lanczos with full reorthogonalization above it.  The dense route doubles
+Lanczos with partial reorthogonalization above it.  The dense route doubles
 as the oracle up to ``ORACLE_DENSE_CAP``.  Both work in the matrix's own
 dtype: ``build_model`` assembles float64 operators for real models, which
 get a real start vector, Krylov block and subset driver, and complex ones
@@ -12,10 +12,14 @@ for off-axis models, which keep complex arithmetic.
 
 Lanczos restarts in the orthogonal complement of converged eigenvectors, so
 degenerate levels keep their multiplicities and the routes can be compared
-eigenvalue by eigenvalue.  Each sweep writes its vectors into one
-preallocated Krylov block.  Every step projects the new vector against it
-once and repeats only when the first pass removed more than half of the
-squared norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976).
+eigenvalue by eigenvalue.  One Krylov block per solve holds the vectors of
+every sweep.  Simon's recurrence (Math. Comp. 42, 1984) estimates each new
+vector's overlaps with the block from the tridiagonal entries in a few
+O(j) flops; the vector is projected against the block only when an
+estimate passes sqrt(eps), at that step and the next, which keeps the
+basis semi-orthogonal and the Ritz values as accurate as under full
+reorthogonalization.  Accepted Ritz vectors are orthonormalized against
+the deflation vectors before they join them.
 """
 
 from __future__ import annotations
@@ -37,8 +41,12 @@ DEFAULT_DENSE_CAP = 680
 # memory guard of the dense oracle routes, whatever the route choice
 ORACLE_DENSE_CAP = 4096
 DEGENERACY_TOL = 1e-10
+EPS = float(np.finfo(float).eps)
+# Lanczos projects against its Krylov block once an estimated overlap of the
+# new vector with an earlier one passes this (Simon's semi-orthogonality)
+SEMI_ORTHOGONAL = math.sqrt(EPS)
 # SpectralResult fields that say how a solve went (route and work done)
-SOLVE_STATS = ("method", "iterations", "matvecs")
+SOLVE_STATS = ("method", "iterations", "matvecs", "reorthogonalizations")
 
 
 @dataclass
@@ -51,6 +59,7 @@ class SpectralResult:
     method: str
     iterations: int = 0
     matvecs: int = 0
+    reorthogonalizations: int = 0
 
     @property
     def ground_energy(self) -> float:
@@ -122,20 +131,34 @@ def dense_lowest(h, k: int, dense_cap: int = ORACLE_DENSE_CAP) -> SpectralResult
 class _LanczosState:
     """Converged eigenpairs plus iteration counters across deflation rounds.
 
-    Each round keeps its Lanczos vectors as the rows of one preallocated
-    Krylov block of ``h``'s dtype and the converged vectors as the rows of
-    one deflation block.  Projections use row views of those blocks and conjugate
-    only the vector being projected, so no per-step basis copy is made.
+    Two blocks of ``h``'s dtype serve the whole solve.  Every round writes
+    its Lanczos vectors into the rows of the Krylov block, which is replaced
+    only when a round needs more rows; the converged vectors fill the first
+    rows of the deflation block, which grows by doubling.  The three-term
+    recurrence builds each new vector in place in the next Krylov row, and
+    every step projects it against the converged vectors.  Against the
+    Krylov block it is projected only when Simon's estimate of its largest
+    overlap with an earlier row passes ``SEMI_ORTHOGONAL``, at that step and
+    the next, which keeps the basis semi-orthogonal;
+    ``reorthogonalizations`` counts those projections.
     """
 
     def __init__(self, h, rng):
         self.h = h
         self.rng = rng
         self.values: List[float] = []
-        self.vectors: List[np.ndarray] = []
         self.iterations = 0
         self.matvecs = 0
+        self.reorthogonalizations = 0
         self.best_residual = math.inf
+        dtype = complex if np.iscomplexobj(h) else float
+        self.krylov = np.empty((0, h.shape[0]), dtype=dtype)
+        self.deflation = np.empty((0, h.shape[0]), dtype=dtype)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The converged vectors, one per row (a view of the deflation block)."""
+        return self.deflation[: len(self.values)]
 
     def run_round(self, need: int, tol: float, max_iter: int) -> Optional[float]:
         """One Lanczos sweep in the complement of the converged vectors.
@@ -146,44 +169,58 @@ class _LanczosState:
         complement; the caller distinguishes via the remaining dimension).
         """
         dim = self.h.shape[0]
-        deflate = np.array(self.vectors) if self.vectors else None
-        start = self.rng.standard_normal(dim)
-        if np.iscomplexobj(self.h):
-            start = start + 1j * self.rng.standard_normal(dim)
+        steps = min(max_iter, dim - len(self.values))
+        if len(self.krylov) < steps + 1:
+            self.krylov = np.empty((steps + 1, dim), dtype=self.krylov.dtype)
+        krylov = self.krylov
+        axpy = sla.get_blas_funcs("axpy", (krylov,))
+        deflate = self.vectors if self.values else None
+
+        start = krylov[0]
+        if np.iscomplexobj(start):
+            start.real = self.rng.standard_normal(dim)
+            start.imag = self.rng.standard_normal(dim)
+        else:
+            self.rng.standard_normal(out=start)
         if deflate is not None:
             _project_out(deflate, start)
         nrm = float(np.linalg.norm(start))
         if nrm < 1e-10:
             return None
+        start /= nrm
 
-        steps = min(max_iter, dim - len(self.values))
-        krylov = np.empty((steps + 1, dim), dtype=start.dtype)
-        np.divide(start, nrm, out=krylov[0])
-        alphas: List[float] = []
-        betas: List[float] = []
+        alphas = np.zeros(steps)
+        betas = np.zeros(steps)
+        # rows j-1, j and j+1 of Simon's estimates omega[j, k] ~ q_j . q_k
+        prev, cur, nxt = np.zeros((3, steps + 1))
+        cur[0] = 1.0
+        again = False
         for j in range(steps):
             self.iterations += 1
-            w = self.h @ krylov[j]
+            q, w = krylov[j], krylov[j + 1]
+            w[...] = self.h @ q
             self.matvecs += 1
-            alpha = float(np.vdot(krylov[j], w).real)
-            alphas.append(alpha)
-            w = w - alpha * krylov[j]
+            alpha = alphas[j] = float(np.vdot(q, w).real)
+            axpy(q, w, a=-alpha)
             if j > 0:
-                w = w - betas[-1] * krylov[j - 1]
+                axpy(krylov[j - 1], w, a=-betas[j - 1])
             if deflate is not None:
                 _project_out(deflate, w)
-            basis = krylov[: j + 1]
-            before = float(np.linalg.norm(w))
-            _project_out(basis, w)
             beta = float(np.linalg.norm(w))
-            if beta < before / math.sqrt(2.0):
-                _project_out(basis, w)
+            if beta > 0.0 and (again or _omega_step(prev, cur, nxt, alphas, betas, j, beta) > SEMI_ORTHOGONAL):
+                # a projection triggered by the estimate repeats once at the next step
+                again = not again
+                _project_out(krylov[: j + 1], w)
+                self.reorthogonalizations += 1
                 beta = float(np.linalg.norm(w))
+                nxt[: j + 1] = EPS
+                nxt[j + 1] = 1.0
+            prev, cur, nxt = cur, nxt, prev
 
-            theta, smat = sla.eigh_tridiagonal(alphas, betas)
+            theta, smat = sla.eigh_tridiagonal(alphas[: j + 1], betas[:j])
             resid_est = np.abs(beta * smat[-1, :])
             self.best_residual = min(self.best_residual, float(resid_est[0]))
-            exhausted = beta < 1e-13 * max(1.0, float(np.max(np.abs(alphas))))
+            exhausted = beta < 1e-13 * max(1.0, float(np.max(np.abs(alphas[: j + 1]))))
             prefix = 0
             while prefix < len(theta) and resid_est[prefix] <= tol:
                 prefix += 1
@@ -192,20 +229,64 @@ class _LanczosState:
                 take = len(theta) if exhausted else prefix
                 if take == 0:
                     return None
-                ritz = basis.T @ smat[:, :take]
-                for col in range(take):
-                    self.values.append(float(theta[col]))
-                    self.vectors.append(np.ascontiguousarray(ritz[:, col]))
+                self._accept(theta[:take], smat[:, :take], krylov[: j + 1])
                 return float(theta[0])
-            betas.append(beta)
-            np.divide(w, beta, out=krylov[j + 1])
+            betas[j] = beta
+            w /= beta
         return None
+
+    def _accept(self, values: np.ndarray, coeffs: np.ndarray, basis: np.ndarray) -> None:
+        """Append the Ritz pairs (vectors ``coeffs.T @ basis``) to the deflation block.
+
+        Each vector is projected against every converged vector before it
+        and normalized, so the block stays orthonormal to rounding.
+        """
+        found, take = len(self.values), len(values)
+        if len(self.deflation) < found + take:
+            grown = np.empty((2 * (found + take), basis.shape[1]), dtype=self.deflation.dtype)
+            grown[:found] = self.vectors
+            self.deflation = grown
+        np.matmul(coeffs.T, basis, out=self.deflation[found : found + take])
+        for row in range(found, found + take):
+            vec = self.deflation[row]
+            if row:
+                _project_out(self.deflation[:row], vec)
+            vec /= np.linalg.norm(vec)
+        self.values.extend(float(value) for value in values)
+
+
+def _omega_step(prev, cur, nxt, alphas, betas, j: int, beta: float) -> float:
+    """Simon's estimates of q_{j+1} . q_k for k <= j into ``nxt``; returns their largest size.
+
+    ``prev`` and ``cur`` hold the estimates omega[j-1, :] and omega[j, :].
+    The three-term recurrence for q_{j+1}, taken against q_k, and the one
+    for q_k, taken against q_j, give beta_j omega[j+1, k] = beta_k omega[j, k+1]
+    + (alpha_k - alpha_j) omega[j, k] + beta_{k-1} omega[j, k-1]
+    - beta_{j-1} omega[j-1, k].  Rounding adds about
+    eps (|alpha_k| + beta_k + |alpha_j| + beta_j), taken with the sign that
+    grows the estimate; a new vector is orthogonal to its predecessor up to eps.
+    """
+    if j > 0:
+        a, b = alphas[:j], betas[:j]
+        est = b * cur[1 : j + 1] + (a - alphas[j]) * cur[:j] - betas[j - 1] * prev[:j]
+        est[1:] += b[:-1] * cur[: j - 1]
+        noise = EPS * (np.abs(a) + b + abs(alphas[j]) + beta)
+        nxt[:j] = (est + np.copysign(noise, est)) / beta
+    nxt[j] = EPS
+    nxt[j + 1] = 1.0
+    return float(np.max(np.abs(nxt[: j + 1])))
 
 
 def _project_out(rows: np.ndarray, w: np.ndarray) -> None:
-    """Remove from ``w`` (in place) its components along the orthonormal rows."""
-    coeffs = (rows @ w.conj()).conj()
-    w -= rows.T @ coeffs
+    """Remove from ``w`` (in place) its components along the orthonormal rows.
+
+    Two BLAS gemv calls on the Fortran-ordered view ``rows.T``: the
+    coefficients conj(rows) @ w, then w -= rows.T @ coeffs with no copy of
+    ``rows`` or ``w``.
+    """
+    gemv = sla.get_blas_funcs("gemv", (rows, w))
+    coeffs = gemv(1.0, rows.T, w, trans=2)
+    gemv(-1.0, rows.T, coeffs, beta=1.0, y=w, overwrite_y=True)
 
 
 def lanczos_lowest(
@@ -215,13 +296,15 @@ def lanczos_lowest(
     max_iter: int = 400,
     seed: int = 0,
 ) -> SpectralResult:
-    """Lowest ``k`` eigenpairs by Lanczos with full reorthogonalization.
+    """Lowest ``k`` eigenpairs by Lanczos with partial reorthogonalization.
 
-    Converged eigenvectors are deflated and the iteration restarts in their
-    orthogonal complement, which resolves degenerate levels one copy at a
-    time.  Once ``k`` pairs are in hand, extra probe rounds continue until
-    the complement's lowest eigenvalue lies above the k-th found value, so
-    no degenerate copy hiding below the k-th level can be missed.
+    Every sweep keeps its basis semi-orthogonal in one Krylov block shared
+    by the whole solve (see ``_LanczosState``).  Converged eigenvectors are
+    deflated and the iteration restarts in their orthogonal complement,
+    which resolves degenerate levels one copy at a time.  Once ``k`` pairs
+    are in hand, extra probe rounds continue until the complement's lowest
+    eigenvalue lies above the k-th found value, so no degenerate copy
+    hiding below the k-th level can be missed.
     Deterministic for a fixed seed.
     """
     if k < 1:
@@ -268,15 +351,12 @@ def lanczos_lowest(
 
     order = np.argsort(state.values)[:k]
     vals = np.array([state.values[i] for i in order])
-    ground = state.vectors[order[0]]
+    ground = state.vectors[order[0]].copy()
+    work = {key: getattr(state, key) for key in ("iterations", "matvecs", "reorthogonalizations")}
+    del state  # frees both blocks before the residual check allocates
     residual = float(np.linalg.norm(h @ ground - vals[0] * ground))
     return SpectralResult(
-        eigenvalues=vals,
-        ground_vector=ground,
-        residual=residual,
-        method="lanczos",
-        iterations=state.iterations,
-        matvecs=state.matvecs,
+        eigenvalues=vals, ground_vector=ground, residual=residual, method="lanczos", **work
     )
 
 

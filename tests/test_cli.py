@@ -230,6 +230,7 @@ class TestSolverStats:
         assert set(payload) == PAYLOAD_KEYS["spectrum"]
         assert timings["method"] == payload["method"] == "lanczos"
         assert timings["matvecs"] == timings["iterations"] > 0
+        assert 0 < timings["reorthogonalizations"] < timings["iterations"]
 
     @pytest.mark.parametrize("command", ["scan-kappa", "converge"])
     def test_scans_report_one_entry_per_row(self, tmp_path, command):
@@ -241,6 +242,9 @@ class TestSolverStats:
         assert timings["method"] == methods
         assert [m > 0 for m in timings["matvecs"]] == [m == "lanczos" for m in methods]
         assert timings["iterations"] == timings["matvecs"]
+        assert [0 < r < m for r, m in zip(timings["reorthogonalizations"], timings["matvecs"])] == [
+            m == "lanczos" for m in methods
+        ]
         if command == "converge":
             assert [row["method"] for row in payload["report"]["rows"]] == timings["method"]
 
@@ -248,7 +252,8 @@ class TestSolverStats:
         data = base_config(coupling=0.5)
         data["output"] = {"record_timings": True}
         timings = run_payload(tmp_path, "spectrum", data, "dense.json")["timings"]
-        assert (timings["method"], timings["iterations"], timings["matvecs"]) == ("dense", 0, 0)
+        work = ("method", "iterations", "matvecs", "reorthogonalizations")
+        assert tuple(timings[key] for key in work) == ("dense", 0, 0, 0)
 
 
 class TestThreadLimit:
