@@ -3,7 +3,8 @@
 Configuration is one YAML file; every field has a default except the two
 masses and the coupling.  Outputs are JSON (spectrum, converge, verify) or
 CSV with a JSON sidecar (scan-kappa), all embedding the fully resolved
-configuration and a schema_version for provenance.  With --threads 1 (the
+configuration and a schema_version for provenance.  --threads N sets every
+loaded OpenBLAS pool to N threads for the run.  With --threads 1 (the
 default) outputs are byte-for-byte reproducible for a fixed config and seed;
 wall-clock timings, with each solve's route and work counts, are only
 recorded when explicitly requested, since they would break that
@@ -16,16 +17,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import itertools
 import json
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import yaml
 
-from .bounds import compute_constants, verify_inequalities
+from .bounds import verify_inequalities
 from .errors import CapacityError, ConfigError, ConvergenceError, ParameterError
 from .hamiltonian import ModelParams, build_model
 from .solver import DEFAULT_DENSE_CAP, SOLVE_STATS, converge_scan, solve_lowest
@@ -97,15 +99,6 @@ def _check_keys(section: Dict, allowed: Sequence[str], where: str):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _points_from(value, where: str):
-    if value is None:
-        return None
-    try:
-        return tuple(tuple(int(c) for c in row) for row in value)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad lattice points in {where}: {err}") from err
-
-
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -124,7 +117,12 @@ def _optional(cast: Callable) -> Callable:
 
 
 def _points(value):
-    return _points_from(value, "model.lattice")
+    if value is None:
+        return None
+    try:
+        return tuple(tuple(int(c) for c in row) for row in value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad lattice points in model.lattice: {err}") from err
 
 
 # YAML key -> cast, per section.  Only keys present in the YAML are passed on,
@@ -254,25 +252,26 @@ def _write_json(path: str, payload: Dict):
         fh.write("\n")
 
 
-def _blas_thread_counts() -> List[int]:
-    """Pool size of each loaded OpenBLAS, read back through its own C API."""
+def _blas_pools() -> List[Tuple[Callable, Callable]]:
+    """(get, set) of the pool size of each loaded OpenBLAS, through its own C API."""
     try:
         with open("/proc/self/maps", "r", encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
     except OSError:
         return []
-    counts = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for prefix in ("scipy_openblas", "openblas"):
-            getter = getattr(lib, f"{prefix}_get_num_threads64_", None) or getattr(
-                lib, f"{prefix}_get_num_threads", None
-            )
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                counts.append(int(getter()))
+    pools = []
+    for lib in map(ctypes.CDLL, paths):  # the numpy and scipy wheels each load their own
+        for stem, abi in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+            get, set_size = (getattr(lib, f"{stem}_{verb}_num_threads{abi}", None) for verb in ("get", "set"))
+            if get is not None and set_size is not None:
+                pools.append((get, set_size))  # ctypes' default int argument and result fit both
                 break
-    return counts
+    return pools
+
+
+def _blas_thread_counts() -> List[int]:
+    """Pool size of each loaded OpenBLAS, read back through its own C API."""
+    return [get() for get, _ in _blas_pools()]
 
 
 def _timed(config: RunConfig):
@@ -301,17 +300,15 @@ def _per_row(stats: Sequence[Dict]) -> Dict[str, list]:
 
 @contextlib.contextmanager
 def _thread_limit(threads: int):
+    """Size every loaded OpenBLAS pool to ``threads``; the old sizes come back on exit."""
+    restore = [(set_size, get()) for get, set_size in _blas_pools()]
+    for set_size, _ in restore:
+        set_size(threads)
     try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print(
-            f"warning: threadpoolctl is not installed; --threads {threads} is not enforced",
-            file=sys.stderr,
-        )
         yield
-        return
-    with threadpool_limits(limits=threads):
-        yield
+    finally:
+        for set_size, size in restore:
+            set_size(size)
 
 
 def run_spectrum(config: RunConfig, out_path: str) -> Dict:
@@ -381,10 +378,8 @@ def run_converge(config: RunConfig, out_path: str) -> Dict:
 def run_verify(config: RunConfig, out_path: str) -> Dict:
     stamp = _timed(config)
     model = build_model(config.params)
-    report = compute_constants(model)
     report = verify_inequalities(
         model,
-        report=report,
         n_samples=config.verify.samples,
         n_field_points=config.verify.field_points,
         seed=config.solver.seed,

@@ -9,13 +9,13 @@ top-occupation states.
 
 Basis ordering is fermion-mask major (mask value ascending), boson occupation
 lexicographic minor; the vacuum is index 0.  Full-space operators are
-Kronecker products respecting that ordering.
+Kronecker products respecting that ordering.  Boson occupations are counted
+by a loop over modes, so the cap is checked before any allocation on any lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,33 +70,36 @@ class FockState:
     boson_occupation: Tuple[int, ...]
 
 
+def _completions(n_modes: int, n_max: int, total_cap: int) -> List[List[int]]:
+    """ways[m][r]: occupation vectors of m modes, each at most n_max, with total at most r."""
+    cap = min(total_cap, n_modes * n_max)  # no occupation vector holds more
+    ways = [[1] * (cap + 1)]
+    for _ in range(n_modes):
+        fewer = ways[-1]
+        ways.append([sum(fewer[r - n] for n in range(min(n_max, r) + 1)) for r in range(cap + 1)])
+    return ways
+
+
 def count_boson_occupations(n_modes: int, n_max: int, total_cap: int) -> int:
-    """Number of occupation vectors with per-mode cap and total cap."""
-
-    @lru_cache(maxsize=None)
-    def ways(i: int, remaining: int) -> int:
-        if i == n_modes:
-            return 1
-        return sum(ways(i + 1, remaining - n) for n in range(min(n_max, remaining) + 1))
-
-    return ways(0, total_cap)
+    """Number of occupation vectors with per-mode cap and total cap (an exact int)."""
+    return _completions(n_modes, n_max, total_cap)[n_modes][-1]
 
 
 def _enumerate_boson_occupations(n_modes: int, n_max: int, total_cap: int) -> np.ndarray:
-    out: List[Tuple[int, ...]] = []
-    occ = [0] * n_modes
+    """Occupation vectors in lexicographic order, filled one mode (column) at a time.
 
-    def rec(i: int, remaining: int):
-        if i == n_modes:
-            out.append(tuple(occ))
-            return
-        for n in range(min(n_max, remaining) + 1):
-            occ[i] = n
-            rec(i + 1, remaining - n)
-        occ[i] = 0
-
-    rec(0, total_cap)
-    return np.array(out, dtype=np.int64)
+    The rows sharing occupations of modes 0..i-1 are contiguous; with r quanta
+    left, occupation n of mode i covers the next ways[n_modes - i - 1][r - n] of them.
+    """
+    ways = np.array(_completions(n_modes, n_max, total_cap), dtype=np.int64)
+    out = np.zeros((ways[n_modes, -1], n_modes), dtype=np.int64)
+    left = np.array([ways.shape[1] - 1])  # quanta left, one entry per shared prefix
+    for i in range(n_modes):
+        branches = np.minimum(n_max, left) + 1
+        n = np.arange(branches.sum()) - np.repeat(np.cumsum(branches) - branches, branches)
+        left = np.repeat(left, branches) - n
+        out[:, i] = np.repeat(n, ways[n_modes - i - 1, left])
+    return out
 
 
 class FockBasis:
@@ -139,7 +142,6 @@ class FockBasis:
         self.dim = self.fermion_dim * self.boson_dim
 
         masks = np.arange(self.fermion_dim, dtype=np.int64)
-        self._masks = masks
         n = fermion_lattice.n_points
         b_bits = (1 << (2 * n)) - 1          # families 0,1 occupy the low 2n bits
         d_bits = ((1 << (4 * n)) - 1) ^ b_bits
@@ -233,11 +235,11 @@ def boson_block_annihilator(basis: FockBasis, mode: int) -> sp.csr_matrix:
     cols = np.flatnonzero(occupations[:, mode])
     target = occupations[cols]
     target[:, mode] -= 1
+    # one entry per row, and the rows ascend with cols: lowering one mode keeps lexicographic order
     rows = np.array([basis.boson_index[occ] for occ in map(tuple, target.tolist())], dtype=int)
-    order = np.argsort(rows)  # one entry per row
-    indptr = np.searchsorted(rows[order], np.arange(basis.boson_dim + 1))
-    values = np.sqrt(occupations[cols[order], mode].astype(float))
-    return sp.csr_matrix((values, cols[order], indptr), shape=(basis.boson_dim, basis.boson_dim))
+    indptr = np.searchsorted(rows, np.arange(basis.boson_dim + 1))
+    values = np.sqrt(occupations[cols, mode].astype(float))
+    return sp.csr_matrix((values, cols, indptr), shape=(basis.boson_dim, basis.boson_dim))
 
 
 # -- full-space operators ------------------------------------------------------

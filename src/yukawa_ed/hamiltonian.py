@@ -34,6 +34,12 @@ give complex coefficients and complex operators.
 No normal ordering is applied: the antiparticle bilinear is kept in the d d*
 order in which the density is written, so the assembled matrix contains the
 induced one-boson (tadpole) contribution.
+
+The validation quadratures integrate x over a cube of half-width
+``QUADRATURE_RADIUS`` cutoff scales (the gaussian is below 1e-13 outside it),
+``fourier_quadrature`` with ``FOURIER_NODES`` nodes per axis and
+``interaction_form_quadrature`` in blocks of ``QUADRATURE_CHUNK`` x points,
+which bounds its memory.
 """
 
 from __future__ import annotations
@@ -167,15 +173,16 @@ def chi_spatial_l1_norm(profile: CutoffProfile) -> float:
     return float(chi_spatial_fourier(np.zeros(3), profile))
 
 
-def fourier_quadrature(
-    profile: CutoffProfile,
-    xi: np.ndarray,
-    radius_factor: float = 8.0,
-    n_nodes: int = 48,
-) -> complex:
+# validation quadratures (module docstring)
+QUADRATURE_RADIUS = 8.0
+FOURIER_NODES = 48
+QUADRATURE_CHUNK = 4096
+
+
+def fourier_quadrature(profile: CutoffProfile, xi: np.ndarray) -> complex:
     """Tensor Gauss-Legendre quadrature of the cutoff transform (validation only)."""
-    half = radius_factor * profile.scale
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    half = QUADRATURE_RADIUS * profile.scale
+    nodes, weights = np.polynomial.legendre.leggauss(FOURIER_NODES)
     nodes = nodes * half
     weights = weights * half
     out = 1.0 + 0.0j
@@ -313,18 +320,6 @@ def ladder_factors(terms: np.recarray, basis: FockBasis) -> Dict[Ladder, sp.csr_
     return factors
 
 
-def _union_pattern(mats: Sequence[sp.csr_matrix], n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Union of the factor patterns as sorted linear keys row * n + col, and
-    the position of every factor entry in it."""
-
-    def keys(m: sp.csr_matrix) -> np.ndarray:
-        return np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(m.indptr)) + m.indices
-
-    ones = [sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=(n, n)) for m in mats]
-    union = keys(sum(ones, sp.csr_matrix((n, n))))
-    return union, [np.searchsorted(union, keys(m)) for m in mats]
-
-
 def _union_values(factors: Dict[Ladder, sp.csr_matrix], n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The union U of the factor patterns as CSR (indptr, indices), and every
     factor's values on U (zero where it has no entry), one column each."""
@@ -332,7 +327,8 @@ def _union_values(factors: Dict[Ladder, sp.csr_matrix], n: int) -> Tuple[np.ndar
     for m in mats:
         m.sum_duplicates()
     first = mats[0] if mats else sp.csr_matrix((n, n))
-    # ladder_factors gives every factor one pattern
+    # ladder_factors gives every factor one pattern, except where a wide spatial
+    # cutoff prunes off-balance terms (3 patterns among the 4 two-point factors at sigma = 3)
     if all(np.array_equal(m.indptr, first.indptr) and np.array_equal(m.indices, first.indices) for m in mats):
         u_ptr, u_col, where = first.indptr, first.indices, [slice(None)] * len(mats)
     else:
@@ -614,8 +610,6 @@ def interaction_form_quadrature(
     phi_vec: np.ndarray,
     psi_vec: np.ndarray,
     n_nodes: int = 40,
-    radius_factor: float = 8.0,
-    chunk: int = 4096,
 ) -> complex:
     """Direct x-quadrature of the interaction form between two states.
 
@@ -672,7 +666,7 @@ def interaction_form_quadrature(
     balances = np.asarray(balances)
 
     sigma = model.params.chi_spatial.scale
-    half = radius_factor * sigma
+    half = QUADRATURE_RADIUS * sigma
     nodes1, w1 = np.polynomial.legendre.leggauss(n_nodes)
     nodes1 = nodes1 * half
     w1 = w1 * half
@@ -681,9 +675,9 @@ def interaction_form_quadrature(
     chi_x = np.exp(-np.sum(xs * xs, axis=1) / (2.0 * sigma * sigma))
 
     total = 0.0 + 0.0j
-    for start in range(0, len(xs), chunk):
-        block = xs[start : start + chunk]
-        phases = np.exp(1j * (balances @ block.T))  # (n_terms, n_block)
+    for start in range(0, len(xs), QUADRATURE_CHUNK):
+        block = slice(start, start + QUADRATURE_CHUNK)
+        phases = np.exp(1j * (balances @ xs[block].T))  # (n_terms, n_block)
         s_x = weights @ phases
-        total += np.sum(wx[start : start + chunk] * chi_x[start : start + chunk] * s_x)
+        total += np.sum(wx[block] * chi_x[block] * s_x)
     return complex(total)

@@ -5,7 +5,10 @@ off its diagonal (the free Hamiltonian) is read off that diagonal exactly.
 Otherwise LAPACK's subset driver (dense; only the lowest k eigenpairs)
 runs up to ``DEFAULT_DENSE_CAP``, the measured break-even dimension, and
 Lanczos with partial reorthogonalization above it.  The dense route doubles
-as the oracle up to ``ORACLE_DENSE_CAP``.  Both work in the matrix's own
+as the oracle up to ``ORACLE_DENSE_CAP``, which also caps
+``operator_norm_dense``.  ``sector_minima`` solves a sector with
+``solve_lowest``'s defaults once its coupling to the rest is at most
+``INVARIANCE_TOL``.  The dense and Lanczos routes work in the matrix's own
 dtype: ``build_model`` assembles float64 operators for real models, which
 get a real start vector, Krylov block and subset driver, and complex ones
 for off-axis models, which keep complex arithmetic.
@@ -41,6 +44,8 @@ DEFAULT_DENSE_CAP = 680
 # memory guard of the dense oracle routes, whatever the route choice
 ORACLE_DENSE_CAP = 4096
 DEGENERACY_TOL = 1e-10
+# a label sector coupled to its complement beyond this has no restricted minimum
+INVARIANCE_TOL = 1e-12
 EPS = float(np.finfo(float).eps)
 # Lanczos projects against its Krylov block once an estimated overlap of the
 # new vector with an earlier one passes this (Simon's semi-orthogonality)
@@ -103,15 +108,15 @@ def _diagonal_lowest(h, k: int) -> Optional[SpectralResult]:
     return SpectralResult(eigenvalues=diag[order], ground_vector=ground, residual=0.0, method="diagonal")
 
 
+def _check_dense(what: str, dim: int, cap: int) -> None:
+    if dim > cap:
+        raise CapacityError(f"{what} of dimension {dim} exceeds cap {cap}", projected=dim, cap=cap)
+
+
 def dense_lowest(h, k: int, dense_cap: int = ORACLE_DENSE_CAP) -> SpectralResult:
     """Lowest ``k`` eigenpairs by LAPACK's subset driver; the oracle route under the cap."""
     dim = h.shape[0]
-    if dim > dense_cap:
-        raise CapacityError(
-            f"dense diagonalization of dimension {dim} exceeds cap {dense_cap}",
-            projected=dim,
-            cap=dense_cap,
-        )
+    _check_dense("dense diagonalization", dim, dense_cap)
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     k = min(k, dim)
@@ -380,13 +385,9 @@ def solve_lowest(
     return lanczos_lowest(h, k, tol=tol, max_iter=max_iter, seed=seed)
 
 
-def operator_norm_dense(h, dense_cap: int = ORACLE_DENSE_CAP) -> float:
-    """Spectral norm via dense Hermitian eigenvalues (small instances only)."""
-    dim = h.shape[0]
-    if dim > dense_cap:
-        raise CapacityError(
-            f"dense norm of dimension {dim} exceeds cap {dense_cap}", projected=dim, cap=dense_cap
-        )
+def operator_norm_dense(h) -> float:
+    """Spectral norm via dense Hermitian eigenvalues, up to ``ORACLE_DENSE_CAP``."""
+    _check_dense("dense norm", h.shape[0], ORACLE_DENSE_CAP)
     h = _as_operator(h)
     vals = np.linalg.eigvalsh(h.toarray() if sp.issparse(h) else h)
     return float(max(abs(vals[0]), abs(vals[-1])))
@@ -420,16 +421,12 @@ def sector_minima(
     basis: FockBasis,
     n: int,
     label: str = "charge",
-    dense_cap: int = DEFAULT_DENSE_CAP,
-    invariance_tol: float = 1e-12,
-    tol: float = 1e-10,
-    max_iter: int = 400,
     seed: int = 0,
 ) -> SectorResult:
     """Lowest energy in the sector with label value ``n``.
 
     Also measures how strongly the Hamiltonian couples the sector to its
-    complement; a sector that is mixed beyond ``invariance_tol`` has no
+    complement; a sector that is mixed beyond ``INVARIANCE_TOL`` has no
     well-defined restricted minimum and is reported with ``energy=None``.
     """
     labels = sector_labels(basis, label)
@@ -440,12 +437,11 @@ def sector_minima(
     outside = np.flatnonzero(labels != n)
     cross = h[np.ix_(inside, outside)]
     mixing = 0.0 if cross.nnz == 0 else float(np.max(np.abs(cross.data)))
-    invariant = mixing <= invariance_tol
+    invariant = mixing <= INVARIANCE_TOL
     energy = None
     if invariant:
         block = h[np.ix_(inside, inside)]
-        result = solve_lowest(block, 1, tol=tol, max_iter=max_iter, seed=seed, dense_cap=dense_cap)
-        energy = result.ground_energy
+        energy = solve_lowest(block, 1, seed=seed).ground_energy
     return SectorResult(
         label=label,
         value=int(n),

@@ -1,9 +1,6 @@
-import contextlib
 import json
 import math
 import os
-import sys
-import types
 from dataclasses import fields
 
 import pytest
@@ -102,6 +99,15 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg, "--out", out]) == EXIT_CAPACITY
         err = capsys.readouterr().err
         assert "64" in err  # projected dimension reported
+        assert not os.path.exists(out)
+
+    def test_default_lattice_past_the_cap_exits_3(self, tmp_path, capsys):
+        data = base_config()
+        data["model"]["lattice"] = {"fermion_L": 5.0}  # 1 331 points
+        cfg = write_config(tmp_path, data)
+        out = str(tmp_path / "never.json")
+        assert main(["spectrum", "--config", cfg, "--out", out]) == EXIT_CAPACITY
+        assert capsys.readouterr().err.startswith("error: projected Fock dimension")
         assert not os.path.exists(out)
 
     def test_byte_for_byte_determinism(self, tmp_path):
@@ -257,33 +263,27 @@ class TestSolverStats:
 
 
 class TestThreadLimit:
-    def run_spectrum(self, tmp_path, capsys, name):
+    def test_pools_hold_threads_during_a_run_and_their_old_size_after(self, tmp_path, capsys, monkeypatch):
+        from yukawa_ed import cli
+
+        before = cli._blas_thread_counts()
+        if not before:
+            pytest.skip("no OpenBLAS loaded")  # test_pools_are_read_from_the_loaded_blas covers that case
+        threads = 2 if set(before) == {1} else 1  # a size some pool does not have yet
+        runner, default_name = cli.COMMANDS["spectrum"]
+        during = []
+
+        def spy(config, out_path):
+            during.append(cli._blas_thread_counts())
+            return runner(config, out_path)
+
+        monkeypatch.setitem(cli.COMMANDS, "spectrum", (spy, default_name))
         cfg = write_config(tmp_path, base_config(coupling=0.8))
-        out = tmp_path / name
-        assert main(["spectrum", "--config", cfg, "--out", str(out), "--threads", "2"]) == EXIT_OK
-        return out.read_bytes(), capsys.readouterr().err
-
-    def test_missing_threadpoolctl_warns_once(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now raises
-        written, err = self.run_spectrum(tmp_path, capsys, "x.json")
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("warning:") and "--threads 2" in lines[0]
-
-        calls = []
-
-        @contextlib.contextmanager
-        def threadpool_limits(limits):
-            calls.append(limits)
-            yield
-
-        fake = types.ModuleType("threadpoolctl")
-        fake.threadpool_limits = threadpool_limits
-        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-        pinned, err = self.run_spectrum(tmp_path, capsys, "x.json")
-        assert err == ""
-        assert calls == [2]
-        assert pinned == written
+        out = str(tmp_path / "x.json")
+        assert main(["spectrum", "--config", cfg, "--out", out, "--threads", str(threads)]) == EXIT_OK
+        assert during == [[threads] * len(before)]
+        assert cli._blas_thread_counts() == before
+        assert capsys.readouterr().err == ""
 
 
 class TestThreadsPinned:

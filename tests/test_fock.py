@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -104,6 +105,26 @@ class TestBasisEnumeration:
         with pytest.raises(CapacityError) as err:
             enumerate_basis(lat, n_max=3, basis_cap=10_000)
         assert err.value.projected == 2**20 * count_boson_occupations(5, 3, 3)
+
+    def test_capacity_check_counts_any_number_of_modes(self):
+        # 1 331 points (the default lattice at fermion_L = 5) once overflowed
+        # a recursive count; the cap must still be checked before allocation
+        lat = build_lattice(2 * np.pi, 5.0)
+        assert lat.n_points == 1331
+        with pytest.raises(CapacityError) as err:
+            enumerate_basis(lat, n_max=3, total_cap=3)
+        assert err.value.projected == 2 ** (4 * 1331) * count_boson_occupations(1331, 3, 3)
+
+    def test_long_boson_lattice_enumerates_in_order(self):
+        fermion = MomentumLattice.from_integer_points(2 * np.pi, 1.5, [[0, 0, 0]])
+        boson = MomentumLattice.from_integer_points(2 * np.pi, 1.5, [[0, 0, n] for n in range(1100)])
+        start = time.perf_counter()
+        basis = enumerate_basis(fermion, n_max=1, total_cap=1, boson_lattice=boson)
+        assert time.perf_counter() - start < 1.0
+        assert (basis.fermion_dim, basis.boson_dim, basis.dim) == (16, 1101, 16 * 1101)
+        assert basis.state(0) == FockState(0, (0,) * 1100)
+        # lexicographic: the single quantum moves from the last mode to the first
+        assert np.array_equal(basis.boson_occupations[1:], np.eye(1100, dtype=np.int64)[::-1])
 
     def test_charge_and_number_labels(self):
         basis = enumerate_basis(minimal_lattice(), n_max=1)

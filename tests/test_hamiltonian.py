@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from yukawa_ed import hamiltonian
-from yukawa_ed.errors import AssemblyError, ParameterError
+from yukawa_ed.errors import AssemblyError, CapacityError, ParameterError
 from yukawa_ed.fock import (
     FermionMode,
     FockState,
@@ -108,6 +108,12 @@ class TestModelParams:
                 coupling=0.0,
                 chi_spatial=CutoffProfile.sharp_ball(1.0),
             )
+
+    def test_default_lattice_past_the_basis_cap_raises_capacity_error(self):
+        params = minimal_params(fermion_L=5.0)  # 1 331 points, 4 fermion modes each
+        assert params.build_fermion_lattice().n_points == 1331
+        with pytest.raises(CapacityError):
+            build_model(params)
 
     def test_boson_lattice_defaults_to_fermion_geometry(self):
         params = two_point_params()
@@ -538,6 +544,18 @@ class TestBalancePruning:
         for balance, value in zip(np.round(tight.terms.momentum_balance, 12).tolist(), values):
             if value < floor:
                 assert tuple(balance) not in balances
+
+    @pytest.mark.parametrize("sigma", (3.0, 6.0, 12.0))
+    def test_pruned_factors_take_the_general_union_branch(self, sigma):
+        # pruning drops different entries from different ladders, so the
+        # factors stop sharing one pattern and assembly must merge them
+        model = build_model(two_point_params(chi_spatial=CutoffProfile.gaussian(sigma)))
+        patterns = {(f.indptr.tobytes(), f.indices.tobytes()) for f in model.factors.values()}
+        assert (len(model.factors), len(patterns)) == (4, 3)
+        oracle = kron_sum_oracle(model.factors, model.basis)
+        assert_bitwise_equal(model.h_int, oracle)
+        for kappa in (model.params.coupling, -1.3):
+            assert_bitwise_equal(model.hamiltonian(kappa), (model.h_free + kappa * oracle).tocsr())
 
 
 class TestAnalyticLimits:
