@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import yaml
 
 from .bounds import verify_inequalities
-from .errors import CapacityError, ConfigError, ConvergenceError, ParameterError
+from .errors import CapacityError, ConfigError, ConvergenceError, ParameterError, size_text
 from .hamiltonian import ModelParams, build_model
 from .solver import DEFAULT_DENSE_CAP, SOLVE_STATS, converge_scan, solve_lowest
 from .spinor import CutoffProfile
@@ -435,7 +435,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except CapacityError as err:
-        detail = f" (projected {err.projected}, cap {err.cap})" if err.projected else ""
+        detail = f" (projected {size_text(err.projected)}, cap {err.cap})" if err.projected else ""
         print(f"error: {err}{detail}", file=sys.stderr)
         return EXIT_CAPACITY
     except ConvergenceError as err:

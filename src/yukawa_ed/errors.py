@@ -4,6 +4,13 @@ The CLI maps these onto process exit codes, so new error conditions should
 reuse one of the classes below rather than raising bare ValueError.
 """
 
+from decimal import Decimal
+
+
+def size_text(n) -> str:
+    """A size in full below 1e15, else in short form such as ``~1.9e+1611``."""
+    return str(n) if n < 10**15 else f"~{Decimal(n):.1e}"
+
 
 class ParameterError(ValueError):
     """Invalid physical or numerical parameter (non-positive mass, bad cap, ...)."""
@@ -12,7 +19,8 @@ class ParameterError(ValueError):
 class CapacityError(RuntimeError):
     """A requested object would exceed a configured size cap.
 
-    Carries the projected size so callers can report it.
+    Carries the projected size so callers can report it (``size_text``
+    shortens a huge one).
     """
 
     def __init__(self, message, projected=None, cap=None):

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CapacityError, LatticeMismatchError, ParameterError
+from .errors import CapacityError, LatticeMismatchError, ParameterError, size_text
 from .lattice import DiscreteCoefficients, MomentumLattice
 
 DEFAULT_BASIS_CAP = 2_000_000
@@ -132,7 +132,7 @@ class FockBasis:
         projected = self.fermion_dim * n_bos
         if projected > basis_cap:
             raise CapacityError(
-                f"projected Fock dimension {projected} exceeds cap {basis_cap}",
+                f"projected Fock dimension {size_text(projected)} exceeds cap {basis_cap}",
                 projected=projected,
                 cap=basis_cap,
             )

@@ -13,6 +13,13 @@ dtype: ``build_model`` assembles float64 operators for real models, which
 get a real start vector, Krylov block and subset driver, and complex ones
 for off-axis models, which keep complex arithmetic.
 
+Above the dense cap ``solve_lowest`` splits the matrix into the connected
+components of its pattern, invariant blocks of a Hermitian matrix (method
+``"blocks"``; a connected matrix keeps plain Lanczos).  It solves them by
+the routes above in increasing Gershgorin bound until a bound lies above
+the k-th value merged so far; a Lanczos block stops once an accepted round
+does.
+
 Lanczos restarts in the orthogonal complement of converged eigenvectors, so
 degenerate levels keep their multiplicities and the routes can be compared
 eigenvalue by eigenvalue.  One Krylov block per solve holds the vectors of
@@ -21,8 +28,9 @@ vector's overlaps with the block from the tridiagonal entries in a few
 O(j) flops; the vector is projected against the block only when an
 estimate passes sqrt(eps), at that step and the next, which keeps the
 basis semi-orthogonal and the Ritz values as accurate as under full
-reorthogonalization.  Accepted Ritz vectors are orthonormalized against
-the deflation vectors before they join them.
+reorthogonalization.  A step computes only the lowest Ritz pairs it
+checks.  Accepted Ritz vectors are orthonormalized against the deflation
+vectors before they join them.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from .errors import CapacityError, ConvergenceError, ParameterError
 from .fock import FockBasis
 from .hamiltonian import ModelParams, build_model
 
-# dense route at or below this dimension, Lanczos above (measured break-even)
+# dense route at or below this dimension, blocks or Lanczos above (measured break-even)
 DEFAULT_DENSE_CAP = 680
 # memory guard of the dense oracle routes, whatever the route choice
 ORACLE_DENSE_CAP = 4096
@@ -51,7 +59,8 @@ EPS = float(np.finfo(float).eps)
 # new vector with an earlier one passes this (Simon's semi-orthogonality)
 SEMI_ORTHOGONAL = math.sqrt(EPS)
 # SpectralResult fields that say how a solve went (route and work done)
-SOLVE_STATS = ("method", "iterations", "matvecs", "reorthogonalizations")
+SOLVE_STATS = ("method", "iterations", "matvecs", "reorthogonalizations", "blocks", "blocks_solved")
+LANCZOS_WORK = ("iterations", "matvecs", "reorthogonalizations")
 
 
 @dataclass
@@ -65,6 +74,8 @@ class SpectralResult:
     iterations: int = 0
     matvecs: int = 0
     reorthogonalizations: int = 0
+    blocks: int = 0  # connected components found (0: no search, at or below the dense cap)
+    blocks_solved: int = 0
 
     @property
     def ground_energy(self) -> float:
@@ -222,16 +233,20 @@ class _LanczosState:
                 nxt[j + 1] = 1.0
             prev, cur, nxt = cur, nxt, prev
 
-            theta, smat = sla.eigh_tridiagonal(alphas[: j + 1], betas[:j])
-            resid_est = np.abs(beta * smat[-1, :])
-            self.best_residual = min(self.best_residual, float(resid_est[0]))
+            # the lowest `need` Ritz pairs for the residual estimates
+            ritz = (alphas[: j + 1], betas[:j])
+            theta, smat = sla.eigh_tridiagonal(*ritz, select="i", select_range=(0, min(need, j + 1) - 1))
+            converged = np.abs(beta * smat[-1, :]) <= tol
+            self.best_residual = min(self.best_residual, float(abs(beta * smat[-1, 0])))
             exhausted = beta < 1e-13 * max(1.0, float(np.max(np.abs(alphas[: j + 1]))))
-            prefix = 0
-            while prefix < len(theta) and resid_est[prefix] <= tol:
-                prefix += 1
-            if prefix >= min(need, len(theta)) or exhausted or j == steps - 1:
-                # on an exhausted Krylov space every Ritz pair is exact
-                take = len(theta) if exhausted else prefix
+            if converged.all() or exhausted or j == steps - 1:
+                # every Ritz pair now: on an exhausted Krylov space each one is
+                # exact, else the whole leading run of converged pairs is accepted
+                prefix = np.logical_and.accumulate(converged).sum()
+                theta, smat = sla.eigh_tridiagonal(*ritz)
+                converged = np.abs(beta * smat[-1, :]) <= tol
+                converged[:prefix] = True
+                take = len(theta) if exhausted else int(np.logical_and.accumulate(converged).sum())
                 if take == 0:
                     return None
                 self._accept(theta[:take], smat[:, :take], krylov[: j + 1])
@@ -300,6 +315,7 @@ def lanczos_lowest(
     tol: float = 1e-10,
     max_iter: int = 400,
     seed: int = 0,
+    above: float = math.inf,
 ) -> SpectralResult:
     """Lowest ``k`` eigenpairs by Lanczos with partial reorthogonalization.
 
@@ -309,7 +325,8 @@ def lanczos_lowest(
     which resolves degenerate levels one copy at a time.  Once ``k`` pairs
     are in hand, extra probe rounds continue until the complement's lowest
     eigenvalue lies above the k-th found value, so no degenerate copy
-    hiding below the k-th level can be missed.
+    hiding below the k-th level can be missed; a round whose lowest value
+    lies above ``above`` (the block route's merged k-th value) ends it too.
     Deterministic for a fixed seed.
     """
     if k < 1:
@@ -326,27 +343,20 @@ def lanczos_lowest(
         if len(state.values) >= dim:
             complete = True
             break
-        if len(state.values) < k:
-            lowest = state.run_round(k - len(state.values), tol, max_iter)
-            if lowest is None:
-                raise ConvergenceError(
-                    f"Lanczos failed to converge within {max_iter} iterations "
-                    f"(best residual {state.best_residual:.3e}, tol {tol:.3e})",
-                    best_residual=state.best_residual,
-                )
-            continue
-        kth = float(np.sort(state.values)[k - 1])
-        probe = state.run_round(1, tol, max_iter)
-        if probe is None:
+        need = k - len(state.values)
+        limit = above if need > 0 else min(above, float(np.sort(state.values)[k - 1]))
+        lowest = state.run_round(max(need, 1), tol, max_iter)
+        if lowest is None:
+            what = (f"failed to converge within {max_iter} iterations" if need > 0
+                    else "completeness probe failed to converge")
             raise ConvergenceError(
-                f"Lanczos completeness probe failed to converge "
-                f"(best residual {state.best_residual:.3e}, tol {tol:.3e})",
+                f"Lanczos {what} (best residual {state.best_residual:.3e}, tol {tol:.3e})",
                 best_residual=state.best_residual,
             )
-        if probe > kth + tie_tol:
+        if lowest > limit + tie_tol:
             complete = True
             break
-    if len(state.values) < k or not complete:
+    if not complete:
         raise ConvergenceError(
             f"Lanczos found {len(state.values)} pairs but could not certify the "
             f"lowest {k} within {max_rounds} deflation rounds "
@@ -357,12 +367,20 @@ def lanczos_lowest(
     order = np.argsort(state.values)[:k]
     vals = np.array([state.values[i] for i in order])
     ground = state.vectors[order[0]].copy()
-    work = {key: getattr(state, key) for key in ("iterations", "matvecs", "reorthogonalizations")}
+    work = {key: getattr(state, key) for key in LANCZOS_WORK}
     del state  # frees both blocks before the residual check allocates
     residual = float(np.linalg.norm(h @ ground - vals[0] * ground))
     return SpectralResult(
         eigenvalues=vals, ground_vector=ground, residual=residual, method="lanczos", **work
     )
+
+
+def _route(h, k: int, dense_cap: int, **lanczos) -> SpectralResult:
+    """Diagonal route for a diagonal matrix, else dense up to the cap and Lanczos above it."""
+    diagonal = _diagonal_lowest(h, k)
+    if diagonal is not None:
+        return diagonal
+    return dense_lowest(h, k, dense_cap) if h.shape[0] <= dense_cap else lanczos_lowest(h, k, **lanczos)
 
 
 def solve_lowest(
@@ -373,16 +391,55 @@ def solve_lowest(
     seed: int = 0,
     dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> SpectralResult:
-    """Diagonal route for a diagonal matrix, else dense up to the cap and Lanczos above it."""
+    """Diagonal, dense or Lanczos route; above the dense cap, one per invariant block.
+
+    The blocks are the strong components of the directed pattern (for a
+    Hermitian matrix the connected ones, found without a transpose).  Each
+    is cut from ``h`` by its rows, whose columns stay inside it.
+    """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     h = _as_operator(h)
-    diagonal = _diagonal_lowest(h, k)
-    if diagonal is not None:
-        return diagonal
-    if h.shape[0] <= dense_cap:
-        return dense_lowest(h, k, dense_cap)
-    return lanczos_lowest(h, k, tol=tol, max_iter=max_iter, seed=seed)
+    lanczos = dict(tol=tol, max_iter=max_iter, seed=seed)
+    if h.shape[0] <= dense_cap or _diagonal_lowest(h, k) is not None:
+        return _route(h, k, dense_cap, **lanczos)
+    # imported here: csgraph adds ~1.5 MB of RSS to processes that never need it
+    from scipy.sparse.csgraph import connected_components
+    h = sp.csr_matrix(h)
+    pattern = sp.csr_matrix((h.data.real, h.indices, h.indptr), shape=h.shape)
+    n_blocks, labels = connected_components(pattern, connection="strong")
+    if n_blocks == 1:
+        return replace(lanczos_lowest(h, k, **lanczos), blocks=1, blocks_solved=1)
+    counts = np.bincount(labels)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    order = np.argsort(labels, kind="stable")
+    local = np.empty_like(h.indices)  # each state's index inside its block
+    local[order] = np.arange(h.shape[0]) - np.repeat(starts[:-1], counts)
+    # Gershgorin: Re h_ii - sum_{j != i} |h_ij| bounds the levels of row i's block
+    # from below; reduceat from one filled row's start to the next sums that row
+    filled = np.flatnonzero(np.diff(h.indptr))
+    row_sums = np.zeros(h.shape[0])
+    row_sums[filled] = np.add.reduceat(np.abs(h.data), h.indptr[filled])
+    diag = h.diagonal()
+    floors = np.minimum.reduceat((diag.real + np.abs(diag) - row_sums)[order], starts[:-1])
+    values, kth, solved, work = np.empty(0), math.inf, 0, dict.fromkeys(LANCZOS_WORK, 0)
+    for block in np.argsort(floors, kind="stable"):
+        if floors[block] > kth:
+            break
+        states = order[starts[block] : starts[block + 1]]
+        rows = h[states]
+        sub = sp.csr_matrix((rows.data, local[rows.indices], rows.indptr), shape=(len(states),) * 2)
+        part = _route(sub, min(k, len(states)), dense_cap, above=kth, **lanczos)
+        solved += 1
+        work = {key: count + getattr(part, key) for key, count in work.items()}
+        if not len(values) or part.eigenvalues[0] < values[0]:
+            ground_states, ground = states, part.ground_vector
+        values = np.sort(np.concatenate((values, part.eigenvalues)))[:k]
+        kth = float(values[-1]) if len(values) == k else math.inf
+    vector = np.zeros(h.shape[0], dtype=h.dtype)
+    vector[ground_states] = ground
+    residual = float(np.linalg.norm(h @ vector - values[0] * vector))
+    return SpectralResult(values, vector, residual, "blocks", blocks=n_blocks, blocks_solved=solved, **work)
 
 
 def operator_norm_dense(h) -> float:
@@ -433,15 +490,10 @@ def sector_minima(
     inside = np.flatnonzero(labels == n)
     if inside.size == 0:
         raise ParameterError(f"no basis states with {label} = {n}")
-    h = h.tocsr() if sp.issparse(h) else sp.csr_matrix(h)
-    outside = np.flatnonzero(labels != n)
-    cross = h[np.ix_(inside, outside)]
-    mixing = 0.0 if cross.nnz == 0 else float(np.max(np.abs(cross.data)))
+    rows = sp.csr_matrix(h)[inside]
+    mixing = float(np.max(np.abs(rows.data[labels[rows.indices] != n]), initial=0.0))
     invariant = mixing <= INVARIANCE_TOL
-    energy = None
-    if invariant:
-        block = h[np.ix_(inside, inside)]
-        energy = solve_lowest(block, 1, seed=seed).ground_energy
+    energy = solve_lowest(rows[:, inside], 1, seed=seed).ground_energy if invariant else None
     return SectorResult(
         label=label,
         value=int(n),

@@ -107,7 +107,10 @@ class TestSpectrumCommand:
         cfg = write_config(tmp_path, data)
         out = str(tmp_path / "never.json")
         assert main(["spectrum", "--config", cfg, "--out", out]) == EXIT_CAPACITY
-        assert capsys.readouterr().err.startswith("error: projected Fock dimension")
+        err = capsys.readouterr().err
+        # 2^5324 * 394 765 284 states: stated in short form, not in 1 612 digits
+        assert err.startswith("error: projected Fock dimension ~1.9e+1611 exceeds cap")
+        assert len(err.encode()) < 300
         assert not os.path.exists(out)
 
     def test_byte_for_byte_determinism(self, tmp_path):
@@ -218,8 +221,10 @@ def run_payload(tmp_path, command, data, name):
 class TestSolverStats:
     @staticmethod
     def lanczos_config(record_timings):
+        # the 64-state model splits into 34 blocks of at most 4 states; a dense
+        # cap of 1 sends the block holding the two lowest levels to Lanczos
         data = base_config(coupling=0.5)
-        data["solver"] = {"dense_cap": 16}
+        data["solver"] = {"dense_cap": 1}
         data["scan"] = {"kappa_grid": [0.0, 0.5], "axis": "n_max", "values": [2, 3]}
         data["output"] = {"record_timings": record_timings}
         return data
@@ -234,22 +239,26 @@ class TestSolverStats:
         payload = run_payload(tmp_path, "spectrum", self.lanczos_config(True), "spec.json")
         timings = payload["timings"]
         assert set(payload) == PAYLOAD_KEYS["spectrum"]
-        assert timings["method"] == payload["method"] == "lanczos"
+        assert timings["method"] == payload["method"] == "blocks"
         assert timings["matvecs"] == timings["iterations"] > 0
         assert 0 < timings["reorthogonalizations"] < timings["iterations"]
+        assert timings["blocks"] == 34 and 0 < timings["blocks_solved"] < 34
 
     @pytest.mark.parametrize("command", ["scan-kappa", "converge"])
     def test_scans_report_one_entry_per_row(self, tmp_path, command):
         # the kappa = 0 row of scan-kappa is the diagonal free Hamiltonian
-        methods = {"scan-kappa": ["diagonal", "lanczos"], "converge": ["lanczos", "lanczos"]}[command]
+        methods = {"scan-kappa": ["diagonal", "blocks"], "converge": ["blocks", "blocks"]}[command]
         payload = run_payload(tmp_path, command, self.lanczos_config(True), "scan")
         timings = payload["timings"]
         assert timings["wall_seconds"] > 0
         assert timings["method"] == methods
-        assert [m > 0 for m in timings["matvecs"]] == [m == "lanczos" for m in methods]
+        assert [m > 0 for m in timings["matvecs"]] == [m == "blocks" for m in methods]
         assert timings["iterations"] == timings["matvecs"]
         assert [0 < r < m for r, m in zip(timings["reorthogonalizations"], timings["matvecs"])] == [
-            m == "lanczos" for m in methods
+            m == "blocks" for m in methods
+        ]
+        assert [0 < s < b for s, b in zip(timings["blocks_solved"], timings["blocks"])] == [
+            m == "blocks" for m in methods
         ]
         if command == "converge":
             assert [row["method"] for row in payload["report"]["rows"]] == timings["method"]
@@ -331,7 +340,8 @@ class TestConvergenceFailures:
         from yukawa_ed.cli import EXIT_CONVERGENCE
 
         data = base_config(coupling=0.9)
-        data["solver"] = {"max_iter": 2, "dense_cap": 8, "tol": 1e-12}
+        # dense cap 1: the ground block (4 states) goes to Lanczos, which 2 steps cannot converge
+        data["solver"] = {"max_iter": 2, "dense_cap": 1, "tol": 1e-12}
         cfg = write_config(tmp_path, data)
         out = str(tmp_path / "spec.json")
         assert main(["spectrum", "--config", cfg, "--out", out]) == EXIT_CONVERGENCE

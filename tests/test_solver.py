@@ -1,9 +1,11 @@
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from yukawa_ed.errors import CapacityError, ConvergenceError, ParameterError
 from yukawa_ed.fock import enumerate_basis
@@ -352,6 +354,110 @@ class TestDiagonalRoute:
         h[0, 2] = h[2, 0] = 1e-300
         assert solve_lowest(h.tocsr(), 1).method == "dense"
         assert solve_lowest(h.toarray(), 1).method == "dense"
+
+
+def block_oracle(h, k):
+    """Lowest ``k`` levels merged from ``dense_lowest`` on every weakly connected component.
+
+    The components are checked to be invariant (no stored entry joins two of
+    them), so their spectra together are the spectrum of ``h``.
+    """
+    n_blocks, labels = connected_components(abs(h), directed=False)
+    coo = h.tocoo()
+    assert np.array_equal(labels[coo.row], labels[coo.col])
+    parts = [dense_lowest(h[np.ix_(states, states)], k).eigenvalues
+             for states in (np.flatnonzero(labels == b) for b in range(n_blocks))]
+    return np.sort(np.concatenate(parts))[:k]
+
+
+@lru_cache(maxsize=None)
+def oracle_case(case):
+    """Hamiltonian of a named model and its lowest 6 levels from the dense oracle."""
+    params = {"w1": w1_params, "off_axis": off_axis_params, "minimal": minimal_params}[case]()
+    h = build_model(params).hamiltonian()
+    return h, dense_lowest(h, 6).eigenvalues if h.shape[0] <= 64 else block_oracle(h, 6)
+
+
+def split_level_matrix(rng, size=40):
+    """Three invariant blocks, shuffled: A and B share the level -2, C sits far above.
+
+    C is diagonally dominant, so its Gershgorin bound (>= 9) lies above the
+    second level and the block route never solves it.
+    """
+    mats = []
+    for values in ([-2.0, 0.5], [-2.0, 0.7]):
+        spectrum = np.concatenate([values, rng.uniform(1.0, 3.0, size=size - 2)])
+        q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+        mats.append((q * spectrum) @ q.T)
+    coupling = rng.uniform(-0.01, 0.01, size=(size, size))
+    mats.append(np.diag(rng.uniform(10.0, 11.0, size=size)) + coupling + coupling.T)
+    perm = rng.permutation(3 * size)
+    mat = sp.block_diag([(m + m.T) / 2 for m in mats], format="csr")[perm][:, perm]
+    return mat.tocsr(), perm
+
+
+class TestBlockRoute:
+    @pytest.mark.parametrize("k", [2, 6])
+    @pytest.mark.parametrize(
+        "case, blocks, dense_cap",
+        [("w1", 85, 680), ("off_axis", 53, 680), ("minimal", 34, 1)],
+    )
+    def test_merged_spectra_match_the_oracle(self, case, blocks, dense_cap, k):
+        h, oracle = oracle_case(case)
+        result = solve_lowest(h, k, dense_cap=dense_cap)
+        assert (result.method, result.blocks) == ("blocks", blocks)
+        assert 0 < result.blocks_solved < blocks
+        assert result.eigenvalues.shape == (k,)
+        assert np.allclose(result.eigenvalues, oracle[:k], rtol=0, atol=1e-10)
+        assert result.residual < 1e-9
+
+    def test_level_split_across_blocks_keeps_its_multiplicity(self):
+        rng = np.random.default_rng(21)
+        h, _ = split_level_matrix(rng)
+        oracle = dense_lowest(h, 3)
+        for op in (h, phase_conjugated(h, rng)):
+            # dense cap 10: the 40-state blocks A and B go to Lanczos
+            result = solve_lowest(op, 3, dense_cap=10, tol=1e-11)
+            assert (result.method, result.blocks, result.blocks_solved) == ("blocks", 3, 2)
+            assert result.ground_multiplicity == 2 and result.gap == 0.0
+            assert np.allclose(result.eigenvalues, oracle.eigenvalues, rtol=0, atol=1e-10)
+            assert np.allclose(result.eigenvalues, [-2.0, -2.0, 0.5], rtol=0, atol=1e-10)
+
+    def test_one_coupling_entry_merges_two_blocks(self):
+        rng = np.random.default_rng(21)
+        h, perm = split_level_matrix(rng)
+        a, c = np.flatnonzero(perm == 0)[0], np.flatnonzero(perm == 80)[0]  # states of A and C
+        mutated = h.tolil()
+        mutated[a, c] = mutated[c, a] = 3.0
+        mutated = mutated.tocsr()
+        oracle = dense_lowest(mutated, 3)
+        assert np.max(np.abs(oracle.eigenvalues - dense_lowest(h, 3).eigenvalues)) > 1e-3
+        result = solve_lowest(mutated, 3, dense_cap=10, tol=1e-11)
+        assert (result.method, result.blocks) == ("blocks", 2)
+        assert np.allclose(result.eigenvalues, oracle.eigenvalues, rtol=0, atol=1e-10)
+
+    def test_lanczos_stops_above_the_merged_kth_with_every_copy_below_it(self):
+        spectrum = np.concatenate([[0.0, 0.0, 0.0], np.sort(RNG.uniform(5.0, 8.0, size=57))])
+        h = hermitian_with_spectrum(spectrum, RNG)
+        # each round finds one copy of the triple level; all three lie below 0.1
+        full = lanczos_lowest(h, 3, tol=1e-11, seed=3, above=0.1)
+        assert np.allclose(full.eigenvalues, [0.0, 0.0, 0.0], rtol=0, atol=1e-10)
+        # a first round that already lies above the merged k-th value ends the solve
+        early = lanczos_lowest(h, 3, tol=1e-11, seed=3, above=-1.0)
+        assert abs(early.eigenvalues[0]) < 1e-10 and early.matvecs < full.matvecs
+
+    def test_connected_matrix_keeps_plain_lanczos(self):
+        h = random_hermitian(120, RNG)
+        result = solve_lowest(h, 3, dense_cap=50, tol=1e-11)
+        assert (result.method, result.blocks, result.blocks_solved) == ("lanczos", 1, 1)
+        assert np.allclose(result.eigenvalues, dense_lowest(h, 3).eigenvalues, rtol=0, atol=1e-10)
+
+    def test_strong_components_of_the_pattern_are_the_weak_ones(self):
+        h = w1_hamiltonian()
+        strong = connected_components(h, directed=True, connection="strong")
+        weak = connected_components(h, directed=False)
+        assert strong[0] == weak[0] == 85
+        assert np.array_equal(strong[1], weak[1])
 
 
 class TestPerturbationBound:
