@@ -14,11 +14,11 @@ get a real start vector, Krylov block and subset driver, and complex ones
 for off-axis models, which keep complex arithmetic.
 
 Above the dense cap ``solve_lowest`` splits the matrix into the connected
-components of its pattern, invariant blocks of a Hermitian matrix (method
-``"blocks"``; a connected matrix keeps plain Lanczos).  It solves them by
-the routes above in increasing Gershgorin bound until a bound lies above
-the k-th value merged so far; a Lanczos block stops once an accepted round
-does.
+components of its pattern, its invariant blocks (method ``"blocks"``; a
+connected matrix is one block).  It solves them densely up to the cap and
+by Lanczos above it, in increasing Gershgorin bound, until a bound lies
+above the k-th value merged so far; a Lanczos block stops once an accepted
+round does.
 
 Lanczos restarts in the orthogonal complement of converged eigenvectors, so
 degenerate levels keep their multiplicities and the routes can be compared
@@ -242,10 +242,8 @@ class _LanczosState:
             if converged.all() or exhausted or j == steps - 1:
                 # every Ritz pair now: on an exhausted Krylov space each one is
                 # exact, else the whole leading run of converged pairs is accepted
-                prefix = np.logical_and.accumulate(converged).sum()
                 theta, smat = sla.eigh_tridiagonal(*ritz)
                 converged = np.abs(beta * smat[-1, :]) <= tol
-                converged[:prefix] = True
                 take = len(theta) if exhausted else int(np.logical_and.accumulate(converged).sum())
                 if take == 0:
                     return None
@@ -375,14 +373,6 @@ def lanczos_lowest(
     )
 
 
-def _route(h, k: int, dense_cap: int, **lanczos) -> SpectralResult:
-    """Diagonal route for a diagonal matrix, else dense up to the cap and Lanczos above it."""
-    diagonal = _diagonal_lowest(h, k)
-    if diagonal is not None:
-        return diagonal
-    return dense_lowest(h, k, dense_cap) if h.shape[0] <= dense_cap else lanczos_lowest(h, k, **lanczos)
-
-
 def solve_lowest(
     h,
     k: int,
@@ -391,25 +381,29 @@ def solve_lowest(
     seed: int = 0,
     dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> SpectralResult:
-    """Diagonal, dense or Lanczos route; above the dense cap, one per invariant block.
+    """Diagonal route for a diagonal matrix, else dense up to the cap, else one solve per invariant block.
 
     The blocks are the strong components of the directed pattern (for a
-    Hermitian matrix the connected ones, found without a transpose).  Each
-    is cut from ``h`` by its rows, whose columns stay inside it.
+    Hermitian pattern the connected ones, found without a transpose), or
+    the weak ones when an entry stored on one side only joins two strong
+    components.  Each is cut from ``h`` by its rows, whose columns stay
+    inside it, and solved densely up to the cap, by Lanczos above it.
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     h = _as_operator(h)
-    lanczos = dict(tol=tol, max_iter=max_iter, seed=seed)
-    if h.shape[0] <= dense_cap or _diagonal_lowest(h, k) is not None:
-        return _route(h, k, dense_cap, **lanczos)
+    diagonal = _diagonal_lowest(h, k)
+    if diagonal is not None:
+        return diagonal
+    if h.shape[0] <= dense_cap:
+        return dense_lowest(h, k, dense_cap)
     # imported here: csgraph adds ~1.5 MB of RSS to processes that never need it
     from scipy.sparse.csgraph import connected_components
     h = sp.csr_matrix(h)
     pattern = sp.csr_matrix((h.data.real, h.indices, h.indptr), shape=h.shape)
     n_blocks, labels = connected_components(pattern, connection="strong")
-    if n_blocks == 1:
-        return replace(lanczos_lowest(h, k, **lanczos), blocks=1, blocks_solved=1)
+    if not np.array_equal(labels[h.indices], np.repeat(labels, np.diff(h.indptr))):
+        n_blocks, labels = connected_components(pattern, connection="weak")
     counts = np.bincount(labels)
     starts = np.concatenate(([0], np.cumsum(counts)))
     order = np.argsort(labels, kind="stable")
@@ -427,9 +421,14 @@ def solve_lowest(
         if floors[block] > kth:
             break
         states = order[starts[block] : starts[block + 1]]
-        rows = h[states]
-        sub = sp.csr_matrix((rows.data, local[rows.indices], rows.indptr), shape=(len(states),) * 2)
-        part = _route(sub, min(k, len(states)), dense_cap, above=kth, **lanczos)
+        sub, size = h, len(states)
+        if size < h.shape[0]:
+            rows = h[states]
+            sub = sp.csr_matrix((rows.data, local[rows.indices], rows.indptr), shape=(size, size))
+        if size <= dense_cap:
+            part = dense_lowest(sub, k, dense_cap)
+        else:
+            part = lanczos_lowest(sub, k, tol, max_iter, seed, above=kth)
         solved += 1
         work = {key: count + getattr(part, key) for key, count in work.items()}
         if not len(values) or part.eigenvalues[0] < values[0]:

@@ -446,11 +446,27 @@ class TestBlockRoute:
         early = lanczos_lowest(h, 3, tol=1e-11, seed=3, above=-1.0)
         assert abs(early.eigenvalues[0]) < 1e-10 and early.matvecs < full.matvecs
 
-    def test_connected_matrix_keeps_plain_lanczos(self):
+    def test_connected_matrix_is_one_lanczos_block(self):
         h = random_hermitian(120, RNG)
         result = solve_lowest(h, 3, dense_cap=50, tol=1e-11)
-        assert (result.method, result.blocks, result.blocks_solved) == ("lanczos", 1, 1)
+        assert (result.method, result.blocks, result.blocks_solved) == ("blocks", 1, 1)
+        assert result.matvecs > 0
         assert np.allclose(result.eigenvalues, dense_lowest(h, 3).eigenvalues, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("value", [0.0, 1e-13])
+    def test_one_sided_entry_joins_its_blocks(self, value):
+        # blocks of 30 and 50 states; one entry stored above the diagonal only
+        # makes them two strong components of the pattern but one weak one
+        small, large = random_hermitian(30, RNG), random_hermitian(50, RNG) + 0.5 * sp.eye(50)
+        coo = sp.block_diag([small, large], format="coo")
+        h = sp.csr_matrix((np.append(coo.data, value), (np.append(coo.row, 3), np.append(coo.col, 70))))
+        assert h.nnz == coo.nnz + 1
+        assert connected_components(abs(h), connection="strong")[0] == 2
+        oracle = dense_lowest(h.toarray(), 4).eigenvalues
+        result = solve_lowest(h, 4, dense_cap=10, tol=1e-11)
+        assert (result.method, result.blocks, result.blocks_solved) == ("blocks", 1, 1)
+        assert np.allclose(result.eigenvalues, oracle, rtol=0, atol=1e-10)
+        assert result.residual < 1e-9
 
     def test_strong_components_of_the_pattern_are_the_weak_ones(self):
         h = w1_hamiltonian()
