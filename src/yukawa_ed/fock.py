@@ -23,11 +23,11 @@ import scipy.sparse as sp
 
 from .errors import CapacityError, LatticeMismatchError, ParameterError, size_text
 from .lattice import DiscreteCoefficients, MomentumLattice
+from .spinor import SPINS
 
 DEFAULT_BASIS_CAP = 2_000_000
 
 SPECIES = ("b", "d")  # particle, antiparticle
-SPINS = (0.5, -0.5)
 
 
 def same_lattice(a: MomentumLattice, b: MomentumLattice) -> bool:

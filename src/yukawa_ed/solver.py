@@ -1,24 +1,25 @@
 """Lowest eigenvalues, spectral gaps, sector minima, and refinement scans.
 
-Three routes to the bottom of the spectrum.  A matrix with nothing nonzero
-off its diagonal (the free Hamiltonian) is read off that diagonal exactly.
-Otherwise LAPACK's subset driver (dense; only the lowest k eigenpairs)
-runs up to ``DEFAULT_DENSE_CAP``, the measured break-even dimension, and
-Lanczos with partial reorthogonalization above it.  The dense route doubles
-as the oracle up to ``ORACLE_DENSE_CAP``, which also caps
+Two routes to the bottom of the spectrum, chosen by size alone.  LAPACK's
+subset driver (dense; only the lowest k eigenpairs) runs up to
+``DEFAULT_DENSE_CAP``, the measured break-even dimension.  The dense route
+doubles as the oracle up to ``ORACLE_DENSE_CAP``, which also caps
 ``operator_norm_dense``.  ``sector_minima`` solves a sector with
 ``solve_lowest``'s defaults once its coupling to the rest is at most
-``INVARIANCE_TOL``.  The dense and Lanczos routes work in the matrix's own
+``INVARIANCE_TOL``.  The dense and Lanczos solves work in the matrix's own
 dtype: ``build_model`` assembles float64 operators for real models, which
 get a real start vector, Krylov block and subset driver, and complex ones
 for off-axis models, which keep complex arithmetic.
 
 Above the dense cap ``solve_lowest`` splits the matrix into the connected
 components of its pattern, its invariant blocks (method ``"blocks"``; a
-connected matrix is one block).  It solves them densely up to the cap and
-by Lanczos above it, in increasing Gershgorin bound, until a bound lies
-above the k-th value merged so far; a Lanczos block stops once an accepted
-round does.
+connected matrix is one block, a diagonal one a block per state).  It
+solves them densely up to the cap and by Lanczos with partial
+reorthogonalization above it, in increasing Gershgorin bound, until a bound
+reaches the k-th value merged so far; a Lanczos block stops once an
+accepted round lies above it.  A single state's bound and dense solve are
+both its diagonal entry, so the block route reads a diagonal matrix (the
+free Hamiltonian above the cap) off exactly.
 
 Lanczos restarts in the orthogonal complement of converged eigenvectors, so
 degenerate levels keep their multiplicities and the routes can be compared
@@ -47,7 +48,7 @@ from .errors import CapacityError, ConvergenceError, ParameterError
 from .fock import FockBasis
 from .hamiltonian import ModelParams, build_model
 
-# dense route at or below this dimension, blocks or Lanczos above (measured break-even)
+# dense route at or below this dimension, invariant blocks above (measured break-even)
 DEFAULT_DENSE_CAP = 680
 # memory guard of the dense oracle routes, whatever the route choice
 ORACLE_DENSE_CAP = 4096
@@ -101,22 +102,6 @@ def _as_operator(h):
     """CSR or ndarray of ``h`` in its own dtype (float64 for integer input)."""
     h = h.tocsr() if sp.issparse(h) else np.asarray(h)
     return h if np.iscomplexobj(h) else h.astype(float, copy=False)
-
-
-def _diagonal_lowest(h, k: int) -> Optional[SpectralResult]:
-    """Lowest ``k`` entries of ``h``'s diagonal when nothing off it is nonzero, else None.
-
-    Every stored nonzero lies on the diagonal exactly when the stored values
-    hold no more nonzeros than the diagonal does.
-    """
-    diag = h.diagonal()
-    if np.count_nonzero(h.data if sp.issparse(h) else h) > np.count_nonzero(diag):
-        return None
-    diag = diag.real
-    order = np.argsort(diag, kind="stable")[: min(k, len(diag))]
-    ground = np.zeros(len(diag))
-    ground[order[0]] = 1.0
-    return SpectralResult(eigenvalues=diag[order], ground_vector=ground, residual=0.0, method="diagonal")
 
 
 def _check_dense(what: str, dim: int, cap: int) -> None:
@@ -381,7 +366,7 @@ def solve_lowest(
     seed: int = 0,
     dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> SpectralResult:
-    """Diagonal route for a diagonal matrix, else dense up to the cap, else one solve per invariant block.
+    """Dense up to the cap, else one solve per invariant block that can hold the lowest ``k`` levels.
 
     The blocks are the strong components of the directed pattern (for a
     Hermitian pattern the connected ones, found without a transpose), or
@@ -392,9 +377,6 @@ def solve_lowest(
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     h = _as_operator(h)
-    diagonal = _diagonal_lowest(h, k)
-    if diagonal is not None:
-        return diagonal
     if h.shape[0] <= dense_cap:
         return dense_lowest(h, k, dense_cap)
     # imported here: csgraph adds ~1.5 MB of RSS to processes that never need it
@@ -407,7 +389,7 @@ def solve_lowest(
     counts = np.bincount(labels)
     starts = np.concatenate(([0], np.cumsum(counts)))
     order = np.argsort(labels, kind="stable")
-    local = np.empty_like(h.indices)  # each state's index inside its block
+    local = np.empty(h.shape[0], h.indices.dtype)  # each state's index inside its block
     local[order] = np.arange(h.shape[0]) - np.repeat(starts[:-1], counts)
     # Gershgorin: Re h_ii - sum_{j != i} |h_ij| bounds the levels of row i's block
     # from below; reduceat from one filled row's start to the next sums that row
@@ -418,7 +400,7 @@ def solve_lowest(
     floors = np.minimum.reduceat((diag.real + np.abs(diag) - row_sums)[order], starts[:-1])
     values, kth, solved, work = np.empty(0), math.inf, 0, dict.fromkeys(LANCZOS_WORK, 0)
     for block in np.argsort(floors, kind="stable"):
-        if floors[block] > kth:
+        if floors[block] >= kth:  # no level of this block or a later one lies below the k-th
             break
         states = order[starts[block] : starts[block + 1]]
         sub, size = h, len(states)

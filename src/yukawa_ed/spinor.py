@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ParameterError
 from .lattice import DiscreteCoefficients, MomentumLattice, discretize
 
+# spin order of the spinor columns, the fermion modes and the term table's spin axis
 SPINS = (0.5, -0.5)
 
 _PAULI = [

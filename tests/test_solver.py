@@ -331,29 +331,45 @@ class TestClusteredSpectrum:
             assert np.allclose(fast.eigenvalues, oracle.eigenvalues, rtol=0, atol=1e-10)
 
 
-class TestDiagonalRoute:
-    def test_exact_values_and_multiplicities(self):
+class TestDiagonalMatrices:
+    """Nothing off the diagonal: both routes read the levels off exactly.
+
+    With a dense cap of 1 every state is its own block, whose Gershgorin
+    bound and 1x1 dense solve are both its diagonal entry; with 680 the
+    whole matrix goes to the subset driver.
+    """
+
+    ROUTES = [(1, "blocks"), (680, "dense")]
+
+    @pytest.mark.parametrize("dense_cap, method", ROUTES)
+    def test_exact_values_and_multiplicities(self, dense_cap, method):
         diag = np.array([3.0, -1.0, 2.0, -1.0, 0.5, -1.0])
         h = sp.diags(diag).tocsr() + 0j
         for k in (1, 4, 6, 9):
-            result = solve_lowest(h, k, dense_cap=0)
-            assert result.method == "diagonal"
+            result = solve_lowest(h, k, dense_cap=dense_cap)
+            assert result.method == method
             assert result.eigenvalues.tolist() == sorted(diag)[: min(k, len(diag))]
             assert (result.iterations, result.matvecs, result.residual) == (0, 0, 0.0)
         assert result.ground_multiplicity == 3
-        assert result.ground_vector.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        # any unit vector of the -1 eigenspace is a ground vector
+        assert not np.any(result.ground_vector[diag != -1.0])
+        assert np.linalg.norm(result.ground_vector) == pytest.approx(1.0, abs=1e-15)
 
-    def test_free_hamiltonian_is_read_off_exactly(self):
+    @pytest.mark.parametrize("dense_cap, method", ROUTES)
+    def test_free_hamiltonian_is_read_off_exactly(self, dense_cap, method):
         h0 = build_model(minimal_params(coupling=0.0)).h_free
-        result = solve_lowest(h0, 2)
-        assert result.method == "diagonal"
+        result = solve_lowest(h0, 2, dense_cap=dense_cap)
+        assert result.method == method
         assert result.eigenvalues.tolist() == [0.0, 1.0]
+        assert result.residual == 0.0
 
-    def test_one_off_diagonal_entry_takes_another_route(self):
+    def test_one_off_diagonal_entry_joins_two_states(self):
         h = sp.diags([0.0, 1.0, 2.0]).tolil()
         h[0, 2] = h[2, 0] = 1e-300
-        assert solve_lowest(h.tocsr(), 1).method == "dense"
         assert solve_lowest(h.toarray(), 1).method == "dense"
+        result = solve_lowest(h.tocsr(), 3, dense_cap=2)
+        assert (result.method, result.blocks, result.blocks_solved) == ("blocks", 2, 2)
+        assert np.allclose(result.eigenvalues, [0.0, 1.0, 2.0], rtol=0, atol=1e-15)
 
 
 def block_oracle(h, k):
@@ -467,6 +483,28 @@ class TestBlockRoute:
         assert (result.method, result.blocks, result.blocks_solved) == ("blocks", 1, 1)
         assert np.allclose(result.eigenvalues, oracle, rtol=0, atol=1e-10)
         assert result.residual < 1e-9
+
+    def test_fewer_stored_entries_than_states(self):
+        # one off-diagonal pair in 1 000 states: the matrix stores 2 entries
+        h = sp.csr_matrix(([1.0, 1.0], ([3, 700], [700, 3])), shape=(1000, 1000))
+        result = solve_lowest(h, 2)
+        assert (result.method, result.blocks, result.blocks_solved) == ("blocks", 999, 2)
+        assert np.allclose(result.eigenvalues, [-1.0, 0.0], rtol=0, atol=1e-15)
+
+    def test_free_w1_hamiltonian_is_read_off_exactly(self):
+        # kappa = 0 on W1 at n_max 2: the vacuum's 0 is not stored
+        h = build_model(replace(w1_params(), n_max=2, total_boson_cap=None)).hamiltonian(0.0)
+        assert (h.shape[0], h.nnz) == (1536, 1535)
+        result = solve_lowest(h, 2)
+        assert (result.method, result.matvecs, result.blocks_solved) == ("blocks", 0, 2)
+        assert result.eigenvalues.tolist() == [0.0, 1.0]
+        assert result.residual == 0.0
+
+    def test_a_bound_that_ties_the_kth_value_ends_the_search(self):
+        pair = sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]])
+        result = solve_lowest(sp.block_diag([pair] * 2000, format="csr"), 2)
+        assert result.eigenvalues.tolist() == [-1.0, -1.0]
+        assert (result.blocks, result.blocks_solved) == (2000, 2)
 
     def test_strong_components_of_the_pattern_are_the_weak_ones(self):
         h = w1_hamiltonian()
