@@ -3,8 +3,10 @@
 All constants are computed from the same discrete coefficient vectors the
 operators are built from, so every inequality checked here is a theorem of
 the discrete model: a worst-case ratio above 1 + 1e-9 falsifies the build,
-not the sampling.  This makes the suite the strongest regression oracle in
-the repository.  The free-relative check runs over the epsilons ``EPS_GRID``.
+not the sampling.  The states are random, so each worst ratio is only a
+lower bound on its operator's sup (the sampled interaction-relative ratio
+can sit far below the exact one).  The free-relative check runs over the
+epsilons ``EPS_GRID``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError
+from .fock import smeared_boson
 from .hamiltonian import (
     Model,
     boson_field,
@@ -185,16 +188,15 @@ def verify_inequalities(
     report.eps_grid = list(EPS_GRID)
 
     h_int = model.h_int
-    h_kg = model.h_kg
-    h_free = model.h_free
-    sqrt_kg = model.kg_sqrt()
+    # the free parts are diagonal: their diagonals act on states elementwise
+    kg = model.h_kg.diagonal()
+    free = model.h_free.diagonal()
+    sqrt_kg = np.sqrt(kg)
     omega = np.array(
         [boson_energy(k, model.params.boson_mass) for k in model.boson_lattice.points]
     )
     slope, offset = report.form_bound_slope, report.form_bound_offset
     m_kg0, m_kg1 = report.kg_weighted_norms[0], report.kg_weighted_norms[1]
-
-    from .fock import smeared_boson  # local import to keep module deps one-way
 
     worst: Dict[str, float] = {
         "annihilator_relative": 0.0,
@@ -218,7 +220,7 @@ def verify_inequalities(
         ann = smeared_boson(eta, model.basis)
         cre = ann.conj().T.tocsr()
         for psi in _random_states(rng, dim, 5):
-            sqrt_term = np.linalg.norm(_apply(sqrt_kg, psi))
+            sqrt_term = np.linalg.norm(sqrt_kg * psi)
             lhs = np.linalg.norm(_apply(ann, psi))
             worst["annihilator_relative"] = max(
                 worst["annihilator_relative"], _ratio(lhs, weighted.norm * sqrt_term)
@@ -240,7 +242,7 @@ def verify_inequalities(
         for psi in _random_states(rng, dim, 3):
             lhs = np.linalg.norm(_apply(phi_op, psi))
             rhs = (
-                math.sqrt(2.0) * m_kg1 * np.linalg.norm(_apply(sqrt_kg, psi))
+                math.sqrt(2.0) * m_kg1 * np.linalg.norm(sqrt_kg * psi)
                 + m_kg0 * np.linalg.norm(psi) / math.sqrt(2.0)
             )
             worst["boson_field_vector"] = max(worst["boson_field_vector"], _ratio(lhs, rhs))
@@ -248,7 +250,7 @@ def verify_inequalities(
     # quadratic form and vector bounds on the interaction
     for psi in _random_states(rng, dim, n_samples):
         norm_psi = np.linalg.norm(psi)
-        sqrt_term = np.linalg.norm(_apply(sqrt_kg, psi))
+        sqrt_term = np.linalg.norm(sqrt_kg * psi)
         int_psi = _apply(h_int, psi)
         rhs_int = slope * sqrt_term + offset * norm_psi
         worst["interaction_relative"] = max(
@@ -259,8 +261,8 @@ def verify_inequalities(
         worst["form_bound"] = max(
             worst["form_bound"], _ratio(lhs, rhs_int * np.linalg.norm(phi))
         )
-        kg_term = np.linalg.norm(_apply(h_kg, psi))
-        free_term = np.linalg.norm(_apply(h_free, psi))
+        kg_term = np.linalg.norm(kg * psi)
+        free_term = np.linalg.norm(free * psi)
         for eps in EPS_GRID:
             rhs_half = eps * kg_term + norm_psi / (4.0 * eps)
             worst["sqrt_interpolation"] = max(

@@ -30,8 +30,7 @@ import yaml
 from .bounds import verify_inequalities
 from .errors import CapacityError, ConfigError, ConvergenceError, ParameterError, size_text
 from .hamiltonian import ModelParams, build_model
-from .solver import DEFAULT_DENSE_CAP, SOLVE_STATS, converge_scan, solve_lowest
-from .spinor import CutoffProfile
+from .solver import DEFAULT_DENSE_CAP, SOLVE_STATS, as_integer, converge_scan, solve_lowest
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "YUKAWA_ED_OUTPUT_DIR"
@@ -78,25 +77,9 @@ class RunConfig:
 
     def resolved(self) -> Dict:
         """Plain-dict snapshot of everything that influenced the run."""
-        p = asdict(self.params)
-        for key in ("chi_dirac", "chi_kg", "chi_spatial"):
-            profile = getattr(self.params, key)
-            p[key] = {"kind": profile.kind, "scale": profile.scale}
-        return {
-            "model": p,
-            "solver": asdict(self.solver),
-            "scan": asdict(self.scan),
-            "verify": asdict(self.verify),
-            "output_path": self.output_path,
-            "record_timings": self.record_timings,
-            "threads": self.threads,
-        }
-
-
-def _check_keys(section: Dict, allowed: Sequence[str], where: str):
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+        snapshot = asdict(self)  # each CutoffProfile becomes {"kind", "scale"}
+        snapshot["model"] = snapshot.pop("params")
+        return snapshot
 
 
 def load_config(path: str) -> RunConfig:
@@ -107,133 +90,123 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from err
     except yaml.YAMLError as err:
         raise ConfigError(f"config is not valid YAML: {err}") from err
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a mapping at top level")
     return config_from_dict(raw)
+
+
+def _instance(*types: type) -> Callable:
+    """A cast that passes values of ``types`` through unchanged and rejects the rest."""
+    def check(value):
+        if not isinstance(value, types):
+            raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+        return value
+    return check
 
 
 def _optional(cast: Callable) -> Callable:
     return lambda value: None if value is None else cast(value)
 
 
-def _points(value):
-    if value is None:
-        return None
-    try:
-        return tuple(tuple(int(c) for c in row) for row in value)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad lattice points in model.lattice: {err}") from err
+def _list(cast: Callable) -> Callable:
+    return lambda value: [cast(item) for item in _instance(list)(value)]
 
 
-# YAML key -> cast, per section.  Only keys present in the YAML are passed on,
-# so every default lives in the dataclass that owns the field.
-LATTICE_KEYS = {
-    "fermion_V": float,
-    "fermion_L": float,
-    "boson_V": _optional(float),
-    "boson_L": _optional(float),
-    "fermion_points": _points,
-    "boson_points": _points,
+def _number(value):
+    """An int or float as the YAML gives it, so the resolved config echoes it; else its float."""
+    return value if type(value) in (int, float) else float(value)
+
+
+def _points(value) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(map(tuple, _list(_list(as_integer))(value)))
+
+
+def _same(**casts: Callable) -> Dict[str, Tuple[str, Callable]]:
+    """Keys that are the names of their dataclass fields."""
+    return {key: (key, cast) for key, cast in casts.items()}
+
+
+def _cutoff(name: str) -> Tuple[str, Callable]:
+    """(field, cast) of one cutoff section: the keys it gives over the ModelParams default."""
+    key = f"chi_{name}"
+    default = next(f.default for f in fields(ModelParams) if f.name == key)
+    keys = _same(kind=_instance(str), scale=float)
+    return key, lambda section: replace(default, **_read(section, f"model.cutoffs.{name}", keys))
+
+
+# YAML section -> {key: (dataclass field, cast)}, or a nested section whose
+# fields join its parent's.  The sections name disjoint fields, and only keys
+# the YAML gives are read, so every default lives in the dataclass that owns it.
+SECTIONS = {
+    "model": {
+        **_same(dirac_mass=float, boson_mass=float, coupling=float),
+        "cutoffs": {name: _cutoff(name) for name in ("dirac", "kg", "spatial")},
+        "lattice": _same(fermion_V=float, fermion_L=float, boson_V=_optional(float), boson_L=_optional(float),
+                         fermion_points=_optional(_points), boson_points=_optional(_points)),
+        "truncation": {"n_max": ("n_max", as_integer), "total": ("total_boson_cap", _optional(as_integer))},
+    },
+    "limits": _same(basis_cap=as_integer, point_cap=as_integer, chi_hat_floor=float),
+    "solver": _same(k=as_integer, tol=float, max_iter=as_integer, seed=as_integer, dense_cap=as_integer),
+    "scan": _same(kappa_grid=_list(float), axis=_instance(str), values=_list(_number)),
+    "verify": _same(samples=as_integer, field_points=as_integer),
+    "output": {"path": ("output_path", _instance(str, type(None))),
+               "record_timings": ("record_timings", _instance(bool))},
 }
-TRUNCATION_KEYS = {"n_max": int, "total": _optional(int)}
-LIMIT_KEYS = {"basis_cap": int, "point_cap": int, "chi_hat_floor": float}
-SOLVER_KEYS = {"k": int, "tol": float, "max_iter": int, "seed": int, "dense_cap": int}
-SCAN_KEYS = {"kappa_grid": lambda grid: [float(v) for v in grid], "axis": str, "values": list}
-VERIFY_KEYS = {"samples": int, "field_points": int}
-OUTPUT_KEYS = {"path": lambda path: path, "record_timings": bool}
-CUTOFF_KEYS = {"kind": lambda kind: kind, "scale": float}
-# YAML cutoff section -> the ModelParams field whose default it overrides
-CUTOFF_FIELDS = {"dirac": "chi_dirac", "kg": "chi_kg", "spatial": "chi_spatial"}
 
 
-def _cast(section: Dict, casts: Dict[str, Callable]) -> Dict:
-    return {key: casts[key](value) for key, value in section.items()}
+def _read(section, where: str, keys: Dict) -> Dict:
+    """The fields a config section (``where``; "" at top level) gives, each cast.
 
-
-def _profiles(cutoffs: Dict) -> Dict[str, CutoffProfile]:
-    """The cutoff sections the YAML gives, each over its ModelParams default."""
-    defaults = {f.name: f.default for f in fields(ModelParams)}
-    profiles = {}
-    for name, key in CUTOFF_FIELDS.items():
-        section = cutoffs.get(name)
-        if section is None:
+    Rejects a section that is not a mapping, unknown keys and any value
+    its cast rejects, with a ConfigError that names the section or key.
+    """
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where or 'config'} must be a mapping, got {section!r}")
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown, key=str)} in {where or 'top level'}")
+    given = {}
+    for key, value in section.items():
+        entry, inner = keys[key], f"{where}.{key}" if where else key
+        if isinstance(entry, dict):
+            given.update(_read(value, inner, entry))
             continue
-        where = f"model.cutoffs.{name}"
-        _check_keys(section, CUTOFF_KEYS, where)
+        name, cast = entry
         try:
-            profiles[key] = replace(defaults[key], **_cast(section, CUTOFF_KEYS))
-        except (ParameterError, TypeError, ValueError) as err:
-            raise ConfigError(f"bad cutoff in {where}: {err}") from err
-    return profiles
+            given[name] = cast(value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"bad value for {inner}: {err}") from err
+    return given
 
 
-def config_from_dict(raw: Dict) -> RunConfig:
-    _check_keys(raw, ("model", "solver", "scan", "verify", "output", "limits"), "top level")
-    model = raw.get("model")
-    if not isinstance(model, dict):
-        raise ConfigError("missing required section 'model'")
-    _check_keys(
-        model,
-        ("dirac_mass", "boson_mass", "coupling", "cutoffs", "lattice", "truncation"),
-        "model",
-    )
+def config_from_dict(raw) -> RunConfig:
+    """``_read`` of every section of a parsed YAML file, then the checks across fields."""
+    given = _read(raw, "", SECTIONS)
     for required in ("dirac_mass", "boson_mass", "coupling"):
-        if required not in model:
+        if required not in given:
             raise ConfigError(f"missing required field model.{required}")
 
-    cutoffs = model.get("cutoffs") or {}
-    _check_keys(cutoffs, CUTOFF_FIELDS, "model.cutoffs")
-    lattice = model.get("lattice") or {}
-    _check_keys(lattice, LATTICE_KEYS, "model.lattice")
-    trunc = model.get("truncation") or {}
-    _check_keys(trunc, TRUNCATION_KEYS, "model.truncation")
-    limits = raw.get("limits") or {}
-    _check_keys(limits, LIMIT_KEYS, "limits")
+    def take(cls):
+        return cls(**{f.name: given.pop(f.name) for f in fields(cls) if f.name in given})
 
     try:
-        given = {
-            **_cast(lattice, LATTICE_KEYS),
-            **_cast(trunc, TRUNCATION_KEYS),
-            **_cast(limits, LIMIT_KEYS),
-        }
-        if "total" in given:
-            given["total_boson_cap"] = given.pop("total")
-        params = ModelParams(
-            dirac_mass=float(model["dirac_mass"]),
-            boson_mass=float(model["boson_mass"]),
-            coupling=float(model["coupling"]),
-            **_profiles(cutoffs),
-            **given,
-        )
-    except (ParameterError, TypeError, ValueError) as err:
+        params = take(ModelParams)
+    except ParameterError as err:
         raise ConfigError(f"invalid model parameters: {err}") from err
-
-    solver_raw = raw.get("solver") or {}
-    _check_keys(solver_raw, SOLVER_KEYS, "solver")
-    solver = SolverConfig(**_cast(solver_raw, SOLVER_KEYS))
-    if solver.k < 1:
-        raise ConfigError(f"solver.k must be >= 1, got {solver.k}")
-
-    scan_raw = raw.get("scan") or {}
-    _check_keys(scan_raw, SCAN_KEYS, "scan")
-    scan = ScanConfig(**_cast(scan_raw, SCAN_KEYS))
-    if not scan.kappa_grid:
+    config = RunConfig(params, take(SolverConfig), take(ScanConfig), take(VerifyConfig), **given)
+    if config.solver.k < 1:
+        raise ConfigError(f"solver.k must be >= 1, got {config.solver.k}")
+    if not config.scan.kappa_grid:
         raise ConfigError("scan.kappa_grid must not be empty")
-    if any(b <= a for a, b in zip(scan.values, scan.values[1:])):
+    values = config.scan.values
+    if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("scan.values must be strictly increasing")
-
-    verify_raw = raw.get("verify") or {}
-    _check_keys(verify_raw, VERIFY_KEYS, "verify")
-    verify = VerifyConfig(**_cast(verify_raw, VERIFY_KEYS))
-    if verify.samples < 1:
+    if config.verify.samples < 1:
         raise ConfigError("verify.samples must be >= 1")
+    return config
 
-    output = raw.get("output") or {}
-    _check_keys(output, OUTPUT_KEYS, "output")
-    given = _cast(output, OUTPUT_KEYS)
-    if "path" in given:
-        given["output_path"] = given.pop("path")
-    return RunConfig(params=params, solver=solver, scan=scan, verify=verify, **given)
 
 def _resolve_out(config: RunConfig, override: Optional[str], default_name: str) -> str:
     path = override or config.output_path or default_name

@@ -529,9 +529,6 @@ class Model:
             return self.h_free
         return assemble_interaction(self.factors, self.basis, kappa, self.h_free.diagonal())
 
-    def kg_sqrt(self) -> sp.csr_matrix:
-        return sp.diags(np.sqrt(self.h_kg.diagonal()), format="csr")
-
 
 def build_model(
     params: ModelParams,

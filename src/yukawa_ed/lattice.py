@@ -66,7 +66,12 @@ class MomentumLattice:
         """
         if V <= 0 or L <= 0:
             raise ParameterError(f"lattice parameters must be positive, got V={V}, L={L}")
-        pts = np.asarray(integer_points, dtype=np.int64).reshape(-1, 3)
+        try:
+            pts = np.asarray(integer_points, dtype=np.int64)
+        except (TypeError, ValueError) as err:
+            raise ParameterError(f"lattice points must be integer triples: {err}") from err
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ParameterError(f"lattice points must be integer triples, got shape {pts.shape}")
         order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
         pts = pts[order]
         if len(pts) > 1 and np.any(np.all(np.diff(pts, axis=0) == 0, axis=1)):

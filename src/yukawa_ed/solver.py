@@ -372,7 +372,9 @@ def solve_lowest(
     Hermitian pattern the connected ones, found without a transpose), or
     the weak ones when an entry stored on one side only joins two strong
     components.  Each is cut from ``h`` by its rows, whose columns stay
-    inside it, and solved densely up to the cap, by Lanczos above it.
+    inside it, and solved densely up to the cap, by Lanczos above it.  Once
+    ``k`` values are merged, a Lanczos block is asked only for as many pairs
+    as merged values lie above its floor.
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
@@ -409,8 +411,9 @@ def solve_lowest(
             sub = sp.csr_matrix((rows.data, local[rows.indices], rows.indptr), shape=(size, size))
         if size <= dense_cap:
             part = dense_lowest(sub, k, dense_cap)
-        else:
-            part = lanczos_lowest(sub, k, tol, max_iter, seed, above=kth)
+        else:  # once k values are merged, only those above this block's floor can be displaced
+            need = int(np.sum(values > floors[block])) if len(values) == k else k
+            part = lanczos_lowest(sub, need, tol, max_iter, seed, above=kth)
         solved += 1
         work = {key: count + getattr(part, key) for key, count in work.items()}
         if not len(values) or part.eigenvalues[0] < values[0]:
@@ -487,17 +490,29 @@ def sector_minima(
 
 # -- refinement scans -------------------------------------------------------------
 
-# scan axis -> (ModelParams field, cast); "fermion_modes" instead keeps a
-# prefix of the explicit fermion points
+
+def as_integer(value) -> int:
+    """An integral number, or a numeric string of one, as int; 1.7 and booleans raise."""
+    if type(value) is int:
+        return value
+    number = float(value)
+    if isinstance(value, bool) or not number.is_integer():
+        raise ParameterError(f"expected an integer, got {value!r}")
+    return int(number)
+
+
+# scan axis -> (ModelParams field, cast); "fermion_modes" keeps a prefix of
+# the explicit fermion points
 STEP_FIELDS = {
-    "n_max": ("n_max", int),
-    "total_cap": ("total_boson_cap", int),
+    "n_max": ("n_max", as_integer),
+    "total_cap": ("total_boson_cap", as_integer),
     "boson_V": ("boson_V", float),
     "boson_L": ("boson_L", float),
     "fermion_V": ("fermion_V", float),
     "fermion_L": ("fermion_L", float),
+    "fermion_modes": ("fermion_points", as_integer),
 }
-SCAN_AXES = (*STEP_FIELDS, "fermion_modes")
+SCAN_AXES = tuple(STEP_FIELDS)
 
 
 @dataclass
@@ -557,19 +572,22 @@ class ConvergenceReport:
 
 
 def _params_for_step(params: ModelParams, axis: str, value) -> ModelParams:
-    if axis in STEP_FIELDS:
-        name, cast = STEP_FIELDS[axis]
-        return replace(params, **{name: cast(value)})
+    if axis not in STEP_FIELDS:
+        raise ParameterError(f"unknown scan axis {axis!r}; expected one of {SCAN_AXES}")
+    name, cast = STEP_FIELDS[axis]
+    try:
+        step = cast(value)
+    except (TypeError, ValueError) as err:
+        raise ParameterError(f"bad {axis} value {value!r}: {err}") from err
     if axis == "fermion_modes":
         if params.fermion_points is None:
             raise ParameterError("fermion_modes scan needs explicit fermion_points")
-        count = int(value)
-        if count > len(params.fermion_points):
+        if step > len(params.fermion_points):
             raise ParameterError(
-                f"fermion_modes value {count} exceeds available points {len(params.fermion_points)}"
+                f"fermion_modes value {step} exceeds available points {len(params.fermion_points)}"
             )
-        return replace(params, fermion_points=tuple(params.fermion_points[:count]))
-    raise ParameterError(f"unknown scan axis {axis!r}; expected one of {SCAN_AXES}")
+        step = tuple(params.fermion_points[:step])
+    return replace(params, **{name: step})
 
 
 def converge_scan(
@@ -589,11 +607,11 @@ def converge_scan(
     values = list(values)
     if not values:
         raise ParameterError("refinement list is empty")
+    steps = [_params_for_step(params, axis, value) for value in values]  # every value checked before any solve
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ParameterError("refinement list must be strictly increasing")
     report = ConvergenceReport(axis=axis)
-    for value in values:
-        step_params = _params_for_step(params, axis, value)
+    for value, step_params in zip(values, steps):
         model = build_model(step_params)
         h = model.hamiltonian()
         try:

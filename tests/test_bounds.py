@@ -115,7 +115,18 @@ class TestInequalities:
         model = build_model(two_point_params())
         rng = np.random.default_rng(4)
         psi = rng.standard_normal(model.basis.dim) + 1j * rng.standard_normal(model.basis.dim)
-        for op in (model.h_int, model.h_free, model.h_kg, model.kg_sqrt()):
+        for op in (model.h_int, model.h_free, model.h_kg):
             assert op.dtype == np.float64
             assert _apply(op, psi).tobytes() == (op.astype(complex) @ psi).tobytes()
         assert np.array_equal(_apply(model.h_int, psi.real), model.h_int @ psi.real)
+
+    @pytest.mark.parametrize("points", [((0, 0, 0), (0, 0, 1)), ((0, 0, 0), (1, 2, 1))])
+    def test_free_parts_act_as_their_diagonals(self, points):
+        # verify_inequalities applies h_kg, h_free and sqrt(h_kg) as vectors
+        model = build_model(two_point_params(fermion_points=points))
+        rng = np.random.default_rng(6)
+        psi = rng.standard_normal(model.basis.dim) + 1j * rng.standard_normal(model.basis.dim)
+        for op in (model.h_free, model.h_kg):
+            coo = op.tocoo()
+            assert np.array_equal(coo.row, coo.col)
+            assert np.array_equal(op.diagonal() * psi, _apply(op, psi))

@@ -70,6 +70,53 @@ class TestConfigLoading:
         assert config.params.chi_kg == defaults["chi_kg"]
 
 
+# malformed values and sections that are not mappings, by the section each error names
+MALFORMED = [
+    ("solver", {"k": "abc"}),
+    ("solver", 5),
+    ("solver", {"k": 1.7}),
+    ("scan", {"values": 3}),
+    ("scan", {"kappa_grid": 0.5}),
+    ("scan", {"values": [1, "x"]}),
+    ("verify", {"samples": "many"}),
+    ("model.lattice", 7),
+    ("model.lattice", {"fermion_points": [[0, 0, 0.5]]}),
+    ("output", {"record_timings": "false"}),
+    ("output", {"path": [1]}),
+]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("section, value", MALFORMED, ids=[f"{s}={v!r}" for s, v in MALFORMED])
+    def test_exits_2_with_one_error_line_naming_the_section(self, tmp_path, capsys, section, value):
+        data = base_config()
+        (data["model"] if section.startswith("model.") else data)[section.split(".")[-1]] = value
+        cfg = write_config(tmp_path, data)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out.json")]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and section in lines[0]
+
+    @pytest.mark.parametrize("points", [[[0, 0]], [[0, 0, 0, 0, 0, 1]]])
+    def test_points_that_are_not_triples_exit_2(self, tmp_path, capsys, points):
+        cfg = write_config(tmp_path, base_config(lattice={"fermion_points": points}))
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out.json")]) == EXIT_CONFIG
+        assert "integer triples" in capsys.readouterr().err
+
+    def test_integral_values_are_read_as_int(self, tmp_path):
+        data = base_config()
+        data["solver"] = {"k": 3.0}
+        data["limits"] = {"basis_cap": "1e7"}
+        config = load_config(write_config(tmp_path, data))
+        assert config.solver.k == 3 and type(config.solver.k) is int
+        assert config.params.basis_cap == 10**7 and type(config.params.basis_cap) is int
+
+    def test_a_config_that_is_not_a_mapping_is_rejected(self, tmp_path):
+        path = tmp_path / "list.yaml"
+        path.write_text("- 1\n- 2\n")
+        with pytest.raises(ConfigError, match="config must be a mapping"):
+            load_config(str(path))
+
+
 class TestSpectrumCommand:
     def test_free_spectrum_output(self, tmp_path):
         data = base_config(coupling=0.0)

@@ -85,6 +85,12 @@ def test_explicit_point_lattice_sorted_and_validated():
         MomentumLattice.from_integer_points(2 * np.pi, 1.0, [[0, 0, 0], [0, 0, 0]])
 
 
+@pytest.mark.parametrize("points", [[[0, 0]], [[0, 0, 0, 0, 0, 1]], [[0, 0, 0], [0, 0]], [0, 0, 0], [["a", 0, 0]]])
+def test_explicit_points_must_be_integer_triples(points):
+    with pytest.raises(ParameterError, match="integer triples"):
+        MomentumLattice.from_integer_points(2 * np.pi, 1.0, points)
+
+
 def test_discretize_constant_function_norm():
     lat = build_lattice(2 * np.pi, 1.5)
     coeff = discretize(lambda q: 1.0, lat)

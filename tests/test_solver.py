@@ -506,6 +506,33 @@ class TestBlockRoute:
         assert result.eigenvalues.tolist() == [-1.0, -1.0]
         assert (result.blocks, result.blocks_solved) == (2000, 2)
 
+    def test_later_lanczos_blocks_ask_only_for_displaceable_pairs(self, monkeypatch):
+        import yukawa_ed.solver as solver_mod
+
+        asked = []
+        original = solver_mod.lanczos_lowest
+
+        def spy(h, k, *args, **kwargs):
+            asked.append(k)
+            return original(h, k, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "lanczos_lowest", spy)
+
+        def path(diag):  # weak couplings along a path keep each Gershgorin floor near its lowest entry
+            off = np.full(len(diag) - 1, 1e-3)
+            return sp.diags([off, diag, off], [-1, 0, 1])
+
+        # A holds -2 and -1.9; B's floor (about -1.962) lies between them,
+        # so only A's -1.9 can be displaced and B is asked for one pair
+        a = path(np.concatenate([[-2.0, -1.9], np.linspace(0.5, 3.0, 28)]))
+        b = path(np.concatenate([[-1.96], np.linspace(0.5, 3.0, 29)]))
+        h = sp.block_diag([a, b], format="csr")
+        result = solve_lowest(h, 2, dense_cap=10, tol=1e-11)
+        assert asked == [2, 1]
+        assert (result.blocks, result.blocks_solved) == (2, 2)
+        assert np.allclose(result.eigenvalues, dense_lowest(h, 2).eigenvalues, rtol=0, atol=1e-10)
+        assert result.eigenvalues[1] == pytest.approx(-1.96, abs=1e-5)
+
     def test_strong_components_of_the_pattern_are_the_weak_ones(self):
         h = w1_hamiltonian()
         strong = connected_components(h, directed=True, connection="strong")
@@ -627,6 +654,7 @@ class TestParamsForStep:
             ("fermion_V", "fermion_V", 4, 4.0),
             ("fermion_L", "fermion_L", 1, 1.0),
             ("fermion_modes", "fermion_points", 2.0, ((0, 0, -1), (0, 0, 0))),
+            ("n_max", "n_max", "2", 2),
         ],
     )
     def test_each_axis_sets_its_field_with_its_type(self, axis, field, value, expected):
@@ -647,6 +675,34 @@ class TestParamsForStep:
             _params_for_step(minimal_params(), "fermion_modes", 1)
         with pytest.raises(ParameterError, match="exceeds available points 1"):
             _params_for_step(minimal_params(fermion_points=((0, 0, 0),)), "fermion_modes", 2)
+
+    @pytest.mark.parametrize(
+        "axis, value",
+        [
+            ("n_max", 2.5),
+            ("total_cap", 1.5),
+            ("fermion_modes", 1.5),
+            ("n_max", True),
+            ("n_max", None),
+            ("n_max", "a"),
+            ("boson_L", "b"),
+            ("fermion_V", [1.0]),
+        ],
+    )
+    def test_values_are_cast_exactly(self, axis, value):
+        params = minimal_params(fermion_points=((0, 0, -1), (0, 0, 0), (0, 0, 1)))
+        with pytest.raises(ParameterError, match=f"bad {axis} value"):
+            _params_for_step(params, axis, value)
+
+    def test_scan_checks_every_value_before_it_solves(self, monkeypatch):
+        import yukawa_ed.solver as solver_mod
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before every scan value was checked")
+
+        monkeypatch.setattr(solver_mod, "build_model", no_solve)
+        with pytest.raises(ParameterError, match="bad n_max value 2.5"):
+            converge_scan(minimal_params(), "n_max", [1, 2.5, 3])
 
 
 class TestScanAbort:
