@@ -19,6 +19,7 @@ import contextlib
 import ctypes
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -28,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import yaml
 
 from .bounds import verify_inequalities
-from .errors import CapacityError, ConfigError, ConvergenceError, ParameterError, size_text
+from .errors import CapacityError, ConfigError, ConvergenceError, EvaluationError, ParameterError
 from .hamiltonian import ModelParams, build_model
 from .solver import DEFAULT_DENSE_CAP, SOLVE_STATS, as_integer, converge_scan, solve_lowest
 
@@ -110,9 +111,18 @@ def _list(cast: Callable) -> Callable:
     return lambda value: [cast(item) for item in _instance(list)(value)]
 
 
+def _real(value) -> float:
+    """A finite real number, or a numeric string of one, as float; booleans, NaN and ±inf raise."""
+    number = float(value)
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ValueError(f"expected a finite real number, got {value!r}")
+    return number
+
+
 def _number(value):
-    """An int or float as the YAML gives it, so the resolved config echoes it; else its float."""
-    return value if type(value) in (int, float) else float(value)
+    """A finite int or float as the YAML gives it, so the resolved config echoes it; else ``_real``."""
+    number = _real(value)
+    return value if type(value) in (int, float) else number
 
 
 def _points(value) -> Tuple[Tuple[int, ...], ...]:
@@ -128,7 +138,7 @@ def _cutoff(name: str) -> Tuple[str, Callable]:
     """(field, cast) of one cutoff section: the keys it gives over the ModelParams default."""
     key = f"chi_{name}"
     default = next(f.default for f in fields(ModelParams) if f.name == key)
-    keys = _same(kind=_instance(str), scale=float)
+    keys = _same(kind=_instance(str), scale=_real)
     return key, lambda section: replace(default, **_read(section, f"model.cutoffs.{name}", keys))
 
 
@@ -137,15 +147,15 @@ def _cutoff(name: str) -> Tuple[str, Callable]:
 # the YAML gives are read, so every default lives in the dataclass that owns it.
 SECTIONS = {
     "model": {
-        **_same(dirac_mass=float, boson_mass=float, coupling=float),
+        **_same(dirac_mass=_real, boson_mass=_real, coupling=_real),
         "cutoffs": {name: _cutoff(name) for name in ("dirac", "kg", "spatial")},
-        "lattice": _same(fermion_V=float, fermion_L=float, boson_V=_optional(float), boson_L=_optional(float),
+        "lattice": _same(fermion_V=_real, fermion_L=_real, boson_V=_optional(_real), boson_L=_optional(_real),
                          fermion_points=_optional(_points), boson_points=_optional(_points)),
         "truncation": {"n_max": ("n_max", as_integer), "total": ("total_boson_cap", _optional(as_integer))},
     },
-    "limits": _same(basis_cap=as_integer, point_cap=as_integer, chi_hat_floor=float),
-    "solver": _same(k=as_integer, tol=float, max_iter=as_integer, seed=as_integer, dense_cap=as_integer),
-    "scan": _same(kappa_grid=_list(float), axis=_instance(str), values=_list(_number)),
+    "limits": _same(basis_cap=as_integer, point_cap=as_integer, chi_hat_floor=_real),
+    "solver": _same(k=as_integer, tol=_real, max_iter=as_integer, seed=as_integer, dense_cap=as_integer),
+    "scan": _same(kappa_grid=_list(_real), axis=_instance(str), values=_list(_number)),
     "verify": _same(samples=as_integer, field_points=as_integer),
     "output": {"path": ("output_path", _instance(str, type(None))),
                "record_timings": ("record_timings", _instance(bool))},
@@ -176,7 +186,7 @@ def _read(section, where: str, keys: Dict) -> Dict:
             given[name] = cast(value)
         except ConfigError:
             raise
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"bad value for {inner}: {err}") from err
     return given
 
@@ -247,23 +257,18 @@ def _blas_thread_counts() -> List[int]:
     return [get() for get, _ in _blas_pools()]
 
 
-def _timed(config: RunConfig):
-    """Stamp for the opt-in ``timings`` block; extra entries (solver stats) ride along.
+def _timings(config: RunConfig, start: float, stats: Optional[Dict]) -> Optional[Dict]:
+    """The opt-in ``timings`` block: wall time since ``start``, then the solver stats.
 
     ``threads_pinned`` is true only when some BLAS pool could be read and
     every pool read has exactly ``config.threads`` threads.
     """
-    start = time.perf_counter()
-
-    def stamp(extra: Optional[Dict] = None):
-        if not config.record_timings:
-            return None
-        wall = time.perf_counter() - start
-        counts = _blas_thread_counts()
-        pinned = bool(counts) and all(count == config.threads for count in counts)
-        return {"wall_seconds": wall, "threads_pinned": pinned, **(extra or {})}
-
-    return stamp
+    if not config.record_timings:
+        return None
+    wall = time.perf_counter() - start
+    counts = _blas_thread_counts()
+    pinned = bool(counts) and all(count == config.threads for count in counts)
+    return {"wall_seconds": wall, "threads_pinned": pinned, **(stats or {})}
 
 
 def _per_row(stats: Sequence[Dict]) -> Dict[str, list]:
@@ -284,15 +289,10 @@ def _thread_limit(threads: int):
             set_size(size)
 
 
-def run_spectrum(config: RunConfig, out_path: str) -> Dict:
-    stamp = _timed(config)
-    model = build_model(config.params)
-    h = model.hamiltonian()
+def run_spectrum(config: RunConfig, out_path: str) -> Tuple[str, Dict, Optional[Dict]]:
+    h = build_model(config.params).hamiltonian()
     result = solve_lowest(h, **asdict(config.solver))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "spectrum",
-        "config": config.resolved(),
+    return out_path, {
         "dimension": int(h.shape[0]),
         "eigenvalues": [float(v) for v in result.eigenvalues],
         "ground_energy": result.ground_energy,
@@ -301,73 +301,44 @@ def run_spectrum(config: RunConfig, out_path: str) -> Dict:
         "residual": result.residual,
         "method": result.method,
         "free_gap": config.params.free_gap,
-        "timings": stamp(result.stats()),
-    }
-    _write_json(out_path, payload)
-    return payload
+    }, result.stats()
 
 
-def run_scan_kappa(config: RunConfig, out_path: str) -> Dict:
-    stamp = _timed(config)
+def run_scan_kappa(config: RunConfig, out_path: str) -> Tuple[str, Dict, Optional[Dict]]:
     model = build_model(config.params)
-    rows = []
+    gaps = []
     stats = []
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("kappa,E0,gap,residual\n")
         fh.flush()
         for kappa in config.scan.kappa_grid:
-            h = model.hamiltonian(kappa)
-            result = solve_lowest(h, **asdict(config.solver))
-            rows.append((kappa, result.ground_energy, result.gap, result.residual))
+            result = solve_lowest(model.hamiltonian(kappa), **asdict(config.solver))
+            gaps.append(result.gap)
             stats.append(result.stats())
             fh.write(f"{kappa!r},{result.ground_energy!r},{result.gap!r},{result.residual!r}\n")
             fh.flush()
-    sidecar = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "scan-kappa",
-        "config": config.resolved(),
-        "rows": len(rows),
-        "all_gaps_positive": bool(all(gap > 0 for _, _, gap, _ in rows)),
-        "timings": stamp(_per_row(stats)),
-    }
-    _write_json(out_path + ".meta.json", sidecar)
-    return sidecar
+    own = {"rows": len(gaps), "all_gaps_positive": all(gap > 0 for gap in gaps)}
+    return out_path + ".meta.json", own, _per_row(stats)
 
 
-def run_converge(config: RunConfig, out_path: str) -> Dict:
-    stamp = _timed(config)
+def run_converge(config: RunConfig, out_path: str) -> Tuple[str, Dict, Optional[Dict]]:
     report = converge_scan(config.params, config.scan.axis, config.scan.values, **asdict(config.solver))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "converge",
-        "config": config.resolved(),
-        "report": report.to_dict(),
-        "timings": stamp(_per_row(report.solves)),
-    }
-    _write_json(out_path, payload)
-    return payload
+    return out_path, {"report": report.to_dict()}, _per_row(report.solves)
 
 
-def run_verify(config: RunConfig, out_path: str) -> Dict:
-    stamp = _timed(config)
-    model = build_model(config.params)
+def run_verify(config: RunConfig, out_path: str) -> Tuple[str, Dict, Optional[Dict]]:
     report = verify_inequalities(
-        model,
+        build_model(config.params),
         n_samples=config.verify.samples,
         n_field_points=config.verify.field_points,
         seed=config.solver.seed,
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "config": config.resolved(),
-        "report": report.to_dict(),
-        "timings": stamp(),
-    }
-    _write_json(out_path, payload)
-    return payload
+    return out_path, {"report": report.to_dict()}, None
 
 
+# command -> (runner, default output name).  A runner returns the path of its
+# JSON, its own payload fields and its solver stats (or None); main adds the
+# rest of the envelope: schema_version, command, config and timings.
 COMMANDS = {
     "spectrum": (run_spectrum, "spectrum.json"),
     "scan-kappa": (run_scan_kappa, "scan_kappa.csv"),
@@ -403,23 +374,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         runner, default_name = COMMANDS[args.command]
         out_path = _resolve_out(config, args.out, default_name)
         with _thread_limit(config.threads):
-            payload = runner(config, out_path)
-    except (ConfigError, ParameterError) as err:
+            start = time.perf_counter()
+            json_path, own, stats = runner(config, out_path)
+            timings = _timings(config, start, stats)
+    except (ConfigError, ParameterError, EvaluationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except CapacityError as err:
-        detail = f" (projected {size_text(err.projected)}, cap {err.cap})" if err.projected else ""
-        print(f"error: {err}{detail}", file=sys.stderr)
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_CAPACITY
     except ConvergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    summary = {k: payload[k] for k in ("command", "schema_version")}
-    if "ground_energy" in payload:
-        summary["ground_energy"] = payload["ground_energy"]
-        summary["gap"] = payload["gap"]
-    if "report" in payload and "all_passed" in payload.get("report", {}):
-        summary["all_passed"] = payload["report"]["all_passed"]
+    summary = {"command": args.command, "schema_version": SCHEMA_VERSION}
+    _write_json(json_path, {**summary, "config": config.resolved(), **own, "timings": timings})
+    if "ground_energy" in own:
+        summary["ground_energy"] = own["ground_energy"]
+        summary["gap"] = own["gap"]
+    if "all_passed" in own.get("report", {}):
+        summary["all_passed"] = own["report"]["all_passed"]
     print(json.dumps({"written": out_path, **summary}))
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, EvaluationError, ParameterError
+from .errors import CapacityError, EvaluationError, ParameterError, size_text
 
 DEFAULT_POINT_CAP = 250_000
 
@@ -67,11 +67,17 @@ class MomentumLattice:
         if V <= 0 or L <= 0:
             raise ParameterError(f"lattice parameters must be positive, got V={V}, L={L}")
         try:
-            pts = np.asarray(integer_points, dtype=np.int64)
+            given = np.asarray(integer_points)
+            with np.errstate(invalid="ignore"):  # NaN and ±inf fail the comparison below
+                pts = given.astype(np.int64)
         except (TypeError, ValueError) as err:
             raise ParameterError(f"lattice points must be integer triples: {err}") from err
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ParameterError(f"lattice points must be integer triples, got shape {pts.shape}")
+        exact = given.dtype.kind in "iuf" and np.array_equal(pts, given)
+        # numpy reads [0, 0, True] as [0, 0, 1], so booleans are looked for in the input itself
+        if not exact or any(isinstance(c, bool) for point in integer_points for c in point):
+            raise ParameterError("lattice points must be integer triples, got a non-integral or boolean coordinate")
         order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
         pts = pts[order]
         if len(pts) > 1 and np.any(np.all(np.diff(pts, axis=0) == 0, axis=1)):
@@ -95,17 +101,17 @@ def build_lattice(V: float, L: float, point_cap: int = DEFAULT_POINT_CAP) -> Mom
     n_hi = int(np.floor((L + half_cell) / spacing))
     while n_hi * spacing >= L + half_cell:
         n_hi -= 1
-    n_axis = np.arange(-n_hi, n_hi + 1, dtype=np.int64)
-    projected = len(n_axis) ** 3
+    projected = (2 * n_hi + 1) ** 3
     if projected > point_cap:
         raise CapacityError(
-            f"lattice would contain {projected} points (cap {point_cap})",
+            f"lattice would contain {size_text(projected)} points (cap {point_cap})",
             projected=projected,
             cap=point_cap,
         )
+    n_axis = np.arange(-n_hi, n_hi + 1, dtype=np.int64)
+    # "ij" indexing over an ascending axis lists the points lexicographically
     grid = np.stack(np.meshgrid(n_axis, n_axis, n_axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    order = np.lexsort((grid[:, 2], grid[:, 1], grid[:, 0]))
-    return MomentumLattice(spacing_parameter=V, box_half_width=L, integer_points=grid[order])
+    return MomentumLattice(spacing_parameter=V, box_half_width=L, integer_points=grid)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import EvaluationError, ParameterError
 from .lattice import DiscreteCoefficients, MomentumLattice, discretize
 
 # spin order of the spinor columns, the fermion modes and the term table's spin axis
@@ -133,6 +133,8 @@ def spinors_at(p: np.ndarray, mass: float, algebra: Optional[DiracAlgebra] = Non
     algebra = algebra or dirac_algebra()
     p = np.asarray(p, dtype=float)
     energy = dirac_energy(p, mass)
+    if not np.isfinite(energy):
+        raise EvaluationError(f"non-finite Dirac energy {energy} at momentum {p.tolist()}")
     dmat = algebra.contraction(p, mass)
     plus = (energy * np.eye(4) + dmat) / (2.0 * energy)
     minus = (energy * np.eye(4) - dmat) / (2.0 * energy)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -83,11 +84,23 @@ MALFORMED = [
     ("model.lattice", {"fermion_points": [[0, 0, 0.5]]}),
     ("output", {"record_timings": "false"}),
     ("output", {"path": [1]}),
+    # float keys take finite real numbers only
+    ("model.dirac_mass", True),
+    ("model.dirac_mass", math.nan),
+    ("model.dirac_mass", 10**400),
+    ("model.coupling", math.nan),
+    ("model.coupling", math.inf),
+    ("model.cutoffs", {"kg": {"scale": math.nan}}),
+    ("model.lattice", {"fermion_L": math.nan}),
+    ("model.lattice", {"fermion_V": math.inf}),
+    ("limits", {"chi_hat_floor": math.nan}),
+    ("solver", {"tol": True}),
+    ("scan", {"values": [True, 2]}),
 ]
 
 
 class TestMalformedConfig:
-    @pytest.mark.parametrize("section, value", MALFORMED, ids=[f"{s}={v!r}" for s, v in MALFORMED])
+    @pytest.mark.parametrize("section, value", MALFORMED, ids=[f"{s}={v!r}"[:60] for s, v in MALFORMED])
     def test_exits_2_with_one_error_line_naming_the_section(self, tmp_path, capsys, section, value):
         data = base_config()
         (data["model"] if section.startswith("model.") else data)[section.split(".")[-1]] = value
@@ -95,6 +108,15 @@ class TestMalformedConfig:
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out.json")]) == EXIT_CONFIG
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and section in lines[0]
+
+    @pytest.mark.parametrize("key", ["dirac_mass", "boson_mass"])
+    def test_a_mass_whose_energies_overflow_exits_2(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, base_config(**{key: 1e200}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out.json")]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: non-finite")
 
     @pytest.mark.parametrize("points", [[[0, 0]], [[0, 0, 0, 0, 0, 1]]])
     def test_points_that_are_not_triples_exit_2(self, tmp_path, capsys, points):
@@ -159,6 +181,14 @@ class TestSpectrumCommand:
         assert err.startswith("error: projected Fock dimension ~1.9e+1611 exceeds cap")
         assert len(err.encode()) < 300
         assert not os.path.exists(out)
+
+    def test_lattice_past_the_cap_exits_3_before_it_allocates(self, tmp_path, capsys):
+        data = base_config()
+        data["model"]["lattice"] = {"fermion_V": 1e15}  # ~4.0e42 points
+        cfg = write_config(tmp_path, data)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "never.json")]) == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert err == "error: lattice would contain ~4.0e+42 points (cap 250000)\n"
 
     def test_byte_for_byte_determinism(self, tmp_path):
         cfg = write_config(tmp_path, base_config(coupling=0.8))
@@ -254,6 +284,7 @@ PAYLOAD_KEYS = {
     },
     "scan-kappa": {"schema_version", "command", "config", "rows", "all_gaps_positive", "timings"},
     "converge": {"schema_version", "command", "config", "report", "timings"},
+    "verify": {"schema_version", "command", "config", "report", "timings"},
 }
 
 

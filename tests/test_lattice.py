@@ -78,14 +78,30 @@ def test_point_cap_enforced():
     assert err.value.projected > 1000
 
 
+def test_lattice_past_the_cap_is_refused_before_it_allocates():
+    # the axis alone would hold 1.6e14 integers (1.1 PiB); the cap refuses it first
+    with pytest.raises(CapacityError) as err:
+        build_lattice(1e15, 1.0)
+    assert err.value.projected > 10**42
+
+
 def test_explicit_point_lattice_sorted_and_validated():
     lat = MomentumLattice.from_integer_points(2 * np.pi, 1.0, [[0, 0, 1], [0, 0, 0]])
     assert [tuple(r) for r in lat.integer_points] == [(0, 0, 0), (0, 0, 1)]
+    lat = MomentumLattice.from_integer_points(2 * np.pi, 1.0, [[0, 0, 1.0]])
+    assert lat.integer_points.tolist() == [[0, 0, 1]]
     with pytest.raises(ParameterError):
         MomentumLattice.from_integer_points(2 * np.pi, 1.0, [[0, 0, 0], [0, 0, 0]])
 
 
-@pytest.mark.parametrize("points", [[[0, 0]], [[0, 0, 0, 0, 0, 1]], [[0, 0, 0], [0, 0]], [0, 0, 0], [["a", 0, 0]]])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[0, 0]], [[0, 0, 0, 0, 0, 1]], [[0, 0, 0], [0, 0]], [0, 0, 0], [["a", 0, 0]],
+        [[0, 0, 0.5]], [[0, 0, True]], [[0, 0, np.nan]], [[np.inf, 0, 0]],
+    ],
+)
 def test_explicit_points_must_be_integer_triples(points):
     with pytest.raises(ParameterError, match="integer triples"):
         MomentumLattice.from_integer_points(2 * np.pi, 1.0, points)
