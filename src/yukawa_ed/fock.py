@@ -140,6 +140,12 @@ class FockBasis:
         self.boson_dim = len(self.boson_occupations)
         self.boson_index = {tuple(row): i for i, row in enumerate(self.boson_occupations)}
         self.dim = self.fermion_dim * self.boson_dim
+        # (row, col, value, mode) of every entry of every block annihilator a_k|n> = sqrt(n_k)|n - e_k>
+        cols, mode = np.nonzero(self.boson_occupations)
+        target = self.boson_occupations[cols]
+        target[np.arange(len(cols)), mode] -= 1
+        rows = np.array([self.boson_index[occ] for occ in map(tuple, target.tolist())], dtype=np.int64)
+        self.boson_lowering = (rows, cols, np.sqrt(self.boson_occupations[cols, mode].astype(float)), mode)
 
         masks = np.arange(self.fermion_dim, dtype=np.int64)
         n = fermion_lattice.n_points
@@ -193,31 +199,25 @@ def enumerate_basis(
 # -- mask-space fermion operators (2^n dimensional factor) -------------------
 
 
-def mask_annihilator(n_modes: int, mode: int) -> sp.csr_matrix:
-    """Annihilator on the occupation-bitmask space with Jordan-Wigner signs.
+def smeared_mask_ladder(n_modes: int, modes: Sequence[int], weights: np.ndarray, create: Sequence[bool]) -> sp.csr_matrix:
+    """sum_j weights[j] c_{modes[j]} (its adjoint where ``create[j]``) on the bitmask space as one COO; c_m has
+    the Jordan-Wigner sign (-1)^(occupied modes below m), and row xor column names an entry's mode."""
+    keep = np.asarray(weights) != 0  # zero weights are skipped; real weights give a real operator
+    modes, weights, create = (np.asarray(a)[keep] for a in (modes, weights, create))
+    term, cols = np.nonzero((np.arange(1 << n_modes, dtype=np.int64) >> modes[:, None]) & 1)
+    bit = 1 << modes[term]
+    rows = cols ^ bit
+    data = weights[term] * (1.0 - 2.0 * (np.bitwise_count(cols & (bit - 1)) & 1))
+    up = create[term]
+    rows[up], cols[up], data[up] = cols[up], rows[up], np.conj(data[up])
+    return sp.csr_matrix((data, (rows, cols)), shape=(1 << n_modes,) * 2)
 
-    Sign is (-1)^(number of occupied modes below ``mode``).
-    """
+
+def mask_annihilator(n_modes: int, mode: int) -> sp.csr_matrix:
+    """The annihilator c_mode on the bitmask space, real (see ``smeared_mask_ladder``)."""
     if not 0 <= mode < n_modes:
         raise ParameterError(f"mode {mode} outside [0, {n_modes})")
-    dim = 1 << n_modes
-    masks = np.arange(dim, dtype=np.int64)
-    occupied = ((masks >> mode) & 1).astype(bool)
-    cols = masks[occupied]
-    rows = cols ^ (1 << mode)
-    below = cols & ((1 << mode) - 1)
-    signs = 1.0 - 2.0 * (np.bitwise_count(below) & 1).astype(float)
-    return sp.csr_matrix((signs, (rows, cols)), shape=(dim, dim))
-
-
-def smeared_mask_annihilator(n_modes: int, modes: Sequence[int], weights: np.ndarray) -> sp.csr_matrix:
-    """Weighted sum of mask annihilators: sum_j weights[j] * c_{modes[j]}."""
-    dim = 1 << n_modes
-    out = sp.csr_matrix((dim, dim), dtype=complex)
-    for mode, w in zip(modes, weights):
-        if w != 0:
-            out = out + w * mask_annihilator(n_modes, mode)
-    return out
+    return smeared_mask_ladder(n_modes, [mode], [1.0], [False])
 
 
 # -- boson-block operators ----------------------------------------------------
@@ -231,30 +231,24 @@ def boson_block_annihilator(basis: FockBasis, mode: int) -> sp.csr_matrix:
     """
     if not 0 <= mode < basis.n_boson_modes:
         raise ParameterError(f"boson mode {mode} outside [0, {basis.n_boson_modes})")
-    occupations = basis.boson_occupations
-    cols = np.flatnonzero(occupations[:, mode])
-    target = occupations[cols]
-    target[:, mode] -= 1
-    # one entry per row, and the rows ascend with cols: lowering one mode keeps lexicographic order
-    rows = np.array([basis.boson_index[occ] for occ in map(tuple, target.tolist())], dtype=int)
-    indptr = np.searchsorted(rows, np.arange(basis.boson_dim + 1))
-    values = np.sqrt(occupations[cols, mode].astype(float))
-    return sp.csr_matrix((values, cols, indptr), shape=(basis.boson_dim, basis.boson_dim))
+    rows, cols, values, modes = basis.boson_lowering
+    at = modes == mode
+    return sp.csr_matrix((values[at], (rows[at], cols[at])), shape=(basis.boson_dim,) * 2)
 
 
 # -- full-space operators ------------------------------------------------------
 
 
-def _lift_fermion(basis: FockBasis, mask_op: sp.spmatrix) -> sp.csr_matrix:
+def lift_fermion(basis: FockBasis, mask_op: sp.spmatrix) -> sp.csr_matrix:
     return sp.kron(mask_op, sp.identity(basis.boson_dim, format="csr"), format="csr")
 
 
-def _lift_boson(basis: FockBasis, block: sp.spmatrix) -> sp.csr_matrix:
+def lift_boson(basis: FockBasis, block: sp.spmatrix) -> sp.csr_matrix:
     return sp.kron(sp.identity(basis.fermion_dim, format="csr"), block, format="csr")
 
 
 def fermion_annihilator(mode: FermionMode, basis: FockBasis) -> sp.csr_matrix:
-    return _lift_fermion(basis, mask_annihilator(basis.n_fermion_modes, basis.mode_index(mode)))
+    return lift_fermion(basis, mask_annihilator(basis.n_fermion_modes, basis.mode_index(mode)))
 
 
 def fermion_creator(mode: FermionMode, basis: FockBasis) -> sp.csr_matrix:
@@ -262,7 +256,7 @@ def fermion_creator(mode: FermionMode, basis: FockBasis) -> sp.csr_matrix:
 
 
 def boson_annihilator(mode: int, basis: FockBasis) -> sp.csr_matrix:
-    return _lift_boson(basis, boson_block_annihilator(basis, mode))
+    return lift_boson(basis, boson_block_annihilator(basis, mode))
 
 
 def boson_creator(mode: int, basis: FockBasis) -> sp.csr_matrix:
@@ -286,23 +280,25 @@ def smeared_fermion(
         raise LatticeMismatchError("coefficients sampled on a different lattice than the basis")
     root_w = np.sqrt(basis.fermion_lattice.cell_volume)
     n = basis.fermion_lattice.n_points
-    family = FermionMode(species, spin, 0).family()
-    modes = [family * n + j for j in range(n)]
-    mask_op = smeared_mask_annihilator(basis.n_fermion_modes, modes, np.conj(xi.values) * root_w)
-    op = _lift_fermion(basis, mask_op)
-    return op.conj().T.tocsr() if create else op
+    modes = FermionMode(species, spin, 0).family() * n + np.arange(n)
+    mask_op = smeared_mask_ladder(basis.n_fermion_modes, modes, np.conj(xi.values) * root_w, [create] * n)
+    return lift_fermion(basis, mask_op)
+
+
+def smeared_boson_block(eta: DiscreteCoefficients, basis: FockBasis) -> sp.csr_matrix:
+    """a(eta) on the boson block as one COO (a_k shifts by -e_k: modes share no entry)."""
+    if not same_lattice(eta.lattice, basis.boson_lattice):
+        raise LatticeMismatchError("coefficients sampled on a different lattice than the basis")
+    rows, cols, values, mode = basis.boson_lowering
+    weights = np.conj(eta.values) * np.sqrt(basis.boson_lattice.cell_volume)
+    out = sp.csr_matrix((weights[mode] * values, (rows, cols)), shape=(basis.boson_dim,) * 2)
+    out.eliminate_zeros()  # the entries of modes with zero weight
+    return out
 
 
 def smeared_boson(eta: DiscreteCoefficients, basis: FockBasis, create: bool = False) -> sp.csr_matrix:
     """Coefficient-smeared boson ladder operator (same conventions as fermions)."""
-    if not same_lattice(eta.lattice, basis.boson_lattice):
-        raise LatticeMismatchError("coefficients sampled on a different lattice than the basis")
-    root_w = np.sqrt(basis.boson_lattice.cell_volume)
-    block = sp.csr_matrix((basis.boson_dim, basis.boson_dim), dtype=complex)
-    for k, val in enumerate(eta.values):
-        if val != 0:
-            block = block + np.conj(val) * root_w * boson_block_annihilator(basis, k)
-    op = _lift_boson(basis, block)
+    op = lift_boson(basis, smeared_boson_block(eta, basis))
     return op.conj().T.tocsr() if create else op
 
 

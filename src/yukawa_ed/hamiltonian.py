@@ -63,10 +63,12 @@ from .fock import (
     enumerate_basis,
     fermion_annihilator,
     fermion_creator,
+    lift_boson,
+    lift_fermion,
     mask_annihilator,
     second_quantization,
-    smeared_boson,
-    smeared_fermion,
+    smeared_boson_block,
+    smeared_mask_ladder,
 )
 from .lattice import (
     DEFAULT_POINT_CAP,
@@ -120,6 +122,9 @@ class ModelParams:
     basis_cap: int = DEFAULT_BASIS_CAP
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # masses, coupling, V, L and chi_hat_floor
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if self.dirac_mass <= 0:
             raise ParameterError(f"Dirac mass must be positive, got {self.dirac_mass}")
         if self.boson_mass <= 0:
@@ -580,26 +585,33 @@ def build_model(
 # -- field operators at a point and the direct form evaluation ------------------
 
 
-def dirac_field_component(model: Model, component: int, x: np.ndarray) -> sp.csr_matrix:
-    """The field component psi_l(x) as a matrix on the product basis."""
+def dirac_field_mask(model: Model, component: int, x: np.ndarray) -> sp.csr_matrix:
+    """psi_l(x) on the fermion-mask factor: b(f_x) + d*(g_x) summed over spins, as one COO."""
     lat = model.fermion_lattice
     phase = np.exp(-1j * (lat.points @ np.asarray(x, dtype=float)))
-    out = sp.csr_matrix((model.basis.dim, model.basis.dim), dtype=complex)
-    for si, s in enumerate(SPINS):
-        f_x = DiscreteCoefficients(model.f[si][component].values * phase, lat)
-        g_x = DiscreteCoefficients(model.g[si][component].values * phase, lat)
-        out = out + smeared_fermion(f_x, "b", s, model.basis)
-        out = out + smeared_fermion(g_x, "d", s, model.basis, create=True)
-    return out
+    # modes are family-major, families b then d, each by spin (FermionMode.family)
+    coefficients = np.stack([c[si][component].values for c in (model.f, model.g) for si in range(len(SPINS))])
+    weights = np.conj(coefficients * phase).ravel() * np.sqrt(lat.cell_volume)
+    modes = np.arange(len(weights))
+    return smeared_mask_ladder(model.basis.n_fermion_modes, modes, weights, modes >= 2 * lat.n_points)
+
+
+def dirac_field_component(model: Model, component: int, x: np.ndarray) -> sp.csr_matrix:
+    """The field component psi_l(x) as a matrix on the product basis."""
+    return lift_fermion(model.basis, dirac_field_mask(model, component, x))
+
+
+def boson_field_block(model: Model, x: np.ndarray) -> sp.csr_matrix:
+    """The field phi(x) = (a(h_x) + a*(h_x)) / sqrt(2) on the boson block."""
+    lat = model.boson_lattice
+    phase = np.exp(1j * (lat.points @ np.asarray(x, dtype=float)))
+    ann = smeared_boson_block(DiscreteCoefficients(model.h.values * phase, lat), model.basis)
+    return (ann + ann.conj().T.tocsr()) / math.sqrt(2.0)
 
 
 def boson_field(model: Model, x: np.ndarray) -> sp.csr_matrix:
-    """The field phi(x) = (a(h_x) + a*(h_x)) / sqrt(2) on the product basis."""
-    lat = model.boson_lattice
-    phase = np.exp(1j * (lat.points @ np.asarray(x, dtype=float)))
-    h_x = DiscreteCoefficients(model.h.values * phase, lat)
-    ann = smeared_boson(h_x, model.basis)
-    return (ann + ann.conj().T.tocsr()) / math.sqrt(2.0)
+    """The field phi(x) on the product basis."""
+    return lift_boson(model.basis, boson_field_block(model, x))
 
 
 def interaction_form_quadrature(

@@ -159,8 +159,8 @@ class CutoffProfile:
     def __post_init__(self):
         if self.kind not in ("sharp-ball", "gaussian", "zero"):
             raise ParameterError(f"unknown cutoff kind {self.kind!r}")
-        if self.kind != "zero" and self.scale <= 0:
-            raise ParameterError(f"cutoff scale must be positive, got {self.scale}")
+        if not np.isfinite(self.scale) or (self.kind != "zero" and self.scale <= 0):
+            raise ParameterError(f"cutoff scale must be finite and positive, got {self.scale}")
 
     @classmethod
     def gaussian(cls, scale: float) -> "CutoffProfile":

@@ -20,7 +20,7 @@ from yukawa_ed.fock import (
     enumerate_basis,
     fermion_annihilator,
     smeared_fermion,
-    smeared_mask_annihilator,
+    smeared_mask_ladder,
 )
 from yukawa_ed.hamiltonian import (
     ModelParams,
@@ -133,7 +133,7 @@ def test_criterion_2_smeared_norm_theorem():
     root_w = math.sqrt(lat8.cell_volume)
     for trial in range(50):
         xi = DiscreteCoefficients(rng.normal(size=8) + 1j * rng.normal(size=8), lat8)
-        block = smeared_mask_annihilator(8, range(8), np.conj(xi.values) * root_w)
+        block = smeared_mask_ladder(8, range(8), np.conj(xi.values) * root_w, [False] * 8)
         smax = np.linalg.svd(block.toarray(), compute_uv=False)[0]
         assert abs(smax - xi.norm) <= 1e-10
     _pass(2, "norm theorem to 1e-10 for 50 random coefficients on 1- and 8-point lattices")

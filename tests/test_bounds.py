@@ -3,8 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from yukawa_ed.bounds import RATIO_TOL, _apply, compute_constants, verify_inequalities
-from yukawa_ed.hamiltonian import ModelParams, build_model, chi_spatial_l1_norm, fourier_quadrature
+from yukawa_ed import bounds
+from yukawa_ed.bounds import (
+    RATIO_TOL,
+    _apply,
+    _largest_singular_value,
+    _on_block,
+    _random_states,
+    compute_constants,
+    verify_inequalities,
+)
+from yukawa_ed.fock import lift_boson, smeared_boson_block
+from yukawa_ed.hamiltonian import (
+    ModelParams,
+    boson_field_block,
+    build_model,
+    chi_spatial_l1_norm,
+    dirac_field_component,
+    dirac_field_mask,
+    fourier_quadrature,
+)
+from yukawa_ed.lattice import DiscreteCoefficients
 from yukawa_ed.spinor import CutoffProfile
 
 
@@ -130,3 +149,51 @@ class TestInequalities:
             coo = op.tocoo()
             assert np.array_equal(coo.row, coo.col)
             assert np.array_equal(op.diagonal() * psi, _apply(op, psi))
+
+
+class TestTensorFactorRoute:
+    """verify_inequalities checks the field and ladder bounds on the tensor factors."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [minimal_params(), two_point_params(), two_point_params(fermion_points=((0, 0, 0), (1, 2, 1)))],
+        ids=["w0", "two_point", "off_axis_two_point"],
+    )
+    def test_block_action_equals_the_lifted_product_bitwise(self, params):
+        model = build_model(params)
+        rng = np.random.default_rng(8)
+        psi = rng.standard_normal(model.basis.dim) + 1j * rng.standard_normal(model.basis.dim)
+        n = model.boson_lattice.n_points
+        eta = DiscreteCoefficients(rng.standard_normal(n) + 1j * rng.standard_normal(n), model.boson_lattice)
+        ann = smeared_boson_block(eta, model.basis)
+        for block in (ann, ann.conj().T.tocsr(), boson_field_block(model, np.array([0.4, -0.3, 1.2]))):
+            assert _on_block(block, psi).tobytes() == _apply(lift_boson(model.basis, block), psi).tobytes()
+
+    def test_mask_sigma_equals_the_dense_svd_of_the_lift(self):
+        # W0: both dense, bitwise
+        model = build_model(minimal_params())
+        for l, x in enumerate(np.random.default_rng(3).normal(scale=2.0, size=(4, 3))):
+            lifted = np.linalg.svd(dirac_field_component(model, l, x).toarray(), compute_uv=False)[0]
+            assert _largest_singular_value(dirac_field_mask(model, l, x), seed=l) == lifted
+        # the W1 fermion lattice (mask dimension 256, svds) under a small boson truncation
+        model = build_model(two_point_params(n_max=1, total_boson_cap=1))
+        for l, x in enumerate(np.random.default_rng(4).normal(scale=2.0, size=(4, 3))):
+            lifted = np.linalg.svd(dirac_field_component(model, l, x).toarray(), compute_uv=False)[0]
+            mask_sigma = _largest_singular_value(dirac_field_mask(model, l, x), seed=l)
+            assert mask_sigma == pytest.approx(lifted, rel=1e-14, abs=0.0)
+
+    def test_scaled_field_factor_fails_the_field_norm_check(self, monkeypatch):
+        # at rest the field-norm ratio sits at 1 to 1e-10, so a 1e-6 error must show
+        model = build_model(minimal_params())
+        field_mask = bounds.dirac_field_mask
+        monkeypatch.setattr(bounds, "dirac_field_mask", lambda *args: (1.0 + 1e-6) * field_mask(*args))
+        report = verify_inequalities(model, n_samples=50, n_field_points=3, seed=9)
+        assert not report.checks["dirac_field_norm"].passed
+        assert [name for name, check in report.checks.items() if not check.passed] == ["dirac_field_norm"]
+
+    def test_random_states_keep_the_two_draw_values_and_stream(self):
+        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = _random_states(got_rng, 37, 6)
+        want = want_rng.standard_normal((6, 37)) + 1j * want_rng.standard_normal((6, 37))
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.standard_normal(3).tobytes() == want_rng.standard_normal(3).tobytes()

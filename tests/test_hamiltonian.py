@@ -15,14 +15,18 @@ from yukawa_ed.fock import (
     enumerate_basis,
     fermion_annihilator,
     fermion_creator,
+    lift_boson,
+    lift_fermion,
 )
 from yukawa_ed.hamiltonian import (
     ModelParams,
     boson_field,
+    boson_field_block,
     build_model,
     chi_spatial_fourier,
     chi_spatial_l1_norm,
     dirac_field_component,
+    dirac_field_mask,
     fourier_quadrature,
     assemble_interaction,
     hermiticity_defect,
@@ -30,7 +34,7 @@ from yukawa_ed.hamiltonian import (
     interaction_hermiticity_defect,
     ladder_factors,
 )
-from yukawa_ed.spinor import CutoffProfile, dirac_algebra
+from yukawa_ed.spinor import SPINS, CutoffProfile, dirac_algebra
 
 RNG = np.random.default_rng(31)
 
@@ -99,6 +103,13 @@ class TestModelParams:
             ModelParams(dirac_mass=0.0, boson_mass=1.0, coupling=0.0)
         with pytest.raises(ParameterError):
             ModelParams(dirac_mass=1.0, boson_mass=-2.0, coupling=0.0)
+
+    @pytest.mark.parametrize("key", ["coupling", "chi_hat_floor", "dirac_mass", "fermion_L", "boson_V"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_floats_rejected(self, key, value):
+        # a NaN coupling used to build NaN interaction entries, a NaN floor an empty h_int
+        with pytest.raises(ParameterError, match=key):
+            minimal_params(**{key: value})
 
     def test_spatial_cutoff_must_be_gaussian(self):
         with pytest.raises(ParameterError):
@@ -483,7 +494,59 @@ class TestAssemblyKernel:
             build_model(KERNEL_MODELS["w1"])
 
 
+def dirac_field_oracle(model, component, x):
+    """psi_l(x) as a CSR sum of weighted elementary ladders on the product basis."""
+    basis, lat_f = model.basis, model.fermion_lattice
+    phase = np.exp(-1j * (lat_f.points @ x))
+    psi = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    for si, s in enumerate(SPINS):
+        w_b = np.conj(model.f[si][component].values * phase) * np.sqrt(lat_f.cell_volume)
+        w_d = np.conj(model.g[si][component].values * phase) * np.sqrt(lat_f.cell_volume)
+        for q in range(lat_f.n_points):
+            if w_b[q] != 0:
+                psi = psi + w_b[q] * fermion_annihilator(FermionMode("b", s, q), basis)
+            if w_d[q] != 0:
+                psi = psi + (w_d[q] * fermion_annihilator(FermionMode("d", s, q), basis)).conj().T
+    return psi.tocsr()
+
+
+def boson_field_oracle(model, x):
+    """phi(x) as a CSR sum of weighted elementary ladders on the product basis."""
+    basis, lat_b = model.basis, model.boson_lattice
+    w_a = np.conj(model.h.values * np.exp(1j * (lat_b.points @ x))) * np.sqrt(lat_b.cell_volume)
+    ann = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    for k in range(lat_b.n_points):
+        if w_a[k] != 0:
+            ann = ann + w_a[k] * boson_annihilator(k, basis)
+    return (ann + ann.conj().T.tocsr()) / math.sqrt(2.0)
+
+
+def assert_same_entries(got, want):
+    assert got.shape == want.shape and got.has_canonical_format and want.has_canonical_format
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+FIELD_MODELS = {
+    "w0": KERNEL_MODELS["minimal"],
+    "w1": KERNEL_MODELS["w1"],
+    "off_axis_two_point": two_point_params(fermion_points=((0, 0, 0), (1, 2, 1))),  # complex
+}
+
+
 class TestFieldOperators:
+    @pytest.mark.parametrize("name", list(FIELD_MODELS))
+    def test_lifted_factors_match_the_ladder_sums(self, name):
+        model = build_model(FIELD_MODELS[name])
+        for x in (np.zeros(3), np.array([0.3, -1.1, 0.7])):
+            for l in range(4):
+                psi = dirac_field_oracle(model, l, x)
+                assert_same_entries(lift_fermion(model.basis, dirac_field_mask(model, l, x)), psi)
+                assert_same_entries(dirac_field_component(model, l, x), psi)
+            phi = boson_field_oracle(model, x)
+            assert_same_entries(lift_boson(model.basis, boson_field_block(model, x)), phi)
+            assert_same_entries(boson_field(model, x), phi)
+
     def test_density_reconstructs_interaction(self):
         # integrating the field sandwich over x must reproduce the assembled matrix;
         # here checked at x=0 against the term expansion restricted to zero balance

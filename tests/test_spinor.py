@@ -121,6 +121,9 @@ class TestCutoffProfiles:
             CutoffProfile("box", 1.0)
         with pytest.raises(ParameterError):
             CutoffProfile.gaussian(-1.0)
+        for scale in (np.nan, np.inf):
+            with pytest.raises(ParameterError, match="finite"):
+                CutoffProfile.gaussian(scale)
 
 
 class TestCoefficients:
