@@ -256,10 +256,9 @@ def verify_inequalities(
         norm_psi = np.linalg.norm(psi)
         sqrt_term = np.linalg.norm(sqrt_kg * psi)
         int_psi = _apply(h_int, psi)
+        int_norm = np.linalg.norm(int_psi)
         rhs_int = slope * sqrt_term + offset * norm_psi
-        worst["interaction_relative"] = max(
-            worst["interaction_relative"], _ratio(np.linalg.norm(int_psi), rhs_int)
-        )
+        worst["interaction_relative"] = max(worst["interaction_relative"], _ratio(int_norm, rhs_int))
         phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         lhs = abs(np.vdot(phi, int_psi))
         worst["form_bound"] = max(
@@ -274,7 +273,7 @@ def verify_inequalities(
             )
             rhs_free = eps * slope * free_term + (slope / (4.0 * eps) + offset) * norm_psi
             worst["free_relative"] = max(
-                worst["free_relative"], _ratio(np.linalg.norm(int_psi), rhs_free)
+                worst["free_relative"], _ratio(int_norm, rhs_free)
             )
 
     # the vacuum carries no boson energy, so the offset alone must bound it

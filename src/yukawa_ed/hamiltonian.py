@@ -13,10 +13,11 @@ The expansion is one numpy record table with a row per monomial
 factors, so the table comes from one broadcast over the term axes.  Each row
 is a fermion bilinear times one boson ladder operator B_r, r one of a_k or
 a*_k, so the assembled interaction is H_int = sum_r F_r (x) B_r with F_r on
-the 2^(4 N_f) fermion-mask space (``ladder_factors`` groups the rows with
-numpy).  B_r moves the boson occupation by -e_k or +e_k, a shift no other
-ladder shares, so distinct blocks occupy disjoint entries and the 2 N_b
-blocks add without overlap.
+the 2^(4 N_f) fermion-mask space.  ``ladder_factors`` builds every F_r in one
+pass: the bilinears' entries come from bit arithmetic on the masks, one sort
+orders them for every ladder, and each ladder sums its coefficients over the
+shared runs.  B_r moves the boson occupation by -e_k or +e_k, a shift no
+other ladder shares, so distinct blocks occupy disjoint entries.
 
 ``build_model`` keeps the factors on the model (``Model.factors``, checked
 for hermiticity per ladder) and never assembles the full space.
@@ -60,12 +61,13 @@ from .fock import (
     boson_annihilator,
     boson_block_annihilator,
     boson_creator,
+    boson_number_diagonal,
     enumerate_basis,
     fermion_annihilator,
     fermion_creator,
+    fermion_number_diagonal,
     lift_boson,
     lift_fermion,
-    mask_annihilator,
     second_quantization,
     smeared_boson_block,
     smeared_mask_ladder,
@@ -272,56 +274,70 @@ Ladder = Tuple[str, int]  # (boson_kind, k_index)
 RESIDUE_TOL = 64 * np.finfo(float).eps
 
 
-def ladder_factors(terms: np.recarray, basis: FockBasis) -> Dict[Ladder, sp.csr_matrix]:
-    """The mask-space factor F_r of each boson ladder r = (boson_kind, k_index).
+def _bilinear_runs(keys: np.ndarray, basis: FockBasis) -> Tuple[np.ndarray, ...]:
+    """The entries of every bilinear key on the mask space, sorted by (row, column), ties in key order.
 
-    F_r sums the coefficient-weighted fermion bilinears of the ladder's rows
-    on the 2^(4 N_f) mask space.  Exact zeros and rounding residues
-    (``RESIDUE_TOL``) are dropped, by the same rule on every ladder.  The
-    factors are float64 when every summed (ladder, bilinear) coefficient has
-    an imaginary part of exactly zero, complex otherwise (module docstring).
+    c_i c_j (either one a creator) acts on the masks m whose bit j it can move,
+    then bit i of m ^ bit_j, with the Jordan-Wigner signs of the occupied modes
+    below j on m and below i on m ^ bit_j; row m ^ bit_j ^ bit_i, column m.
+    Returns each entry's ``slot`` (2 b, 2 b + 1 if negative, for key b), the
+    ``starts`` of the runs of one position, their columns and the row pointer.
     """
-    n_modes, dim = basis.n_fermion_modes, basis.fermion_dim
-    annihilators = [mask_annihilator(n_modes, j) for j in range(n_modes)]
-    ladder_ops = {False: annihilators, True: [c.conj().T.tocsr() for c in annihilators]}
-
-    def bilinear(kind: str, spin: float, spin_p: float, qi: int, qpi: int) -> sp.coo_matrix:
+    dim, entries, signs = basis.fermion_dim, [], []
+    for kind, spin, spin_p, qi, qpi in keys.tolist():
         (left, left_create), (right, right_create) = BILINEAR_FACTORS[kind]
         i = basis.mode_index(FermionMode(left, spin, qi))
         j = basis.mode_index(FermionMode(right, spin_p, qpi))
-        return (ladder_ops[left_create][i] @ ladder_ops[right_create][j]).tocoo()
+        fixed = {i: not left_create, j: not right_create}  # bits of m: free ones count up
+        col = np.arange(dim >> len(fixed))
+        for p, bit in sorted(fixed.items()):
+            col = (col >> p << (p + 1)) | (col & ((1 << p) - 1)) | (bit << p)
+        mid = col ^ (1 << j)
+        signs.append((np.bitwise_count(col & ((1 << j) - 1)) + np.bitwise_count(mid & ((1 << i) - 1))) & 1)
+        entries.append((mid ^ (1 << i)) * dim + col)
+    slot = 2 * np.repeat(np.arange(len(keys)), [len(e) for e in entries]) + np.concatenate(signs)
+    entry = np.concatenate(entries)
+    order = np.argsort(entry, kind="stable")
+    entry = entry[order]
+    starts = np.flatnonzero(np.diff(entry, prepend=-1))
+    rows, cols = np.divmod(entry[starts], dim)
+    return slot[order], starts, cols, np.searchsorted(rows, np.arange(dim + 1))
 
+
+def ladder_factors(terms: np.recarray, basis: FockBasis) -> Dict[Ladder, sp.csr_matrix]:
+    """The mask-space factor F_r of each boson ladder r = (boson_kind, k_index).
+
+    F_r sums the coefficient-weighted bilinears of the ladder's rows over the
+    runs of ``_bilinear_runs``, a bilinear it lacks adding zeros.  That is its
+    own sum in key order: a run holds one entry off the diagonal, and the
+    diagonal bilinears all balance momentum at +-k, so a ladder has all or none
+    of them.  Exact zeros and rounding residues (``RESIDUE_TOL``) are dropped on
+    every ladder alike.  The factors are float64 when every summed (ladder,
+    bilinear) coefficient is exactly real, complex otherwise (module docstring).
+    """
+    if len(terms) == 0:
+        return {}
+    dim = basis.fermion_dim
     ladders, ladder_of = np.unique(terms[["k_index", "boson_kind"]], return_inverse=True)
     keys, key_of = np.unique(terms[["fermion_kind", "spin", "spin_p", "q_index", "qp_index"]], return_inverse=True)
-    mats = [bilinear(*key) for key in keys.tolist()]
-    flat = [m.row.astype(np.int64) * dim + m.col for m in mats]  # linear index of each entry
+    slot, starts, cols, row_ptr = _bilinear_runs(keys, basis)
 
-    # rows of one ladder that share a bilinear sum their coefficients and magnitudes
-    pairs, pair_of = np.unique(np.stack([ladder_of, key_of], axis=1), axis=0, return_inverse=True)
-    coefficient = np.bincount(pair_of, terms.coefficient.real)
-    imag = np.bincount(pair_of, terms.coefficient.imag)
+    # rows of one ladder that share a bilinear b sum their coefficients and
+    # magnitudes, into the ladder's slots 2 b (times +1) and 2 b + 1 (times -1)
+    pair_of, n_pairs = ladder_of * len(keys) + key_of, len(ladders) * len(keys)
+    coefficient = np.bincount(pair_of, terms.coefficient.real, n_pairs)
+    imag = np.bincount(pair_of, terms.coefficient.imag, n_pairs)
     if np.any(imag):
         coefficient = coefficient + 1j * imag
-    magnitude = np.bincount(pair_of, np.abs(terms.coefficient))
+    signed = (coefficient[:, None] * np.array([1.0, -1.0])).reshape(len(ladders), -1)
+    magnitude = np.repeat(np.bincount(pair_of, np.abs(terms.coefficient), n_pairs), 2).reshape(len(ladders), -1)
 
-    # then per F_r entry, each summed in table order (stable sort); bilinear
-    # entries are +-1, so the magnitudes add as they are
     factors = {}
     for r, (k, bkind) in enumerate(ladders.tolist()):
-        mine = np.flatnonzero(pairs[:, 0] == r)
-        key = pairs[mine, 1]
-        entry = np.concatenate([flat[b] for b in key])
-        counts = [mats[b].nnz for b in key]
-        value = np.repeat(coefficient[mine], counts) * np.concatenate([mats[b].data for b in key])
-        order = np.argsort(entry, kind="stable")
-        entry = entry[order]
-        starts = np.flatnonzero(np.diff(entry, prepend=-1))
-        total = np.add.reduceat(value[order], starts)
-        bound = np.add.reduceat(np.repeat(magnitude[mine], counts)[order], starts)
-        keep = np.abs(total) > RESIDUE_TOL * bound
-        rows, cols = np.divmod(entry[starts][keep], dim)
-        indptr = np.searchsorted(rows, np.arange(dim + 1))
-        factors[(bkind, k)] = sp.csr_matrix((total[keep], cols, indptr), shape=(dim, dim))
+        total = np.add.reduceat(signed[r][slot], starts)
+        keep = np.abs(total) > RESIDUE_TOL * np.add.reduceat(magnitude[r][slot], starts)
+        indptr = np.concatenate(([0], np.cumsum(keep)))[row_ptr]
+        factors[(bkind, k)] = sp.csr_matrix((total[keep], cols[keep], indptr), shape=(dim, dim))
     return factors
 
 
@@ -482,15 +498,15 @@ def interaction_hermiticity_defect(factors: Dict[Ladder, sp.csr_matrix], basis: 
 
     The a_k and a*_k blocks of H_int - H_int^H are (F_{a,k} - F_{a*,k}^H) (x) B_k
     and its adjoint.  Kron entries are products, so the defect is the largest
-    max|F_{a,k} - F_{a*,k}^H| * max|B_k|; the first factor is the defect of
-    [[0, F_{a,k}], [F_{a*,k}, 0]].  An absent ladder counts as zero.
+    max|F_{a,k} - F_{a*,k}^H| * max|B_k|.  An absent ladder counts as zero.
     """
     zero = sp.csr_matrix((basis.fermion_dim,) * 2)
+    _, _, lowering, mode = basis.boson_lowering
     defect = 0.0
     for k in sorted({k for _, k in factors}):
-        pair = sp.bmat([[None, factors.get(("a", k), zero)], [factors.get(("a*", k), zero), None]])
-        scale = np.max(np.abs(boson_block_annihilator(basis, k).data), initial=0.0)
-        defect = max(defect, hermiticity_defect(pair) * scale)
+        diff = factors.get(("a", k), zero) - factors.get(("a*", k), zero).conj().T
+        scale = np.max(lowering[mode == k], initial=0.0)
+        defect = max(defect, float(np.max(np.abs(diff.data), initial=0.0)) * scale)
     return defect
 
 
@@ -553,33 +569,18 @@ def build_model(
     f, g = fermion_coefficients(basis.fermion_lattice, params.dirac_mass, params.chi_dirac, algebra)
     h = boson_coefficients(basis.boson_lattice, params.boson_mass, params.chi_kg)
 
-    h_dirac = second_quantization(
-        discretize(lambda q: dirac_energy(q, params.dirac_mass), basis.fermion_lattice),
-        basis,
-        side="fermion",
-    )
-    h_kg = second_quantization(
-        discretize(lambda k: boson_energy(k, params.boson_mass), basis.boson_lattice),
-        basis,
-        side="boson",
-    ).tocsr()
+    dirac = discretize(lambda q: dirac_energy(q, params.dirac_mass), basis.fermion_lattice)
+    kg = discretize(lambda k: boson_energy(k, params.boson_mass), basis.boson_lattice)
+    h_kg = second_quantization(kg, basis, side="boson").tocsr()
+    # h_free from one diagonal, fermion-mask major as the basis is ordered
+    free = np.add.outer(fermion_number_diagonal(basis, dirac.values), boson_number_diagonal(basis, kg.values))
     terms = enumerate_interaction_terms(params, f, g, h, algebra.beta)
     factors = ladder_factors(terms, basis)
     defect = interaction_hermiticity_defect(factors, basis)
     if defect > 1e-12:
         raise AssemblyError(f"interaction matrix hermiticity defect {defect:.3e} exceeds 1e-12")
-    return Model(
-        params=params,
-        algebra=algebra,
-        basis=basis,
-        f=f,
-        g=g,
-        h=h,
-        h_kg=h_kg,
-        h_free=(h_dirac + h_kg).tocsr(),
-        factors=factors,
-        terms=terms,
-    )
+    return Model(params=params, algebra=algebra, basis=basis, f=f, g=g, h=h, h_kg=h_kg,
+                 h_free=sp.diags(free.ravel(), format="csr"), factors=factors, terms=terms)
 
 
 # -- field operators at a point and the direct form evaluation ------------------

@@ -17,6 +17,8 @@ from yukawa_ed.fock import (
     fermion_creator,
     lift_boson,
     lift_fermion,
+    mask_annihilator,
+    second_quantization,
 )
 from yukawa_ed.hamiltonian import (
     ModelParams,
@@ -34,7 +36,8 @@ from yukawa_ed.hamiltonian import (
     interaction_hermiticity_defect,
     ladder_factors,
 )
-from yukawa_ed.spinor import SPINS, CutoffProfile, dirac_algebra
+from yukawa_ed.lattice import discretize
+from yukawa_ed.spinor import SPINS, CutoffProfile, boson_energy, dirac_algebra, dirac_energy
 
 RNG = np.random.default_rng(31)
 
@@ -492,6 +495,117 @@ class TestAssemblyKernel:
         monkeypatch.setattr(hamiltonian, "ladder_factors", corrupted)
         with pytest.raises(AssemblyError):
             build_model(KERNEL_MODELS["w1"])
+
+
+def product_factors_oracle(terms, basis):
+    """F_r from per-key sparse products of mask ladders, each ladder sorted and summed on its own."""
+    n_modes, dim = basis.n_fermion_modes, basis.fermion_dim
+    annihilators = [mask_annihilator(n_modes, j) for j in range(n_modes)]
+    ladder_ops = {False: annihilators, True: [c.conj().T.tocsr() for c in annihilators]}
+
+    def bilinear(kind, spin, spin_p, qi, qpi):
+        (left, left_create), (right, right_create) = hamiltonian.BILINEAR_FACTORS[kind]
+        i = basis.mode_index(FermionMode(left, spin, qi))
+        j = basis.mode_index(FermionMode(right, spin_p, qpi))
+        return (ladder_ops[left_create][i] @ ladder_ops[right_create][j]).tocoo()
+
+    ladders, ladder_of = np.unique(terms[["k_index", "boson_kind"]], return_inverse=True)
+    keys, key_of = np.unique(terms[["fermion_kind", "spin", "spin_p", "q_index", "qp_index"]], return_inverse=True)
+    mats = [bilinear(*key) for key in keys.tolist()]
+    flat = [m.row.astype(np.int64) * dim + m.col for m in mats]
+    pairs, pair_of = np.unique(np.stack([ladder_of, key_of], axis=1), axis=0, return_inverse=True)
+    coefficient = np.bincount(pair_of, terms.coefficient.real)
+    imag = np.bincount(pair_of, terms.coefficient.imag)
+    if np.any(imag):
+        coefficient = coefficient + 1j * imag
+    magnitude = np.bincount(pair_of, np.abs(terms.coefficient))
+    factors = {}
+    for r, (k, bkind) in enumerate(ladders.tolist()):
+        mine = np.flatnonzero(pairs[:, 0] == r)
+        key = pairs[mine, 1]
+        entry = np.concatenate([flat[b] for b in key])
+        counts = [mats[b].nnz for b in key]
+        value = np.repeat(coefficient[mine], counts) * np.concatenate([mats[b].data for b in key])
+        order = np.argsort(entry, kind="stable")
+        entry = entry[order]
+        starts = np.flatnonzero(np.diff(entry, prepend=-1))
+        total = np.add.reduceat(value[order], starts)
+        bound = np.add.reduceat(np.repeat(magnitude[mine], counts)[order], starts)
+        keep = np.abs(total) > hamiltonian.RESIDUE_TOL * bound
+        rows, cols = np.divmod(entry[starts][keep], dim)
+        indptr = np.searchsorted(rows, np.arange(dim + 1))
+        factors[(bkind, k)] = sp.csr_matrix((total[keep], cols, indptr), shape=(dim, dim))
+    return factors
+
+
+def pair_defect_oracle(factors, basis):
+    """The hermiticity defect of [[0, F_a], [F_a*, 0]] per boson mode, times max|B_k|."""
+    zero = sp.csr_matrix((basis.fermion_dim,) * 2)
+    defect = 0.0
+    for k in sorted({k for _, k in factors}):
+        pair = sp.bmat([[None, factors.get(("a", k), zero)], [factors.get(("a*", k), zero), None]])
+        scale = np.max(np.abs(boson_block_annihilator(basis, k).data), initial=0.0)
+        defect = max(defect, hermiticity_defect(pair) * scale)
+    return defect
+
+
+FACTOR_MODELS = {
+    "w0": (minimal_params(coupling=0.5), "dirac"),
+    "w1": (KERNEL_MODELS["w1"], "dirac"),
+    "w2_fermions": (two_point_params(fermion_points=((0, 0, 0), (0, 0, 1), (0, 0, -1))), "dirac"),
+    "pruned_3": (two_point_params(chi_spatial=CutoffProfile.gaussian(3.0)), "dirac"),
+    "pruned_6": (two_point_params(chi_spatial=CutoffProfile.gaussian(6.0)), "dirac"),
+    "pruned_12": (two_point_params(chi_spatial=CutoffProfile.gaussian(12.0)), "dirac"),
+    "chiral": (KERNEL_MODELS["w1"], "chiral"),
+    "off_axis": (KERNEL_MODELS["off_axis"], "dirac"),
+}
+
+
+class TestFactorBuild:
+    @pytest.mark.parametrize("name", list(FACTOR_MODELS))
+    def test_factors_match_sparse_products_bitwise(self, name):
+        params, representation = FACTOR_MODELS[name]
+        model = build_model(params, algebra=dirac_algebra(representation))
+        oracle = product_factors_oracle(model.terms, model.basis)
+        assert list(model.factors) == list(oracle)
+        for ladder, f_r in model.factors.items():
+            assert_bitwise_equal(f_r, oracle[ladder])
+        if name.startswith("pruned"):  # some ladder lacks some bilinear the others have
+            t = model.terms
+            keys = {(b, k): frozenset(t[(t.boson_kind == b) & (t.k_index == k)][["fermion_kind", "spin", "spin_p",
+                                                                                "q_index", "qp_index"]].tolist())
+                    for b, k in model.factors}
+            assert len(set(keys.values())) > 1
+
+    @pytest.mark.parametrize("name", ["w1", "pruned_12", "off_axis"])
+    def test_pair_defect_matches_block_defect_exactly(self, name):
+        params, representation = FACTOR_MODELS[name]
+        model = build_model(params, algebra=dirac_algebra(representation))
+        ladders = list(model.factors)
+        scaled = dict(model.factors)
+        scaled[ladders[0]] = scaled[ladders[0]].copy()
+        scaled[ladders[0]].data[::3] *= 1 + 1e-6
+        for factors in (model.factors, scaled, {r: f for r, f in model.factors.items() if r != ladders[-1]}):
+            assert interaction_hermiticity_defect(factors, model.basis) == pair_defect_oracle(factors, model.basis)
+        assert interaction_hermiticity_defect(model.factors, model.basis) == 0.0
+
+    @pytest.mark.parametrize("name", ["w0", "w1", "off_axis"])
+    def test_free_part_matches_sum_of_number_operators_bitwise(self, name):
+        params, _ = FACTOR_MODELS[name]
+        model = build_model(params)
+        basis, lat_f, lat_b = model.basis, model.fermion_lattice, model.boson_lattice
+        h_dirac = second_quantization(discretize(lambda q: dirac_energy(q, params.dirac_mass), lat_f), basis, "fermion")
+        h_kg = second_quantization(discretize(lambda k: boson_energy(k, params.boson_mass), lat_b), basis, "boson")
+        assert_bitwise_equal(model.h_free, (h_dirac + h_kg).tocsr())
+        assert_bitwise_equal(model.h_kg, h_kg)
+
+    def test_empty_interaction(self):
+        # a floor above the transform's peak prunes every term
+        model = build_model(minimal_params(chi_hat_floor=2.0))
+        assert len(model.terms) == 0 and model.factors == {}
+        assert model.h_int.shape == (model.basis.dim,) * 2 and model.h_int.nnz == 0
+        assert_bitwise_equal(model.hamiltonian(), model.h_free)
+        assert interaction_hermiticity_defect(model.factors, model.basis) == 0.0
 
 
 def dirac_field_oracle(model, component, x):
