@@ -13,7 +13,7 @@ checked on their factor A or B, never on the lift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError
-from .fock import smeared_boson_block
+from .fock import boson_number_diagonal, smeared_boson_block
 from .hamiltonian import Model, boson_field_block, chi_spatial_l1_norm, dirac_field_mask
 from .lattice import DiscreteCoefficients
 from .spinor import boson_energy
@@ -42,12 +42,7 @@ class InequalityCheck:
         return self.worst_ratio <= 1.0 + RATIO_TOL
 
     def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "worst_ratio": self.worst_ratio,
-            "samples": self.samples,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass
@@ -76,19 +71,15 @@ class BoundReport:
         return {name: check.worst_ratio for name, check in self.checks.items()}
 
     def to_dict(self) -> Dict:
-        return {
-            "dirac_field_norms": list(self.dirac_field_norms),
-            "kg_weighted_norms": {str(j): v for j, v in self.kg_weighted_norms.items()},
-            "chi_spatial_l1": self.chi_spatial_l1,
-            "form_bound_slope": self.form_bound_slope,
-            "form_bound_offset": self.form_bound_offset,
-            "epsilon_ceiling": self.epsilon_ceiling,
-            "eps_grid": list(self.eps_grid),
-            "c_epsilon_rule": "1/(4*eps)",
-            "admissible_eps": [e for e in self.eps_grid if e * self.form_bound_slope < 1.0],
-            "checks": {name: check.to_dict() for name, check in self.checks.items()},
-            "all_passed": self.all_passed,
-        }
+        data = asdict(self)
+        data.update(
+            kg_weighted_norms={str(j): v for j, v in self.kg_weighted_norms.items()},
+            c_epsilon_rule="1/(4*eps)",
+            admissible_eps=[e for e in self.eps_grid if e * self.form_bound_slope < 1.0],
+            checks={name: check.to_dict() for name, check in self.checks.items()},
+            all_passed=self.all_passed,
+        )
+        return data
 
 
 def compute_constants(model: Model) -> BoundReport:
@@ -193,13 +184,13 @@ def verify_inequalities(
     report.eps_grid = list(EPS_GRID)
 
     h_int = model.h_int
-    # the free parts are diagonal: their diagonals act on states elementwise
-    kg = model.h_kg.diagonal()
-    free = model.h_free.diagonal()
-    sqrt_kg = np.sqrt(kg)
     omega = np.array(
         [boson_energy(k, model.params.boson_mass) for k in model.boson_lattice.points]
     )
+    # the free parts are diagonal and act elementwise; H_KG = dGamma(omega) repeats over the masks
+    kg = np.tile(boson_number_diagonal(model.basis, omega), model.basis.fermion_dim)
+    free = model.h_free.diagonal()
+    sqrt_kg = np.sqrt(kg)
     slope, offset = report.form_bound_slope, report.form_bound_offset
     m_kg0, m_kg1 = report.kg_weighted_norms[0], report.kg_weighted_norms[1]
 

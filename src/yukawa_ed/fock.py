@@ -181,9 +181,6 @@ class FockBasis:
         """Particle minus antiparticle number per basis state (conserved by the coupling)."""
         return np.repeat(self._charge_mask, self.boson_dim)
 
-    def boson_number(self) -> np.ndarray:
-        return np.tile(self.boson_occupations.sum(axis=1), self.fermion_dim)
-
 
 def enumerate_basis(
     lattice: MomentumLattice,

@@ -46,7 +46,8 @@ which bounds its memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -59,7 +60,6 @@ from .fock import (
     FermionMode,
     FockBasis,
     boson_annihilator,
-    boson_block_annihilator,
     boson_creator,
     boson_number_diagonal,
     enumerate_basis,
@@ -68,7 +68,6 @@ from .fock import (
     fermion_number_diagonal,
     lift_boson,
     lift_fermion,
-    second_quantization,
     smeared_boson_block,
     smeared_mask_ladder,
 )
@@ -127,6 +126,12 @@ class ModelParams:
         for name, value in vars(self).items():  # masses, coupling, V, L and chi_hat_floor
             if isinstance(value, float) and not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
+        counts = {"n_max": self.n_max, "point_cap": self.point_cap, "basis_cap": self.basis_cap}
+        if self.total_boson_cap is not None:
+            counts["total_boson_cap"] = self.total_boson_cap
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.dirac_mass <= 0:
             raise ParameterError(f"Dirac mass must be positive, got {self.dirac_mass}")
         if self.boson_mass <= 0:
@@ -140,9 +145,6 @@ class ModelParams:
     def free_gap(self) -> float:
         """Spectral gap of the free Hamiltonian: the smaller of the two masses."""
         return min(self.dirac_mass, self.boson_mass)
-
-    def with_coupling(self, coupling: float) -> "ModelParams":
-        return replace(self, coupling=coupling)
 
     def build_fermion_lattice(self) -> MomentumLattice:
         if self.fermion_points is not None:
@@ -366,12 +368,12 @@ def _union_values(factors: Dict[Ladder, sp.csr_matrix], n: int) -> Tuple[np.ndar
 
 def _boson_slots(factors: Dict[Ladder, sp.csr_matrix], basis: FockBasis) -> Tuple[np.ndarray, ...]:
     """Every entry of every B_r as (row, col, value, ladder position r), sorted by (row, col)."""
-    lowering = {k: boson_block_annihilator(basis, k).tocoo() for k in {k for _, k in factors}}
+    rows, cols, values, mode = basis.boson_lowering
     parts = [(np.zeros(0, int),) * 4]
     for r, (bkind, k) in enumerate(factors):
-        b_k = lowering[k]
-        row, col = (b_k.row, b_k.col) if bkind == "a" else (b_k.col, b_k.row)
-        parts.append((row, col, b_k.data, np.full(b_k.nnz, r)))
+        at = mode == k
+        row, col = (rows[at], cols[at]) if bkind == "a" else (cols[at], rows[at])
+        parts.append((row, col, values[at], np.full(len(row), r)))
     row, col, value, ladder = (np.concatenate(a) for a in zip(*parts))
     order = np.lexsort((col, row))
     return row[order], col[order], value[order], ladder[order]
@@ -514,6 +516,8 @@ def interaction_hermiticity_defect(factors: Dict[Ladder, sp.csr_matrix], basis: 
 class Model:
     """All ingredients of one parameter set; the interaction is kept factored.
 
+    ``h_free`` is the diagonal dGamma(Dirac) + dGamma(omega).  No H_KG is kept:
+    the bounds read dGamma(omega) off the basis occupations as a diagonal.
     ``factors`` holds the mask-space factor F_r of each boson ladder, so
     H_int = sum_r F_r (x) B_r is never stored by ``build_model``:
     ``assemble_interaction`` writes it on demand, as ``h_int`` (built on
@@ -526,7 +530,6 @@ class Model:
     f: list
     g: list
     h: DiscreteCoefficients
-    h_kg: sp.csr_matrix      # boson number-energy, lifted to the product basis
     h_free: sp.csr_matrix
     factors: Dict[Ladder, sp.csr_matrix]
     terms: np.recarray       # one row per interaction monomial (TERM_DTYPE)
@@ -546,6 +549,8 @@ class Model:
     def hamiltonian(self, coupling: Optional[float] = None) -> sp.csr_matrix:
         """h_free + coupling * h_int in one assembly pass; ``h_free`` itself at coupling 0."""
         kappa = self.params.coupling if coupling is None else coupling
+        if not math.isfinite(kappa):
+            raise ParameterError(f"coupling must be finite, got {kappa}")
         if kappa == 0:
             return self.h_free
         return assemble_interaction(self.factors, self.basis, kappa, self.h_free.diagonal())
@@ -571,7 +576,6 @@ def build_model(
 
     dirac = discretize(lambda q: dirac_energy(q, params.dirac_mass), basis.fermion_lattice)
     kg = discretize(lambda k: boson_energy(k, params.boson_mass), basis.boson_lattice)
-    h_kg = second_quantization(kg, basis, side="boson").tocsr()
     # h_free from one diagonal, fermion-mask major as the basis is ordered
     free = np.add.outer(fermion_number_diagonal(basis, dirac.values), boson_number_diagonal(basis, kg.values))
     terms = enumerate_interaction_terms(params, f, g, h, algebra.beta)
@@ -579,7 +583,7 @@ def build_model(
     defect = interaction_hermiticity_defect(factors, basis)
     if defect > 1e-12:
         raise AssemblyError(f"interaction matrix hermiticity defect {defect:.3e} exceeds 1e-12")
-    return Model(params=params, algebra=algebra, basis=basis, f=f, g=g, h=h, h_kg=h_kg,
+    return Model(params=params, algebra=algebra, basis=basis, f=f, g=g, h=h,
                  h_free=sp.diags(free.ravel(), format="csr"), factors=factors, terms=terms)
 
 

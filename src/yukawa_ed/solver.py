@@ -132,10 +132,10 @@ def dense_lowest(h, k: int, dense_cap: int = ORACLE_DENSE_CAP) -> SpectralResult
 class _LanczosState:
     """Converged eigenpairs plus iteration counters across deflation rounds.
 
-    Two blocks of ``h``'s dtype serve the whole solve.  Every round writes
+    Two arrays of ``h``'s dtype serve the whole solve.  Every round writes
     its Lanczos vectors into the rows of the Krylov block, which is replaced
-    only when a round needs more rows; the converged vectors fill the first
-    rows of the deflation block, which grows by doubling.  The three-term
+    only when a round needs more rows; the converged vectors are the rows of
+    ``vectors``, to which each accepted round appends its own.  The three-term
     recurrence builds each new vector in place in the next Krylov row, and
     every step projects it against the converged vectors.  Against the
     Krylov block it is projected only when Simon's estimate of its largest
@@ -154,12 +154,7 @@ class _LanczosState:
         self.best_residual = math.inf
         dtype = complex if np.iscomplexobj(h) else float
         self.krylov = np.empty((0, h.shape[0]), dtype=dtype)
-        self.deflation = np.empty((0, h.shape[0]), dtype=dtype)
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """The converged vectors, one per row (a view of the deflation block)."""
-        return self.deflation[: len(self.values)]
+        self.vectors = np.empty((0, h.shape[0]), dtype=dtype)  # converged, one per row
 
     def run_round(self, need: int, tol: float, max_iter: int) -> Optional[float]:
         """One Lanczos sweep in the complement of the converged vectors.
@@ -239,21 +234,17 @@ class _LanczosState:
         return None
 
     def _accept(self, values: np.ndarray, coeffs: np.ndarray, basis: np.ndarray) -> None:
-        """Append the Ritz pairs (vectors ``coeffs.T @ basis``) to the deflation block.
+        """Append the Ritz pairs (vectors ``coeffs.T @ basis``) to ``vectors``.
 
         Each vector is projected against every converged vector before it
-        and normalized, so the block stays orthonormal to rounding.
+        and normalized, so the rows stay orthonormal to rounding.
         """
-        found, take = len(self.values), len(values)
-        if len(self.deflation) < found + take:
-            grown = np.empty((2 * (found + take), basis.shape[1]), dtype=self.deflation.dtype)
-            grown[:found] = self.vectors
-            self.deflation = grown
-        np.matmul(coeffs.T, basis, out=self.deflation[found : found + take])
-        for row in range(found, found + take):
-            vec = self.deflation[row]
+        found = len(self.vectors)
+        self.vectors = np.concatenate((self.vectors, coeffs.T @ basis))
+        for row in range(found, len(self.vectors)):
+            vec = self.vectors[row]
             if row:
-                _project_out(self.deflation[:row], vec)
+                _project_out(self.vectors[:row], vec)
             vec /= np.linalg.norm(vec)
         self.values.extend(float(value) for value in values)
 
@@ -351,7 +342,7 @@ def lanczos_lowest(
     vals = np.array([state.values[i] for i in order])
     ground = state.vectors[order[0]].copy()
     work = {key: getattr(state, key) for key in LANCZOS_WORK}
-    del state  # frees both blocks before the residual check allocates
+    del state  # frees both arrays before the residual check allocates
     residual = float(np.linalg.norm(h @ ground - vals[0] * ground))
     return SpectralResult(
         eigenvalues=vals, ground_vector=ground, residual=residual, method="lanczos", **work
@@ -449,14 +440,6 @@ class SectorResult:
     energy: Optional[float]
 
 
-def sector_labels(basis: FockBasis, label: str) -> np.ndarray:
-    if label == "charge":
-        return basis.charge()
-    if label == "number":
-        return basis.fermion_number()
-    raise ParameterError(f"unknown sector label {label!r}")
-
-
 def sector_minima(
     h,
     basis: FockBasis,
@@ -470,7 +453,11 @@ def sector_minima(
     complement; a sector that is mixed beyond ``INVARIANCE_TOL`` has no
     well-defined restricted minimum and is reported with ``energy=None``.
     """
-    labels = sector_labels(basis, label)
+    if h.shape != (basis.dim, basis.dim):
+        raise ParameterError(f"matrix of shape {h.shape} does not act on the basis of dimension {basis.dim}")
+    if label not in ("charge", "number"):
+        raise ParameterError(f"unknown sector label {label!r}")
+    labels = basis.charge() if label == "charge" else basis.fermion_number()
     inside = np.flatnonzero(labels == n)
     if inside.size == 0:
         raise ParameterError(f"no basis states with {label} = {n}")

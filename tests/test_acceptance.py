@@ -8,6 +8,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -191,7 +192,7 @@ def test_criterion_5_sector_gap_bound():
     ]
     for params in configs:
         for kappa in (0.0, 0.25, 0.5):
-            model = build_model(params.with_coupling(kappa))
+            model = build_model(replace(params, coupling=kappa))
             h = model.hamiltonian()
             assert h.shape[0] <= 4096
             e0 = dense_lowest(h, 1).ground_energy

@@ -13,7 +13,7 @@ from yukawa_ed.bounds import (
     compute_constants,
     verify_inequalities,
 )
-from yukawa_ed.fock import lift_boson, smeared_boson_block
+from yukawa_ed.fock import boson_number_diagonal, lift_boson, second_quantization, smeared_boson_block
 from yukawa_ed.hamiltonian import (
     ModelParams,
     boson_field_block,
@@ -23,14 +23,20 @@ from yukawa_ed.hamiltonian import (
     dirac_field_mask,
     fourier_quadrature,
 )
-from yukawa_ed.lattice import DiscreteCoefficients
-from yukawa_ed.spinor import CutoffProfile
+from yukawa_ed.lattice import DiscreteCoefficients, discretize
+from yukawa_ed.spinor import CutoffProfile, boson_energy
 
 
 def minimal_params(**kwargs):
     defaults = dict(dirac_mass=1.0, boson_mass=1.0, coupling=1.0, n_max=3, total_boson_cap=3)
     defaults.update(kwargs)
     return ModelParams(**defaults)
+
+
+def kg_operator(model):
+    """H_KG = dGamma(omega) on the product basis."""
+    omega = discretize(lambda k: boson_energy(k, model.params.boson_mass), model.boson_lattice)
+    return second_quantization(omega, model.basis, "boson")
 
 
 def two_point_params(**kwargs):
@@ -134,21 +140,26 @@ class TestInequalities:
         model = build_model(two_point_params())
         rng = np.random.default_rng(4)
         psi = rng.standard_normal(model.basis.dim) + 1j * rng.standard_normal(model.basis.dim)
-        for op in (model.h_int, model.h_free, model.h_kg):
+        for op in (model.h_int, model.h_free, kg_operator(model)):
             assert op.dtype == np.float64
             assert _apply(op, psi).tobytes() == (op.astype(complex) @ psi).tobytes()
         assert np.array_equal(_apply(model.h_int, psi.real), model.h_int @ psi.real)
 
     @pytest.mark.parametrize("points", [((0, 0, 0), (0, 0, 1)), ((0, 0, 0), (1, 2, 1))])
     def test_free_parts_act_as_their_diagonals(self, points):
-        # verify_inequalities applies h_kg, h_free and sqrt(h_kg) as vectors
+        # verify_inequalities applies H_KG, h_free and sqrt(H_KG) as vectors
         model = build_model(two_point_params(fermion_points=points))
         rng = np.random.default_rng(6)
         psi = rng.standard_normal(model.basis.dim) + 1j * rng.standard_normal(model.basis.dim)
-        for op in (model.h_free, model.h_kg):
+        h_kg = kg_operator(model)
+        for op in (model.h_free, h_kg):
             coo = op.tocoo()
             assert np.array_equal(coo.row, coo.col)
             assert np.array_equal(op.diagonal() * psi, _apply(op, psi))
+        # the KG diagonal verify_inequalities builds is H_KG's, bitwise
+        omega = np.array([boson_energy(k, model.params.boson_mass) for k in model.boson_lattice.points])
+        kg = np.tile(boson_number_diagonal(model.basis, omega), model.basis.fermion_dim)
+        assert kg.tobytes() == h_kg.diagonal().tobytes()
 
 
 class TestTensorFactorRoute:

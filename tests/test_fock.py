@@ -136,7 +136,7 @@ class TestBasisEnumeration:
         assert basis.charge()[i] == 0
         only_d = basis.index_of(FockState(1 << mode_d, (1,)))
         assert basis.charge()[only_d] == -1
-        assert basis.boson_number()[only_d] == 1
+        assert basis.boson_occupations[only_d % basis.boson_dim].sum() == 1
 
 
 class TestFermionOperators:

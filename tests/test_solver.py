@@ -593,6 +593,13 @@ class TestSectorMinima:
         with pytest.raises(ParameterError):
             sector_minima(model.hamiltonian(), model.basis, 7, label="charge")
 
+    @pytest.mark.parametrize("dim", [32, 128])
+    def test_matrix_must_act_on_the_basis(self, dim):
+        # 128 x 128 returned a 24-state sector at energy 1.0, 32 x 32 a bare IndexError
+        model = build_model(minimal_params())
+        with pytest.raises(ParameterError, match="dimension 64"):
+            sector_minima(sp.identity(dim, format="csr"), model.basis, 1, label="charge")
+
 
 class TestConvergeScan:
     def test_free_scan_is_flat_zero(self):
