@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from yukawa_ed import bounds
 from yukawa_ed.bounds import (
+    EPS_GRID,
     RATIO_TOL,
+    SAMPLE_CAP,
     _apply,
     _largest_singular_value,
     _on_block,
@@ -13,6 +16,7 @@ from yukawa_ed.bounds import (
     compute_constants,
     verify_inequalities,
 )
+from yukawa_ed.errors import CapacityError
 from yukawa_ed.fock import boson_number_diagonal, lift_boson, second_quantization, smeared_boson_block
 from yukawa_ed.hamiltonian import (
     ModelParams,
@@ -204,7 +208,127 @@ class TestTensorFactorRoute:
 
     def test_random_states_keep_the_two_draw_values_and_stream(self):
         got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
-        got = _random_states(got_rng, 37, 6)
-        want = want_rng.standard_normal((6, 37)) + 1j * want_rng.standard_normal((6, 37))
-        assert got.tobytes() == want.tobytes()
+        re, im = _random_states(got_rng, 37, 6)
+        want_re, want_im = want_rng.standard_normal((6, 37)), want_rng.standard_normal((6, 37))
+        assert re.tobytes() == want_re.tobytes()
+        assert im.tobytes() == want_im.tobytes()
+        # a state built from the rows holds the values of a + 1j * b
+        psi = np.empty(37, dtype=complex)
+        psi.real, psi.imag = re[2], im[2]
+        assert psi.tobytes() == (want_re[2] + 1j * want_im[2]).tobytes()
         assert got_rng.standard_normal(3).tobytes() == want_rng.standard_normal(3).tobytes()
+
+
+def complex_block_ratios(model, report, n_samples, n_field_points, seed):
+    """The sampled worst ratios as computed with one complex block of states per batch.
+
+    Every batch is ``a + 1j * b`` for two draws ``standard_normal((count, dim))``,
+    real operators act through ``_apply`` and phi is ``a + 1j * b``: the
+    arithmetic and draw order that ``verify_inequalities`` must reproduce.
+    """
+    rng = np.random.default_rng(seed)
+    dim = model.basis.dim
+
+    def states(count):
+        return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+
+    omega = np.array([boson_energy(k, model.params.boson_mass) for k in model.boson_lattice.points])
+    kg = np.tile(boson_number_diagonal(model.basis, omega), model.basis.fermion_dim)
+    sqrt_kg, free = np.sqrt(kg), model.h_free.diagonal()
+    slope, offset = report.form_bound_slope, report.form_bound_offset
+    m_kg0, m_kg1 = report.kg_weighted_norms[0], report.kg_weighted_norms[1]
+    worst = dict.fromkeys(
+        ("annihilator_relative", "creator_relative", "boson_field_vector", "form_bound",
+         "interaction_relative", "sqrt_interpolation", "free_relative"),
+        0.0,
+    )
+    for _ in range(max(1, n_samples // 20)):
+        eta = DiscreteCoefficients(
+            rng.standard_normal(len(omega)) + 1j * rng.standard_normal(len(omega)), model.boson_lattice
+        )
+        weighted = DiscreteCoefficients(eta.values / np.sqrt(omega), model.boson_lattice)
+        ann = smeared_boson_block(eta, model.basis)
+        cre = ann.conj().T.tocsr()
+        for psi in states(5):
+            sqrt_term = np.linalg.norm(sqrt_kg * psi)
+            lhs = np.linalg.norm(_on_block(ann, psi))
+            worst["annihilator_relative"] = max(
+                worst["annihilator_relative"], bounds._ratio(lhs, weighted.norm * sqrt_term)
+            )
+            lhs = np.linalg.norm(_on_block(cre, psi))
+            rhs = weighted.norm * sqrt_term + eta.norm * np.linalg.norm(psi)
+            worst["creator_relative"] = max(worst["creator_relative"], bounds._ratio(lhs, rhs))
+    for _ in range(n_field_points):
+        x = rng.normal(scale=2.0 * model.params.chi_spatial.scale, size=3)
+        phi_op = boson_field_block(model, x)
+        for psi in states(3):
+            lhs = np.linalg.norm(_on_block(phi_op, psi))
+            rhs = math.sqrt(2.0) * m_kg1 * np.linalg.norm(sqrt_kg * psi) + m_kg0 * np.linalg.norm(psi) / math.sqrt(2.0)
+            worst["boson_field_vector"] = max(worst["boson_field_vector"], bounds._ratio(lhs, rhs))
+    for psi in states(n_samples):
+        norm_psi = np.linalg.norm(psi)
+        sqrt_term = np.linalg.norm(sqrt_kg * psi)
+        int_psi = _apply(model.h_int, psi)
+        int_norm = np.linalg.norm(int_psi)
+        rhs_int = slope * sqrt_term + offset * norm_psi
+        worst["interaction_relative"] = max(worst["interaction_relative"], bounds._ratio(int_norm, rhs_int))
+        phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        lhs = abs(np.vdot(phi, int_psi))
+        worst["form_bound"] = max(worst["form_bound"], bounds._ratio(lhs, rhs_int * np.linalg.norm(phi)))
+        kg_term, free_term = np.linalg.norm(kg * psi), np.linalg.norm(free * psi)
+        for eps in EPS_GRID:
+            worst["sqrt_interpolation"] = max(
+                worst["sqrt_interpolation"], bounds._ratio(sqrt_term, eps * kg_term + norm_psi / (4.0 * eps))
+            )
+            rhs_free = eps * slope * free_term + (slope / (4.0 * eps) + offset) * norm_psi
+            worst["free_relative"] = max(worst["free_relative"], bounds._ratio(int_norm, rhs_free))
+    return worst
+
+
+class TestSampleBlocks:
+    """verify_inequalities holds each batch as two real blocks and copies one state at a time."""
+
+    @pytest.mark.parametrize("seed", [2, 13])
+    @pytest.mark.parametrize(
+        "params",
+        [minimal_params(), two_point_params(), two_point_params(fermion_points=((0, 0, 0), (1, 2, 1)))],
+        ids=["w0", "two_point", "off_axis_two_point"],  # the off-axis h_int is complex
+    )
+    def test_ratios_equal_the_complex_block_oracle_bitwise(self, params, seed):
+        model = build_model(params)
+        report = verify_inequalities(model, n_samples=100, n_field_points=3, seed=seed)
+        want = complex_block_ratios(model, compute_constants(model), 100, 3, seed)
+        got = report.worst_ratios()
+        assert {name: got[name].hex() for name in want} == {name: float(v).hex() for name, v in want.items()}
+
+    def test_traced_peak_stays_near_the_two_blocks(self):
+        model = build_model(two_point_params())
+        report = compute_constants(model)
+        n, dim = 400, model.basis.dim
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            verify_inequalities(model, report=report, n_samples=n, n_field_points=2, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1.2 * 16 * n * dim
+
+    def test_sample_cap_raises_before_anything_is_drawn(self, monkeypatch):
+        def drawn(*args, **kwargs):
+            raise AssertionError("drew or computed before the cap check")
+
+        monkeypatch.setattr(bounds, "compute_constants", drawn)
+        monkeypatch.setattr(bounds, "_random_states", drawn)
+        model = build_model(minimal_params())
+        n = SAMPLE_CAP // 64 + 1
+        with pytest.raises(CapacityError, match="over the cap") as err:
+            verify_inequalities(model, n_samples=n)
+        assert (err.value.projected, err.value.cap) == (n * 64, SAMPLE_CAP)
+
+    def test_sample_cap_admits_exactly_the_cap(self, monkeypatch):
+        model = build_model(minimal_params())
+        monkeypatch.setattr(bounds, "SAMPLE_CAP", 64 * 30)
+        assert verify_inequalities(model, n_samples=30, n_field_points=1).checks["form_bound"].samples == 30
+        with pytest.raises(CapacityError):
+            verify_inequalities(model, n_samples=31, n_field_points=1)
