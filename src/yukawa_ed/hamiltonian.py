@@ -334,10 +334,17 @@ def ladder_factors(terms: np.recarray, basis: FockBasis) -> Dict[Ladder, sp.csr_
     signed = (coefficient[:, None] * np.array([1.0, -1.0])).reshape(len(ladders), -1)
     magnitude = np.repeat(np.bincount(pair_of, np.abs(terms.coefficient), n_pairs), 2).reshape(len(ladders), -1)
 
+    # a run of one entry is that entry; only the runs of several (the diagonal ones) are summed
+    lengths = np.diff(starts, append=len(slot))
+    several = np.flatnonzero(lengths > 1)
+    first, summed = slot[starts], slot[np.repeat(lengths > 1, lengths)]
+    summed_starts = np.cumsum(lengths[several]) - lengths[several]
     factors = {}
     for r, (k, bkind) in enumerate(ladders.tolist()):
-        total = np.add.reduceat(signed[r][slot], starts)
-        keep = np.abs(total) > RESIDUE_TOL * np.add.reduceat(magnitude[r][slot], starts)
+        total, bound = signed[r][first], magnitude[r][first]
+        total[several] = np.add.reduceat(signed[r][summed], summed_starts)
+        bound[several] = np.add.reduceat(magnitude[r][summed], summed_starts)
+        keep = np.abs(total) > RESIDUE_TOL * bound
         indptr = np.concatenate(([0], np.cumsum(keep)))[row_ptr]
         factors[(bkind, k)] = sp.csr_matrix((total[keep], cols[keep], indptr), shape=(dim, dim))
     return factors

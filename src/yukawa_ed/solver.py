@@ -19,7 +19,11 @@ reorthogonalization above it, in increasing Gershgorin bound, until a bound
 reaches the k-th value merged so far; a Lanczos block stops once an
 accepted round lies above it.  A single state's bound and dense solve are
 both its diagonal entry, so the block route reads a diagonal matrix (the
-free Hamiltonian above the cap) off exactly.
+free Hamiltonian above the cap) off exactly.  The search reads the matrix
+once, in chunks of whole rows of at most ``SWEEP_ENTRIES`` stored entries,
+for the components' closure test and the Gershgorin row sums, so its
+scratch does not grow with nnz.  Both routes reject a non-finite entry
+with ``ParameterError``, naming its row.
 
 Lanczos restarts in the orthogonal complement of converged eigenvectors, so
 degenerate levels keep their multiplicities and the routes can be compared
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -62,6 +66,8 @@ SEMI_ORTHOGONAL = math.sqrt(EPS)
 # SpectralResult fields that say how a solve went (route and work done)
 SOLVE_STATS = ("method", "iterations", "matvecs", "reorthogonalizations", "blocks", "blocks_solved")
 LANCZOS_WORK = ("iterations", "matvecs", "reorthogonalizations")
+# stored entries the block search reads at a time; a chunk holds whole rows
+SWEEP_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -109,8 +115,15 @@ def _check_dense(what: str, dim: int, cap: int) -> None:
         raise CapacityError(f"{what} of dimension {dim} exceeds cap {cap}", projected=dim, cap=cap)
 
 
+def _non_finite(value, row) -> ParameterError:
+    return ParameterError(f"matrix entry {value} in row {row} is not finite")
+
+
 def dense_lowest(h, k: int, dense_cap: int = ORACLE_DENSE_CAP) -> SpectralResult:
-    """Lowest ``k`` eigenpairs by LAPACK's subset driver; the oracle route under the cap."""
+    """Lowest ``k`` eigenpairs by LAPACK's subset driver; the oracle route under the cap.
+
+    Raises ``ParameterError`` naming the row of a non-finite entry.
+    """
     dim = h.shape[0]
     _check_dense("dense diagonalization", dim, dense_cap)
     if k < 1:
@@ -118,6 +131,9 @@ def dense_lowest(h, k: int, dense_cap: int = ORACLE_DENSE_CAP) -> SpectralResult
     k = min(k, dim)
     h = _as_operator(h)
     dense = h.toarray() if sp.issparse(h) else h
+    if not np.isfinite(dense).all():
+        row, col = np.argwhere(~np.isfinite(dense))[0]
+        raise _non_finite(dense[row, col], row)
     vals, vecs = sla.eigh(dense, subset_by_index=[0, k - 1])
     ground = vecs[:, 0]
     residual = float(np.linalg.norm(dense @ ground - vals[0] * ground))
@@ -349,6 +365,32 @@ def lanczos_lowest(
     )
 
 
+def _sweep(h: sp.csr_matrix, labels: np.ndarray) -> Tuple[bool, np.ndarray]:
+    """Whether every stored entry of ``h`` stays in its row's label, and each row's sum of |h_ij|.
+
+    Reads the rows in chunks of at most ``SWEEP_ENTRIES`` stored entries (a
+    longer row is a chunk of its own), so the scratch does not grow with
+    nnz.  Raises ``ParameterError`` at the first non-finite entry.
+    """
+    dim, indptr = h.shape[0], h.indptr
+    closed, row_sums, start = True, np.zeros(dim), 0
+    while start < dim:
+        stop = max(start + 1, int(np.searchsorted(indptr, int(indptr[start]) + SWEEP_ENTRIES, "right")) - 1)
+        lo, hi = indptr[start], indptr[stop]
+        absolute = np.abs(h.data[lo:hi])
+        counts = np.diff(indptr[start : stop + 1])
+        filled = np.flatnonzero(counts)  # reduceat from one filled row's start to the next sums that row
+        sums = np.add.reduceat(absolute, indptr[start + filled] - lo)
+        row_sums[start + filled] = sums
+        if not np.isfinite(sums).all():  # a non-finite entry, or finite ones that overflow
+            bad = np.flatnonzero(~np.isfinite(absolute))
+            if bad.size:
+                raise _non_finite(h.data[lo + bad[0]], np.searchsorted(indptr, lo + bad[0], "right") - 1)
+        closed = closed and np.array_equal(np.take(labels, h.indices[lo:hi]), np.repeat(labels[start:stop], counts))
+        start = stop
+    return closed, row_sums
+
+
 def solve_lowest(
     h,
     k: int,
@@ -362,10 +404,13 @@ def solve_lowest(
     The blocks are the strong components of the directed pattern (for a
     Hermitian pattern the connected ones, found without a transpose), or
     the weak ones when an entry stored on one side only joins two strong
-    components.  Each is cut from ``h`` by its rows, whose columns stay
-    inside it, and solved densely up to the cap, by Lanczos above it.  Once
-    ``k`` values are merged, a Lanczos block is asked only for as many pairs
-    as merged values lie above its floor.
+    components.  One chunked sweep over the rows (``_sweep``) makes that
+    test and sums each row's |h_ij| for the floors; it raises
+    ``ParameterError`` at the first non-finite entry.  Each block is cut
+    from ``h`` by its rows, whose columns stay inside it, and solved densely
+    up to the cap, by Lanczos above it.  Once ``k`` values are merged, a
+    Lanczos block is asked only for as many pairs as merged values lie
+    above its floor.
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
@@ -377,18 +422,15 @@ def solve_lowest(
     h = sp.csr_matrix(h)
     pattern = sp.csr_matrix((h.data.real, h.indices, h.indptr), shape=h.shape)
     n_blocks, labels = connected_components(pattern, connection="strong")
-    if not np.array_equal(labels[h.indices], np.repeat(labels, np.diff(h.indptr))):
+    closed, row_sums = _sweep(h, labels)
+    if not closed:
         n_blocks, labels = connected_components(pattern, connection="weak")
     counts = np.bincount(labels)
     starts = np.concatenate(([0], np.cumsum(counts)))
     order = np.argsort(labels, kind="stable")
     local = np.empty(h.shape[0], h.indices.dtype)  # each state's index inside its block
     local[order] = np.arange(h.shape[0]) - np.repeat(starts[:-1], counts)
-    # Gershgorin: Re h_ii - sum_{j != i} |h_ij| bounds the levels of row i's block
-    # from below; reduceat from one filled row's start to the next sums that row
-    filled = np.flatnonzero(np.diff(h.indptr))
-    row_sums = np.zeros(h.shape[0])
-    row_sums[filled] = np.add.reduceat(np.abs(h.data), h.indptr[filled])
+    # Gershgorin: Re h_ii - sum_{j != i} |h_ij| bounds the levels of row i's block from below
     diag = h.diagonal()
     floors = np.minimum.reduceat((diag.real + np.abs(diag) - row_sums)[order], starts[:-1])
     values, kth, solved, work = np.empty(0), math.inf, 0, dict.fromkeys(LANCZOS_WORK, 0)
@@ -398,8 +440,9 @@ def solve_lowest(
         states = order[starts[block] : starts[block + 1]]
         sub, size = h, len(states)
         if size < h.shape[0]:
-            rows = h[states]
-            sub = sp.csr_matrix((rows.data, local[rows.indices], rows.indptr), shape=(size, size))
+            rows = h[states]  # a copy: its columns are renumbered in place
+            np.take(local, rows.indices, out=rows.indices, mode="clip")
+            sub = sp.csr_matrix((rows.data, rows.indices, rows.indptr), shape=(size, size))
         if size <= dense_cap:
             part = dense_lowest(sub, k, dense_cap)
         else:  # once k values are merged, only those above this block's floor can be displaced
@@ -452,6 +495,7 @@ def sector_minima(
     Also measures how strongly the Hamiltonian couples the sector to its
     complement; a sector that is mixed beyond ``INVARIANCE_TOL`` has no
     well-defined restricted minimum and is reported with ``energy=None``.
+    A non-finite entry in the sector's rows raises ``ParameterError``.
     """
     if h.shape != (basis.dim, basis.dim):
         raise ParameterError(f"matrix of shape {h.shape} does not act on the basis of dimension {basis.dim}")
@@ -463,6 +507,8 @@ def sector_minima(
         raise ParameterError(f"no basis states with {label} = {n}")
     rows = sp.csr_matrix(h)[inside]
     mixing = float(np.max(np.abs(rows.data[labels[rows.indices] != n]), initial=0.0))
+    if not math.isfinite(mixing):
+        raise ParameterError(f"a non-finite entry couples the {label} = {n} sector to its complement")
     invariant = mixing <= INVARIANCE_TOL
     energy = solve_lowest(rows[:, inside], 1, seed=seed).ground_energy if invariant else None
     return SectorResult(

@@ -11,6 +11,7 @@ from yukawa_ed.errors import CapacityError, ConvergenceError, ParameterError
 from yukawa_ed.fock import enumerate_basis
 from yukawa_ed.hamiltonian import ModelParams, build_model
 from yukawa_ed.solver import (
+    DEFAULT_DENSE_CAP,
     SCAN_AXES,
     SEMI_ORTHOGONAL,
     _LanczosState,
@@ -539,6 +540,134 @@ class TestBlockRoute:
         weak = connected_components(h, directed=False)
         assert strong[0] == weak[0] == 85
         assert np.array_equal(strong[1], weak[1])
+
+
+def one_sided_matrix(row, col, seed=5):
+    """Hermitian blocks of 30 and 50 states and one entry (row, col) stored on one side only, joining them."""
+    rng = np.random.default_rng(seed)
+    small, large = random_hermitian(30, rng), random_hermitian(50, rng) + 0.5 * sp.eye(50)
+    coo = sp.block_diag([small, large], format="coo")
+    return sp.csr_matrix((np.append(coo.data, 1e-13), (np.append(coo.row, row), np.append(coo.col, col))))
+
+
+def sweep_case(name):
+    """(h, k, solve_lowest keywords, entry budgets) for the chunked block search."""
+    lanczos = dict(dense_cap=10, tol=1e-11)
+    if name in ("w1", "off_axis"):
+        return oracle_case(name)[0], 2, {}, [1, 100]
+    if name == "split_level":
+        return split_level_matrix(np.random.default_rng(21))[0], 3, lanczos, [1, 7]
+    if name == "joining_entry_in_the_last_chunk":
+        return one_sided_matrix(79, 2), 4, lanczos, [1, 7]
+    if name == "joining_entry_ends_a_chunk":  # the first chunk is rows 0-3, whose last entry is (3, 70)
+        h = one_sided_matrix(3, 70)
+        return h, 4, lanczos, [int(h.indptr[4])]
+    if name == "joining_entry_starts_a_chunk":  # the second chunk starts with row 75, whose first entry is (75, 5)
+        h = one_sided_matrix(75, 5)
+        return h, 4, lanczos, [int(h.indptr[75])]
+    if name == "rows_longer_than_the_budget":
+        return random_hermitian(120, np.random.default_rng(8)), 3, dict(dense_cap=50, tol=1e-11), [7, 119]
+    if name == "empty_rows":
+        return sp.csr_matrix(([1.0, 1.0], ([3, 700], [700, 3])), shape=(1000, 1000)), 2, {}, [1, 2]
+    raise KeyError(name)
+
+
+def assert_same_solve(got, want):
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert got.ground_vector.tobytes() == want.ground_vector.tobytes()
+    assert (got.residual, got.stats()) == (want.residual, want.stats())
+
+
+class TestChunkedSweep:
+    """The block search reads H in chunks of whole rows; the chunking changes no bit of the result."""
+
+    @pytest.mark.parametrize("name", [
+        "w1", "off_axis", "split_level", "joining_entry_in_the_last_chunk", "joining_entry_ends_a_chunk",
+        "joining_entry_starts_a_chunk", "rows_longer_than_the_budget", "empty_rows",
+    ])
+    def test_small_budgets_give_the_default_result_bitwise(self, name, monkeypatch):
+        import yukawa_ed.solver as solver_mod
+
+        h, k, kwargs, budgets = sweep_case(name)
+        assert h.nnz <= solver_mod.SWEEP_ENTRIES  # one chunk at the default budget
+        default = solve_lowest(h, k, **kwargs)
+        assert default.method == "blocks"
+        for budget in budgets:
+            monkeypatch.setattr(solver_mod, "SWEEP_ENTRIES", budget)
+            assert_same_solve(solve_lowest(h, k, **kwargs), default)
+
+    def test_search_scratch_does_not_grow_with_nnz(self):
+        import tracemalloc
+
+        size, count = 400, 100
+
+        def block_matrix(per_row):  # 100 random blocks of 400 states, block b shifted by 100 b
+            rng = np.random.default_rng(3)
+            rows = np.repeat(np.arange(size * count), per_row // 2)
+            cols = rows // size * size + rng.integers(0, size, len(rows))
+            h = sp.csr_matrix((rng.uniform(-1.0, 1.0, len(rows)), (rows, cols)), shape=(size * count,) * 2)
+            return (h + h.T + sp.diags(100.0 * (np.arange(size * count) // size))).tocsr()
+
+        peaks = []
+        for h in (block_matrix(8), block_matrix(32)):  # every block 4x denser; both above the entry budget
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = solve_lowest(h, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            assert (result.method, result.blocks, result.blocks_solved) == ("blocks", count, 1)
+        workspace = size * size * 8  # the dense array of one 400-state block
+        assert peaks[1] - peaks[0] < workspace
+
+
+def poisoned(kind, dim=800):
+    """A diagonal matrix with one non-finite entry, or pair of entries, and the row named for it."""
+    h = sp.lil_matrix((dim, dim))
+    h.setdiag(np.arange(dim) % 7)
+    row = {"nan_diagonal": 5, "nan_pair": 3, "inf_diagonal": 17}[kind]
+    if kind == "nan_pair":
+        h[3, dim - 10] = h[dim - 10, 3] = np.nan
+    else:
+        h[row, row] = np.inf if kind == "inf_diagonal" else np.nan
+    return h.tocsr(), row
+
+
+class TestNonFiniteEntries:
+    KINDS = ["nan_diagonal", "nan_pair", "inf_diagonal"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dense_cap", [DEFAULT_DENSE_CAP, 800])  # blocks, dense
+    def test_both_routes_name_the_row(self, kind, dense_cap):
+        h, row = poisoned(kind)
+        with pytest.raises(ParameterError, match=f"in row {row} is not finite"):
+            solve_lowest(h, 2, dense_cap=dense_cap)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dense_lowest_checks_its_own_input(self, kind):
+        h, row = poisoned(kind, dim=40)
+        for op in (h, h.toarray()):
+            with pytest.raises(ParameterError, match=f"in row {row} is not finite"):
+                dense_lowest(op, 2)
+
+    @pytest.mark.parametrize("kind", KINDS + ["nan_pair_across"])
+    @pytest.mark.parametrize("case", ["minimal", "w1"])  # charge-0 sectors of 36 states (dense), 1 120 (blocks)
+    def test_sector_minima_rejects_them(self, kind, case):
+        params = {"minimal": minimal_params, "w1": w1_params}[case]()
+        model = build_model(params)
+        charge = model.basis.charge()
+        inside, outside = np.flatnonzero(charge == 0), np.flatnonzero(charge != 0)
+        h = model.hamiltonian().tolil()
+        a, b = inside[0], inside[-1]
+        if kind == "nan_pair_across":
+            b = outside[0]
+        if kind in ("nan_pair", "nan_pair_across"):
+            h[a, b] = h[b, a] = np.nan
+        else:
+            h[a, a] = np.inf if kind == "inf_diagonal" else np.nan
+        with pytest.raises(ParameterError, match="not finite|non-finite"):
+            sector_minima(h.tocsr(), model.basis, 0, label="charge")
 
 
 class TestPerturbationBound:
