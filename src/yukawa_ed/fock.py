@@ -151,8 +151,9 @@ class FockBasis:
         n = fermion_lattice.n_points
         b_bits = (1 << (2 * n)) - 1          # families 0,1 occupy the low 2n bits
         d_bits = ((1 << (4 * n)) - 1) ^ b_bits
-        self._fermion_number_mask = np.bitwise_count(masks)
-        self._charge_mask = (
+        # fermion number and charge of each mask; the per-state labels repeat them
+        self.mask_fermion_number = np.bitwise_count(masks)
+        self.mask_charge = (
             np.bitwise_count(masks & b_bits).astype(np.int64)
             - np.bitwise_count(masks & d_bits).astype(np.int64)
         )
@@ -175,11 +176,11 @@ class FockBasis:
 
     def fermion_number(self) -> np.ndarray:
         """Total fermion occupation (particles + antiparticles) per basis state."""
-        return np.repeat(self._fermion_number_mask, self.boson_dim)
+        return np.repeat(self.mask_fermion_number, self.boson_dim)
 
     def charge(self) -> np.ndarray:
         """Particle minus antiparticle number per basis state (conserved by the coupling)."""
-        return np.repeat(self._charge_mask, self.boson_dim)
+        return np.repeat(self.mask_charge, self.boson_dim)
 
 
 def enumerate_basis(

@@ -24,7 +24,9 @@ for hermiticity per ladder) and never assembles the full space.
 ``assemble_interaction`` writes the CSR of sum_r F_r (x) B_r from them in
 one pass when it is needed: ``Model.h_int`` on first access, and
 ``Model.hamiltonian(kappa)`` with the coupling and the free diagonal merged
-in, without ``h_int``.
+in, without ``h_int``.  It works in chunks of at most ``CHUNK_ENTRIES``
+entries per scratch array, so its scratch is bounded by that budget and its
+largest row group, not by the operator it writes.
 
 The ladder, number and identity operators are real, so the F_r alone decide
 the field: ``ladder_factors`` keeps them float64 when their summed
@@ -49,7 +51,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,6 +100,19 @@ BILINEAR_FACTORS = {
 }
 FERMION_KINDS = tuple(BILINEAR_FACTORS)
 BOSON_KINDS = ("a", "a*")
+# entries one chunk's scratch arrays may hold: the assembly's tables and the
+# solver's reads of stored entries
+CHUNK_ENTRIES = 1 << 18
+
+
+def chunks(ends: np.ndarray, budget: int) -> Iterator[Tuple[int, int]]:
+    """Consecutive item ranges [start, stop) whose entries ends[start]:ends[stop] number at most
+    ``budget``; an item with more is a chunk of its own.  ``ends`` is nondecreasing, like ``indptr``."""
+    start = 0
+    while start < len(ends) - 1:
+        stop = max(start + 1, int(np.searchsorted(ends, int(ends[start]) + budget, "right")) - 1)
+        yield start, stop
+        start = stop
 
 
 @dataclass(frozen=True)
@@ -350,9 +365,10 @@ def ladder_factors(terms: np.recarray, basis: FockBasis) -> Dict[Ladder, sp.csr_
     return factors
 
 
-def _union_values(factors: Dict[Ladder, sp.csr_matrix], n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _union_values(factors: Dict[Ladder, sp.csr_matrix], n: int) -> Tuple[np.ndarray, np.ndarray, list]:
     """The union U of the factor patterns as CSR (indptr, indices), and every
-    factor's values on U (zero where it has no entry), one column each."""
+    factor's values on U (zero where it has no entry): its own ``data`` when
+    every factor has the pattern U."""
     mats = [sp.csr_matrix(f_r) for f_r in factors.values()]
     for m in mats:
         m.sum_duplicates()
@@ -360,17 +376,14 @@ def _union_values(factors: Dict[Ladder, sp.csr_matrix], n: int) -> Tuple[np.ndar
     # ladder_factors gives every factor one pattern, except where a wide spatial
     # cutoff prunes off-balance terms (3 patterns among the 4 two-point factors at sigma = 3)
     if all(np.array_equal(m.indptr, first.indptr) and np.array_equal(m.indices, first.indices) for m in mats):
-        u_ptr, u_col, where = first.indptr, first.indices, [slice(None)] * len(mats)
-    else:
-        keys = [np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(m.indptr)) + m.indices for m in mats]
-        union = np.unique(np.concatenate(keys))
-        where = [np.searchsorted(union, key) for key in keys]
-        u_row, u_col = np.divmod(union, n)
-        u_ptr = np.searchsorted(u_row, np.arange(n + 1))
-    values = np.zeros((len(u_col), len(mats)), np.result_type(float, *(m.dtype for m in mats)))
-    for r, (m, at) in enumerate(zip(mats, where)):
-        values[at, r] = m.data
-    return u_ptr, u_col, values
+        return first.indptr, first.indices, [m.data for m in mats]
+    keys = [np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(m.indptr)) + m.indices for m in mats]
+    union = np.unique(np.concatenate(keys))
+    u_row, u_col = np.divmod(union, n)
+    values = [np.zeros(len(union), m.dtype) for m in mats]
+    for value, m, key in zip(values, mats, keys):
+        value[np.searchsorted(union, key)] = m.data
+    return np.searchsorted(u_row, np.arange(n + 1)), u_col, values
 
 
 def _boson_slots(factors: Dict[Ladder, sp.csr_matrix], basis: FockBasis) -> Tuple[np.ndarray, ...]:
@@ -386,29 +399,56 @@ def _boson_slots(factors: Dict[Ladder, sp.csr_matrix], basis: FockBasis) -> Tupl
     return row[order], col[order], value[order], ladder[order]
 
 
-def _gather_templates(
-    u: np.ndarray, below: np.ndarray, on: np.ndarray, s_len: np.ndarray, s_col: np.ndarray, s_pair: np.ndarray,
-    n_pairs: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gather indices of each kind of row group, back to back.
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integers starts[k] + arange(lengths[k]), back to back."""
+    out = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    out += np.arange(out.size)
+    return out
+
+
+def _template_table(top: int, s_len: np.ndarray, s_col: np.ndarray, s_pair: np.ndarray,
+                    n_pairs: int) -> np.ndarray:
+    """The gather indices of a row group with |U_i| = ``top`` and no diagonal entry, each with a final 0.
 
     A row group with |U_i| = u reads its u x pairs products and its u x n_b
-    columns.  Its entries run in (beta, j, gamma) order: block (kind, beta)
-    holds u * S_beta entries; where ``on``, a placeholder for the diagonal
-    entry goes after the first ``below`` of them.
+    columns.  Its entries run in (beta, j, gamma) order: block beta holds
+    u * S_beta entries, j over U_i, gamma over the slots of beta.  Row 0
+    indexes the products, row 1 the columns.
     """
-    s_ptr = np.concatenate(([0], np.cumsum(s_len)))
-    block = np.outer(u, s_len).ravel()
-    block_start = np.cumsum(block) - block
-    of = np.repeat(np.arange(block.size), block)
-    beta = of % len(s_len)
-    p, s = np.divmod(np.arange(of.size) - block_start[of], s_len[beta])
-    slot = s_ptr[beta] + s
-    at = (block_start + below.ravel())[on.ravel()]
-    take_values = np.insert(p * n_pairs + s_pair[slot], at, 0)
-    take_columns = np.insert(p * len(s_len) + s_col[slot], at, 0)
-    widths = block.reshape(on.shape).sum(axis=1) + on.sum(axis=1)
-    return take_values, take_columns, np.concatenate(([0], np.cumsum(widths)))
+    n_b, length = len(s_len), np.repeat(s_len, top)  # of the run (beta, j)
+    j = np.repeat(np.tile(np.arange(top), n_b), length)
+    slot = _runs(np.repeat(np.cumsum(s_len) - s_len, top), length)
+    table = np.zeros((2, len(slot) + 1), int)
+    for row, (stride, target) in enumerate(((n_pairs, s_pair), (n_b, s_col))):
+        np.take(target, slot, out=table[row, :-1])
+        table[row, :-1] += j * stride
+    return table
+
+
+def _gather_templates(
+    table: np.ndarray, top: int, u: np.ndarray, below: np.ndarray, on: np.ndarray,
+    s_len: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gather indices of each kind of row group, back to back, cut from ``_template_table(top)``.
+
+    Block (kind, beta) is the first u * S_beta entries of the table's block
+    beta, since j runs slowest in a block; where ``on``, a placeholder for
+    the diagonal entry (the table's final 0) goes after the first ``below``
+    of them.  So each block is three runs of the table.
+    """
+    begin = top * np.concatenate(([0], np.cumsum(s_len[:-1])))  # of each table block
+    size = np.outer(u, s_len)
+    split = np.where(on, below, size)
+    starts = np.stack(np.broadcast_arrays(begin, table.shape[1] - 1, begin + split), axis=-1).ravel()
+    take = _runs(starts, np.stack((split, on, size - split), axis=-1).ravel())
+    widths = size.sum(axis=1) + on.sum(axis=1)
+    return table[0][take], table[1][take], np.concatenate(([0], np.cumsum(widths)))
+
+
+def _on_diagonal(diagonal: Optional[np.ndarray], start: int, stop: int, n_b: int) -> np.ndarray:
+    """Which states start:stop have a diagonal entry, one row of ``n_b`` per mask row."""
+    on = np.zeros(stop - start, bool) if diagonal is None else diagonal[start:stop] != 0
+    return on.reshape(-1, n_b)
 
 
 def assemble_interaction(
@@ -428,73 +468,129 @@ def assemble_interaction(
     most one entry and none on the diagonal.  With U the union of the factor
     patterns, row (i, beta) is therefore (j in U_i) x (the slots of beta,
     sorted by target), which fixes the sorted layout before any value
-    exists.  ``data`` and ``indices`` are allocated once; the rows (i, beta)
-    of mask row i are written by two gathers, from U_i times each distinct
-    (ladder, slot value) product and from U_i's columns, through templates
-    shared by every mask row of the same kind (|U_i|, diagonal position,
-    diagonal pattern), and the diagonal by one scatter.  Entries that come
-    out zero (a factor without an entry of U, explicit zeros) are dropped last.
+    exists: nnz is |U| * nnz(B) plus the diagonal's nonzeros, and
+    ``indptr``, ``data`` and ``indices`` are allocated once.  The rows
+    (i, beta) of mask row i are written by two gathers, from U_i times each
+    distinct (ladder, slot value) product and from U_i's columns, through
+    templates shared by every mask row of the same kind (|U_i|, diagonal
+    position, diagonal pattern), and the diagonal by a scatter.
+
+    Every pass works in chunks whose scratch arrays hold at most
+    ``CHUNK_ENTRIES`` entries each, a larger item being a chunk of its own:
+    ``indptr`` and the diagonal in chunks of mask rows, the templates for
+    runs of kinds, and the two gather tables for runs of the row groups of
+    those kinds, in kind order.  Entries that come out zero (a factor
+    without an entry of U, explicit zeros) are dropped last, in place.  So
+    the scratch beyond the result is bounded by the budget and the largest
+    row group, plus arrays of one entry per mask row or per entry of U or B;
+    a small model is one chunk of each.
     """
     n_f, n_b = basis.fermion_dim, basis.boson_dim
     u_ptr, u_col, values = _union_values(factors, n_f)
     u_len = np.diff(u_ptr)
     u_row = np.repeat(np.arange(n_f), u_len)
 
-    # slot t of a boson row reads column s_pair[t] of ``products``: one column
-    # per distinct (ladder, value), F * b then * coupling, as a sparse product has it
+    # slot t of a boson row reads column s_pair[t] of a chunk's ``products``: one
+    # column per distinct (ladder, value), F * b then * coupling, as a sparse product has it
     s_row, s_col, s_val, s_ladder = _boson_slots(factors, basis)
     s_len = np.bincount(s_row, minlength=n_b)
     b_values, b_of = np.unique(s_val, return_inverse=True)
     pairs, s_pair = np.unique(s_ladder * len(b_values) + b_of, return_inverse=True)
-    products = values[:, pairs // len(b_values)] * b_values[pairs % len(b_values)]
-    if coupling is not None:
-        products *= coupling
-    products += 0  # signed zeros read +0.0, as after a sparse sum
+    pair_ladder, pair_value = (pairs // len(b_values)).tolist(), b_values[pairs % len(b_values)]
 
-    diagonal = np.zeros(basis.dim) if diagonal is None else diagonal + 0
-    keep = (diagonal != 0).reshape(n_f, n_b)
-    # the diagonal entry of row (i, beta) follows the entries (j, gamma) with
-    # j < i, or j == i and gamma < beta
-    lt = np.bincount(u_row[u_col < u_row], minlength=n_f) * keep.any(axis=1)
-    eq = np.bincount(u_row[u_col == u_row], minlength=n_f) * keep.any(axis=1)
-    below = np.outer(lt, s_len) + np.outer(eq, np.bincount(s_row[s_col < s_row], minlength=n_b))
-    row_len = np.outer(u_len, s_len) + keep
-    nnz = int(row_len.sum())
+    # mask-row chunks of the state space: the row pointer, then the diagonal
+    state_chunks = list(chunks(np.arange(n_f + 1) * n_b, CHUNK_ENTRIES))
+    nnz = len(u_col) * len(s_row) + (0 if diagonal is None else int(np.count_nonzero(diagonal)))
     index = np.int32 if max(nnz, basis.dim) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(basis.dim + 1, index)
-    np.cumsum(row_len, out=indptr[1:])
-    data = np.empty(nnz, np.result_type(products.dtype, diagonal.dtype))
+    dtype = np.result_type(s_val.dtype, *(v.dtype for v in values), float if diagonal is None else diagonal.dtype)
+    data = np.empty(nnz, dtype)
     indices = np.empty(nnz, index)
+    some, every = np.zeros(n_f, bool), np.zeros(n_f, bool)  # of each mask row's states on the diagonal
+    for m0, m1 in state_chunks:
+        s0, s1 = m0 * n_b, m1 * n_b
+        on = _on_diagonal(diagonal, s0, s1, n_b)
+        some[m0:m1], every[m0:m1] = on.any(axis=1), on.all(axis=1)
+        np.cumsum(np.outer(u_len[m0:m1], s_len) + on, out=indptr[s0 + 1:s1 + 1])
+        indptr[s0 + 1:s1 + 1] += indptr[s0]
 
+    # the diagonal entry of row (i, beta) follows the entries (j, gamma) with
+    # j < i, or j == i and gamma < beta
+    lt = np.bincount(u_row[u_col < u_row], minlength=n_f) * some
+    eq = np.bincount(u_row[u_col == u_row], minlength=n_f) * some
+    s_below = np.bincount(s_row[s_col < s_row], minlength=n_b)
     # a kind's diagonal pattern is all or none of its rows; any other is its own kind
-    pattern = np.where(keep.all(axis=1), 0, np.where(keep.any(axis=1), 2 + np.arange(n_f), 1))
+    pattern = np.where(every, 0, np.where(some, 2 + np.arange(n_f), 1))
     _, first, kind_of = np.unique(((pattern * (n_f + 1) + u_len) * (n_f + 1) + lt) * 2 + eq,
                                   return_index=True, return_inverse=True)
-    take_values, take_columns, template_start = _gather_templates(
-        u_len[first], below[first], keep[first], s_len, s_col, s_pair, len(pairs))
-    products = products.ravel()
-    columns = np.add.outer(u_col.astype(index) * n_b, np.arange(n_b, dtype=index)).ravel()
-    starts = indptr[::n_b]
+    on_first = np.zeros((len(first), n_b), bool) if diagonal is None else diagonal.reshape(n_f, n_b)[first] != 0
+    below_first = np.outer(lt[first], s_len) + np.outer(eq[first], s_below)
+    widths = u_len[first] * len(s_row) + on_first.sum(axis=1)
     order = np.argsort(kind_of, kind="stable")
-    bounds = np.searchsorted(kind_of[order], np.arange(len(first) + 1))
-    # row groups of one kind run back to back, so their templates stay in cache
-    for kind, (t0, t1) in enumerate(zip(template_start[:-1].tolist(), template_start[1:].tolist())):
-        rows = order[bounds[kind]:bounds[kind + 1]]
-        if u_len[rows[0]] == 0:  # diagonal entries only
-            continue
-        take_v, take_c, width = take_values[t0:t1], take_columns[t0:t1], t1 - t0
-        # mode="clip": under the default mode numpy buffers ``out``
-        for lo, a in zip(starts[rows].tolist(), u_ptr[rows].tolist()):
-            np.take(products[a * len(pairs):], take_v, out=data[lo:lo + width], mode="clip")
-            np.take(columns[a * n_b:], take_c, out=indices[lo:lo + width], mode="clip")
-    at = indptr[:-1][keep.ravel()] + below.ravel()[keep.ravel()]
-    data[at] = diagonal[keep.ravel()]
-    indices[at] = np.flatnonzero(keep)
-    if not products.all():
-        kept = data != 0
-        indptr = np.concatenate(([0], np.cumsum(kept)))[indptr].astype(index)
-        data, indices = data[kept], indices[kept]
+    kind_start = np.searchsorted(kind_of[order], np.arange(len(first) + 1))
+    top = int(u_len.max(initial=0))
+    table = _template_table(top, s_len, s_col, s_pair, len(pairs))
+    starts = indptr[::n_b]  # of each row group
+    pruned = False
+    # the templates of a run of kinds, at most CHUNK_ENTRIES entries (or one kind)
+    for k0, k1 in chunks(np.concatenate(([0], np.cumsum(widths))), CHUNK_ENTRIES):
+        take_values, take_columns, template_start = _gather_templates(
+            table, top, u_len[first[k0:k1]], below_first[k0:k1], on_first[k0:k1], s_len)
+        group = order[kind_start[k0]:kind_start[k1]]
+        # the group's row groups, in kind order, in chunks whose tables hold at most CHUNK_ENTRIES entries
+        for c0, c1 in chunks(np.concatenate(([0], np.cumsum(u_len[group]))) * max(n_b, len(pairs)), CHUNK_ENTRIES):
+            rows = group[c0:c1]
+            lens = u_len[rows]
+            offsets = np.cumsum(lens) - lens  # of each row group in the chunk's tables
+            u = _runs(u_ptr[rows], lens)
+            products = np.zeros((len(u), 0)) if not pair_ladder else np.stack([values[r][u] for r in pair_ladder], -1)
+            products *= pair_value
+            if coupling is not None:
+                products *= coupling
+            products += 0  # signed zeros read +0.0, as after a sparse sum
+            pruned = pruned or not products.all()
+            products = products.ravel()
+            columns = np.add.outer(u_col[u].astype(index) * n_b, np.arange(n_b, dtype=index)).ravel()
+            kinds = kind_of[rows]
+            cuts = (np.flatnonzero(np.diff(kinds)) + 1).tolist()
+            for r0, r1 in zip([0] + cuts, cuts + [len(rows)]):  # the runs of one kind
+                if lens[r0] == 0:  # diagonal entries only
+                    continue
+                t0, t1 = template_start[kinds[r0] - k0: kinds[r0] - k0 + 2].tolist()
+                take_v, take_c, width = take_values[t0:t1], take_columns[t0:t1], t1 - t0
+                # mode="clip": under the default mode numpy buffers ``out``
+                for lo, a in zip(starts[rows[r0:r1]].tolist(), offsets[r0:r1].tolist()):
+                    np.take(products[a * len(pairs):], take_v, out=data[lo:lo + width], mode="clip")
+                    np.take(columns[a * n_b:], take_c, out=indices[lo:lo + width], mode="clip")
+
+    for m0, m1 in state_chunks if diagonal is not None else ():
+        s0, s1 = m0 * n_b, m1 * n_b
+        on = _on_diagonal(diagonal, s0, s1, n_b)
+        at = indptr[s0:s1][on.ravel()] + (np.outer(lt[m0:m1], s_len) + np.outer(eq[m0:m1], s_below))[on]
+        data[at] = diagonal[s0:s1][on.ravel()]
+        indices[at] = s0 + np.flatnonzero(on)
+    if pruned:
+        _drop_zeros(data, indices, indptr)
+        data.resize(indptr[-1], refcheck=False)  # no view of either array is left
+        indices.resize(indptr[-1], refcheck=False)
     return sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
+
+
+def _drop_zeros(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> None:
+    """Move the nonzero entries of a CSR to the front of its arrays, in place, and fix ``indptr``.
+
+    Reads the rows in chunks of at most ``CHUNK_ENTRIES`` stored entries; the
+    write position never passes the read position.
+    """
+    spans, lo, end = list(chunks(indptr, CHUNK_ENTRIES)), 0, 0
+    for r0, r1 in spans:
+        hi = int(indptr[r1])
+        kept = data[lo:hi] != 0
+        count = np.concatenate(([0], np.cumsum(kept)))
+        indptr[r0 + 1:r1 + 1] = end + count[indptr[r0 + 1:r1 + 1] - lo]
+        data[end:end + count[-1]] = data[lo:hi][kept]
+        indices[end:end + count[-1]] = indices[lo:hi][kept]
+        lo, end = hi, end + int(count[-1])
 
 
 def hermiticity_defect(mat: sp.spmatrix) -> float:

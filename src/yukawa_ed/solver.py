@@ -20,10 +20,11 @@ reaches the k-th value merged so far; a Lanczos block stops once an
 accepted round lies above it.  A single state's bound and dense solve are
 both its diagonal entry, so the block route reads a diagonal matrix (the
 free Hamiltonian above the cap) off exactly.  The search reads the matrix
-once, in chunks of whole rows of at most ``SWEEP_ENTRIES`` stored entries,
-for the components' closure test and the Gershgorin row sums, so its
-scratch does not grow with nnz.  Both routes reject a non-finite entry
-with ``ParameterError``, naming its row.
+once, in chunks of whole rows of at most ``hamiltonian.CHUNK_ENTRIES``
+stored entries, for the components' closure test and the Gershgorin row
+sums, so its scratch does not grow with nnz.  Every route reads its matrix
+through ``_as_operator``, which rejects a non-finite entry with
+``ParameterError``, naming its row.
 
 Lanczos restarts in the orthogonal complement of converged eigenvectors, so
 degenerate levels keep their multiplicities and the routes can be compared
@@ -50,7 +51,7 @@ import scipy.sparse as sp
 
 from .errors import CapacityError, ConvergenceError, ParameterError
 from .fock import FockBasis
-from .hamiltonian import ModelParams, build_model
+from .hamiltonian import CHUNK_ENTRIES, ModelParams, build_model, chunks
 
 # dense route at or below this dimension, invariant blocks above (measured break-even)
 DEFAULT_DENSE_CAP = 680
@@ -66,8 +67,6 @@ SEMI_ORTHOGONAL = math.sqrt(EPS)
 # SpectralResult fields that say how a solve went (route and work done)
 SOLVE_STATS = ("method", "iterations", "matvecs", "reorthogonalizations", "blocks", "blocks_solved")
 LANCZOS_WORK = ("iterations", "matvecs", "reorthogonalizations")
-# stored entries the block search reads at a time; a chunk holds whole rows
-SWEEP_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -105,9 +104,26 @@ class SpectralResult:
 
 
 def _as_operator(h):
-    """CSR or ndarray of ``h`` in its own dtype (float64 for integer input)."""
+    """CSR or ndarray of ``h`` in its own dtype (float64 for integer input).
+
+    Raises ``ParameterError`` naming the row of the first non-finite stored
+    entry.  The entries are summed first; only a sum that is not finite (a
+    non-finite entry, or finite ones that overflow) is followed by a search,
+    in chunks of at most ``CHUNK_ENTRIES`` entries of whole rows.
+    """
     h = h.tocsr() if sp.issparse(h) else np.asarray(h)
-    return h if np.iscomplexobj(h) else h.astype(float, copy=False)
+    h = h if np.iscomplexobj(h) else h.astype(float, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = (h.data if sp.issparse(h) else h).sum()
+    if not np.isfinite(total):
+        ends = h.indptr if sp.issparse(h) else np.arange(h.shape[0] + 1) * h.shape[1]
+        for start, stop in chunks(ends, CHUNK_ENTRIES):
+            entries = h.data[ends[start]:ends[stop]] if sp.issparse(h) else h[start:stop].ravel()
+            bad = np.flatnonzero(~np.isfinite(entries))
+            if bad.size:
+                row = np.searchsorted(ends, int(ends[start]) + bad[0], "right") - 1
+                raise ParameterError(f"matrix entry {entries[bad[0]]} in row {row} is not finite")
+    return h
 
 
 def _check_dense(what: str, dim: int, cap: int) -> None:
@@ -115,15 +131,8 @@ def _check_dense(what: str, dim: int, cap: int) -> None:
         raise CapacityError(f"{what} of dimension {dim} exceeds cap {cap}", projected=dim, cap=cap)
 
 
-def _non_finite(value, row) -> ParameterError:
-    return ParameterError(f"matrix entry {value} in row {row} is not finite")
-
-
 def dense_lowest(h, k: int, dense_cap: int = ORACLE_DENSE_CAP) -> SpectralResult:
-    """Lowest ``k`` eigenpairs by LAPACK's subset driver; the oracle route under the cap.
-
-    Raises ``ParameterError`` naming the row of a non-finite entry.
-    """
+    """Lowest ``k`` eigenpairs by LAPACK's subset driver; the oracle route under the cap."""
     dim = h.shape[0]
     _check_dense("dense diagonalization", dim, dense_cap)
     if k < 1:
@@ -131,9 +140,6 @@ def dense_lowest(h, k: int, dense_cap: int = ORACLE_DENSE_CAP) -> SpectralResult
     k = min(k, dim)
     h = _as_operator(h)
     dense = h.toarray() if sp.issparse(h) else h
-    if not np.isfinite(dense).all():
-        row, col = np.argwhere(~np.isfinite(dense))[0]
-        raise _non_finite(dense[row, col], row)
     vals, vecs = sla.eigh(dense, subset_by_index=[0, k - 1])
     ground = vecs[:, 0]
     residual = float(np.linalg.norm(dense @ ground - vals[0] * ground))
@@ -368,26 +374,17 @@ def lanczos_lowest(
 def _sweep(h: sp.csr_matrix, labels: np.ndarray) -> Tuple[bool, np.ndarray]:
     """Whether every stored entry of ``h`` stays in its row's label, and each row's sum of |h_ij|.
 
-    Reads the rows in chunks of at most ``SWEEP_ENTRIES`` stored entries (a
+    Reads the rows in chunks of at most ``CHUNK_ENTRIES`` stored entries (a
     longer row is a chunk of its own), so the scratch does not grow with
-    nnz.  Raises ``ParameterError`` at the first non-finite entry.
+    nnz.
     """
-    dim, indptr = h.shape[0], h.indptr
-    closed, row_sums, start = True, np.zeros(dim), 0
-    while start < dim:
-        stop = max(start + 1, int(np.searchsorted(indptr, int(indptr[start]) + SWEEP_ENTRIES, "right")) - 1)
+    indptr, closed, row_sums = h.indptr, True, np.zeros(h.shape[0])
+    for start, stop in chunks(indptr, CHUNK_ENTRIES):
         lo, hi = indptr[start], indptr[stop]
-        absolute = np.abs(h.data[lo:hi])
         counts = np.diff(indptr[start : stop + 1])
         filled = np.flatnonzero(counts)  # reduceat from one filled row's start to the next sums that row
-        sums = np.add.reduceat(absolute, indptr[start + filled] - lo)
-        row_sums[start + filled] = sums
-        if not np.isfinite(sums).all():  # a non-finite entry, or finite ones that overflow
-            bad = np.flatnonzero(~np.isfinite(absolute))
-            if bad.size:
-                raise _non_finite(h.data[lo + bad[0]], np.searchsorted(indptr, lo + bad[0], "right") - 1)
+        row_sums[start + filled] = np.add.reduceat(np.abs(h.data[lo:hi]), indptr[start + filled] - lo)
         closed = closed and np.array_equal(np.take(labels, h.indices[lo:hi]), np.repeat(labels[start:stop], counts))
-        start = stop
     return closed, row_sums
 
 
@@ -405,8 +402,7 @@ def solve_lowest(
     Hermitian pattern the connected ones, found without a transpose), or
     the weak ones when an entry stored on one side only joins two strong
     components.  One chunked sweep over the rows (``_sweep``) makes that
-    test and sums each row's |h_ij| for the floors; it raises
-    ``ParameterError`` at the first non-finite entry.  Each block is cut
+    test and sums each row's |h_ij| for the floors.  Each block is cut
     from ``h`` by its rows, whose columns stay inside it, and solved densely
     up to the cap, by Lanczos above it.  Once ``k`` values are merged, a
     Lanczos block is asked only for as many pairs as merged values lie
@@ -492,29 +488,51 @@ def sector_minima(
 ) -> SectorResult:
     """Lowest energy in the sector with label value ``n``.
 
-    Also measures how strongly the Hamiltonian couples the sector to its
-    complement; a sector that is mixed beyond ``INVARIANCE_TOL`` has no
-    well-defined restricted minimum and is reported with ``energy=None``.
-    A non-finite entry in the sector's rows raises ``ParameterError``.
+    The sector is the boson blocks of the fermion masks with that label, read
+    off the per-mask labels of ``basis``.  Its rows are cut from ``h`` once
+    and their columns renumbered in place.  An entry whose column leaves the
+    sector is measured, never renumbered: the largest is ``mixing``, how
+    strongly the Hamiltonian couples the sector to its complement.  A sector
+    mixed beyond ``INVARIANCE_TOL`` has no well-defined restricted minimum
+    and is reported with ``energy=None``; otherwise those entries (stored
+    zeros among them) are dropped and ``solve_lowest`` solves the rest, the
+    matrix ``h[inside][:, inside]``.  A non-finite entry in the sector's rows
+    raises ``ParameterError``.
     """
     if h.shape != (basis.dim, basis.dim):
         raise ParameterError(f"matrix of shape {h.shape} does not act on the basis of dimension {basis.dim}")
     if label not in ("charge", "number"):
         raise ParameterError(f"unknown sector label {label!r}")
-    labels = basis.charge() if label == "charge" else basis.fermion_number()
-    inside = np.flatnonzero(labels == n)
-    if inside.size == 0:
+    n_b = basis.boson_dim
+    masks = np.flatnonzero((basis.mask_charge if label == "charge" else basis.mask_fermion_number) == n)
+    if masks.size == 0:
         raise ParameterError(f"no basis states with {label} = {n}")
-    rows = sp.csr_matrix(h)[inside]
-    mixing = float(np.max(np.abs(rows.data[labels[rows.indices] != n]), initial=0.0))
+    dim = masks.size * n_b
+    rows = sp.csr_matrix(h)[(masks[:, None] * n_b + np.arange(n_b)).ravel()]  # a copy: renumbered in place
+    position = np.full(basis.fermion_dim, -1, rows.indices.dtype)  # of each mask in the sector, -1 outside
+    position[masks] = np.arange(masks.size)
+    column = position[rows.indices // n_b]
+    leaves = column < 0
+    mixing = float(np.max(np.abs(rows.data[leaves]), initial=0.0))
     if not math.isfinite(mixing):
         raise ParameterError(f"a non-finite entry couples the {label} = {n} sector to its complement")
     invariant = mixing <= INVARIANCE_TOL
-    energy = solve_lowest(rows[:, inside], 1, seed=seed).ground_energy if invariant else None
+    energy = None
+    if invariant:
+        column *= n_b
+        column += rows.indices % n_b
+        data, indices, indptr = rows.data, rows.indices, rows.indptr
+        if leaves.any():  # entries of at most INVARIANCE_TOL, or stored zeros: dropped, never renumbered
+            kept = ~leaves
+            data, indices = data[kept], column[kept]
+            indptr = np.concatenate(([0], np.cumsum(kept)))[indptr].astype(indptr.dtype)
+        else:
+            indices[...] = column
+        energy = solve_lowest(sp.csr_matrix((data, indices, indptr), shape=(dim, dim)), 1, seed=seed).ground_energy
     return SectorResult(
         label=label,
         value=int(n),
-        dimension=int(inside.size),
+        dimension=dim,
         invariant=invariant,
         mixing=mixing,
         energy=energy,

@@ -430,6 +430,19 @@ def assert_bitwise_equal(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def mixed_pattern_factors(model):
+    """The model's factors with four different patterns: one thinned, one grown, one emptied."""
+    factors = dict(model.factors)
+    thinned, grown, emptied = list(factors)[:3]
+    f_r = factors[thinned].tocoo()
+    factors[thinned] = sp.csr_matrix((f_r.data[::2], (f_r.row[::2], f_r.col[::2])), shape=f_r.shape)
+    factors[grown] = factors[grown] + 0.25 * sp.eye(f_r.shape[0], format="csr")
+    factors[emptied] = sp.csr_matrix(f_r.shape)
+    patterns = {(f.nnz, f.indices.tobytes()) for f in factors.values()}
+    assert len(patterns) == 4
+    return factors
+
+
 KERNEL_MODELS = {
     "minimal": minimal_params(),
     "w1": two_point_params(coupling=0.5, n_max=3, total_boson_cap=6),
@@ -447,6 +460,10 @@ KERNEL_MODELS = {
     "no_terms": minimal_params(coupling=0.0, chi_dirac=CutoffProfile.zero()),
 }
 
+# the kernel's chunked passes: every kernel model, factors of four patterns, and a pruned model
+CHUNK_CASES = dict(KERNEL_MODELS, mixed_patterns=KERNEL_MODELS["w1"],
+                   pruned_3=two_point_params(chi_spatial=CutoffProfile.gaussian(3.0)))
+
 
 class TestAssemblyKernel:
     @pytest.mark.parametrize("name", list(KERNEL_MODELS))
@@ -458,14 +475,7 @@ class TestAssemblyKernel:
 
     def test_kernel_on_factors_with_different_patterns(self):
         model = build_model(KERNEL_MODELS["w1"])
-        factors = dict(model.factors)
-        thinned, grown, emptied = list(factors)[:3]
-        f_r = factors[thinned].tocoo()
-        factors[thinned] = sp.csr_matrix((f_r.data[::2], (f_r.row[::2], f_r.col[::2])), shape=f_r.shape)
-        factors[grown] = factors[grown] + 0.25 * sp.eye(f_r.shape[0], format="csr")
-        factors[emptied] = sp.csr_matrix(f_r.shape)
-        patterns = {(f.nnz, f.indices.tobytes()) for f in factors.values()}
-        assert len(patterns) == 4
+        factors = mixed_pattern_factors(model)
         got = assemble_interaction(factors, model.basis)
         assert_bitwise_equal(got, kron_sum_oracle(factors, model.basis))
         diagonal = model.h_free.diagonal()
@@ -503,6 +513,59 @@ class TestAssemblyKernel:
         assert len(calls) == 2
         monkeypatch.setattr(sp, "kron", kron)
         assert_bitwise_equal(model.h_int, kron_sum_oracle(model.factors, model.basis))
+
+    @pytest.mark.parametrize("name", list(CHUNK_CASES))
+    @pytest.mark.parametrize("budget", [1, 7, 300])
+    def test_small_budgets_match_kron_sum_bitwise(self, name, budget, monkeypatch):
+        model = build_model(CHUNK_CASES[name])
+        factors = mixed_pattern_factors(model) if name == "mixed_patterns" else model.factors
+        want = kron_sum_oracle(factors, model.basis)
+        want_h = (model.h_free + 0.5 * want).tocsr()
+        union = sp.csr_matrix(sum(abs(f) for f in factors.values()) if factors else (1, 1))
+        if name == "pruned_3":  # the union of the factor patterns holds entries that come out zero
+            assert want.nnz < union.nnz * 2 * len(model.basis.boson_lowering[0])
+        assert name == "no_terms" or np.diff(union.indptr).max() * model.basis.boson_dim > 1  # a row group's table
+        monkeypatch.setattr(hamiltonian, "CHUNK_ENTRIES", budget)
+        assert_bitwise_equal(assemble_interaction(factors, model.basis), want)
+        assert_bitwise_equal(assemble_interaction(factors, model.basis, 0.5, model.h_free.diagonal()), want_h)
+
+    def test_small_model_is_one_chunk_of_each_pass(self, monkeypatch):
+        spans, chunks = [], hamiltonian.chunks
+
+        def recorded(ends, budget):
+            spans.append(list(chunks(ends, budget)))
+            return iter(spans[-1])
+
+        monkeypatch.setattr(hamiltonian, "chunks", recorded)
+        model = build_model(KERNEL_MODELS["w1"])
+        model.hamiltonian()
+        assert spans and all(len(ranges) == 1 for ranges in spans)
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_scratch_does_not_grow_with_the_operator(self, diagonal, monkeypatch):
+        """Same masks, a six times larger operator: the traced peak above the result barely moves.
+
+        Only the templates of the largest row group grow with the boson block;
+        the tables sized by the whole operator are gone.
+        """
+        import tracemalloc
+
+        # both operators span many chunks at this budget (raising=False: a kernel without one is measured as is)
+        monkeypatch.setattr(hamiltonian, "CHUNK_ENTRIES", 1 << 10, raising=False)
+        extra, result = [], []
+        for n_max in (3, 8):
+            model = build_model(two_point_params(coupling=0.5, n_max=n_max, total_boson_cap=2 * n_max))
+            args = (0.5, model.h_free.diagonal()) if diagonal else ()
+            tracemalloc.start()
+            try:
+                h = assemble_interaction(model.factors, model.basis, *args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            result.append(h.data.nbytes + h.indices.nbytes + h.indptr.nbytes)
+            extra.append(peak - result[-1])
+        assert result[1] > 5 * result[0]
+        assert extra[1] - extra[0] < 0.05 * (result[1] - result[0])
 
     def test_corrupted_factor_is_rejected_by_build_model(self, monkeypatch):
         build_factors = hamiltonian.ladder_factors

@@ -589,11 +589,11 @@ class TestChunkedSweep:
         import yukawa_ed.solver as solver_mod
 
         h, k, kwargs, budgets = sweep_case(name)
-        assert h.nnz <= solver_mod.SWEEP_ENTRIES  # one chunk at the default budget
+        assert h.nnz <= solver_mod.CHUNK_ENTRIES  # one chunk at the default budget
         default = solve_lowest(h, k, **kwargs)
         assert default.method == "blocks"
         for budget in budgets:
-            monkeypatch.setattr(solver_mod, "SWEEP_ENTRIES", budget)
+            monkeypatch.setattr(solver_mod, "CHUNK_ENTRIES", budget)
             assert_same_solve(solve_lowest(h, k, **kwargs), default)
 
     def test_search_scratch_does_not_grow_with_nnz(self):
@@ -650,6 +650,28 @@ class TestNonFiniteEntries:
         for op in (h, h.toarray()):
             with pytest.raises(ParameterError, match=f"in row {row} is not finite"):
                 dense_lowest(op, 2)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("budget", [None, 1, 3])  # the default, or a search in chunks of one or a few rows
+    def test_lanczos_lowest_names_the_row(self, kind, budget, monkeypatch):
+        # it used to fail inside eigh_tridiagonal with scipy's bare ValueError
+        import yukawa_ed.solver as solver_mod
+
+        if budget:
+            monkeypatch.setattr(solver_mod, "CHUNK_ENTRIES", budget)
+        h, row = poisoned(kind)
+        for op in (h, h.toarray()):
+            with pytest.raises(ParameterError, match=f"in row {row} is not finite"):
+                lanczos_lowest(op, 2)
+
+    def test_finite_entries_whose_sum_overflows_are_accepted(self):
+        from yukawa_ed.solver import _as_operator
+
+        h = sp.diags([1e308, 1e308, -1.0], format="csr")
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(h.data.sum())
+        assert _as_operator(h).data.tobytes() == h.data.tobytes()
+        assert _as_operator(h.toarray()).tobytes() == h.toarray().tobytes()
 
     @pytest.mark.parametrize("kind", KINDS + ["nan_pair_across"])
     @pytest.mark.parametrize("case", ["minimal", "w1"])  # charge-0 sectors of 36 states (dense), 1 120 (blocks)
@@ -728,6 +750,72 @@ class TestSectorMinima:
         model = build_model(minimal_params())
         with pytest.raises(ParameterError, match="dimension 64"):
             sector_minima(sp.identity(dim, format="csr"), model.basis, 1, label="charge")
+
+
+def sector_case(case, label):
+    """A model's Hamiltonian and labels; for the number label, only the part of H that conserves it."""
+    model = build_model({"w1": w1_params, "off_axis": off_axis_params}[case]())
+    h = model.hamiltonian()
+    labels = model.basis.charge() if label == "charge" else model.basis.fermion_number()
+    if label == "number":  # the interaction changes the fermion number by pairs
+        coo = h.tocoo()
+        same = labels[coo.row] == labels[coo.col]
+        h = sp.csr_matrix((coo.data[same], (coo.row[same], coo.col[same])), shape=h.shape)
+    return model, h, labels
+
+
+def handed_to_the_solver(monkeypatch):
+    """Patch solve_lowest in the solver module to record each matrix it is given."""
+    import yukawa_ed.solver as solver_mod
+
+    seen, solve = [], solver_mod.solve_lowest
+
+    def recorded(h, *args, **kwargs):
+        seen.append(h)
+        return solve(h, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "solve_lowest", recorded)
+    return seen
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestSectorCut:
+    """sector_minima cuts each sector once and hands solve_lowest the matrix h[inside][:, inside]."""
+
+    @pytest.mark.parametrize("label", ["charge", "number"])
+    @pytest.mark.parametrize("case", ["w1", "off_axis"])
+    def test_sector_matrix_is_the_sliced_sector_bitwise(self, case, label, monkeypatch):
+        model, h, labels = sector_case(case, label)
+        seen = handed_to_the_solver(monkeypatch)
+        for n in sorted(set(labels.tolist())):
+            sector = sector_minima(h, model.basis, n, label=label)
+            inside = np.flatnonzero(labels == n)
+            assert (sector.invariant, sector.mixing, sector.dimension) == (True, 0.0, inside.size)
+            assert_same_csr(seen[-1], h[inside][:, inside])
+
+    @pytest.mark.parametrize("value", [1e-13, 0.0])  # within INVARIANCE_TOL, and a stored zero
+    def test_entries_leaving_the_sector_are_dropped(self, value, monkeypatch):
+        model, h, labels = sector_case("w1", "charge")
+        a, b = np.flatnonzero(labels == 0)[0], np.flatnonzero(labels == 1)[0]
+        coo = h.tocoo()
+        rows, cols = np.append(coo.row, [a, b]), np.append(coo.col, [b, a])
+        crossed = sp.coo_matrix((np.append(coo.data, [value, value]), (rows, cols)), shape=h.shape).tocsr()
+        assert crossed.nnz == h.nnz + 2
+        seen = handed_to_the_solver(monkeypatch)
+        for n in (0, 1):
+            sector = sector_minima(crossed, model.basis, n, label="charge")
+            inside = np.flatnonzero(labels == n)
+            assert (sector.invariant, sector.mixing) == (True, value)
+            want = crossed[inside][:, inside]
+            assert_same_csr(seen[-1], want)
+            assert_same_csr(want, h[inside][:, inside])
+            assert sector.energy == solve_lowest(want, 1).ground_energy
 
 
 class TestConvergeScan:
