@@ -204,7 +204,7 @@ def verify_inequalities(
     )
     # the free parts are diagonal and act elementwise; H_KG = dGamma(omega) repeats over the masks
     kg = np.tile(boson_number_diagonal(model.basis, omega), model.basis.fermion_dim)
-    free = model.h_free.diagonal()
+    free = model.free
     sqrt_kg = np.sqrt(kg)
     slope, offset = report.form_bound_slope, report.form_bound_offset
     m_kg0, m_kg1 = report.kg_weighted_norms[0], report.kg_weighted_norms[1]

@@ -20,12 +20,13 @@ shared runs.  B_r moves the boson occupation by -e_k or +e_k, a shift no
 other ladder shares, so distinct blocks occupy disjoint entries.
 
 ``build_model`` keeps the factors on the model (``Model.factors``, checked
-for hermiticity per ladder) and never assembles the full space.
-``assemble_interaction`` writes the CSR of sum_r F_r (x) B_r from them in
-one pass when it is needed: ``Model.h_int`` on first access, and
-``Model.hamiltonian(kappa)`` with the coupling and the free diagonal merged
-in, without ``h_int``.  It works in chunks of at most ``CHUNK_ENTRIES``
-entries per scratch array, so its scratch is bounded by that budget and its
+for hermiticity per ladder) and the free diagonal (``Model.free``), and
+never assembles the full space.  ``assemble_interaction`` writes the CSR of
+sum_r F_r (x) B_r from them in one chunked pass over the mask rows' row
+groups when it is needed: ``Model.h_int`` on first access, and
+``Model.hamiltonian(kappa)`` with the coupling and ``Model.free`` merged
+in, without ``h_int``.  Its chunks hold at most ``CHUNK_ENTRIES`` entries
+per scratch array, so its scratch is bounded by that budget and its
 largest row group, not by the operator it writes.
 
 The ladder, number and identity operators are real, so the F_r alone decide
@@ -406,51 +407,6 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _template_table(top: int, s_len: np.ndarray, s_col: np.ndarray, s_pair: np.ndarray,
-                    n_pairs: int) -> np.ndarray:
-    """The gather indices of a row group with |U_i| = ``top`` and no diagonal entry, each with a final 0.
-
-    A row group with |U_i| = u reads its u x pairs products and its u x n_b
-    columns.  Its entries run in (beta, j, gamma) order: block beta holds
-    u * S_beta entries, j over U_i, gamma over the slots of beta.  Row 0
-    indexes the products, row 1 the columns.
-    """
-    n_b, length = len(s_len), np.repeat(s_len, top)  # of the run (beta, j)
-    j = np.repeat(np.tile(np.arange(top), n_b), length)
-    slot = _runs(np.repeat(np.cumsum(s_len) - s_len, top), length)
-    table = np.zeros((2, len(slot) + 1), int)
-    for row, (stride, target) in enumerate(((n_pairs, s_pair), (n_b, s_col))):
-        np.take(target, slot, out=table[row, :-1])
-        table[row, :-1] += j * stride
-    return table
-
-
-def _gather_templates(
-    table: np.ndarray, top: int, u: np.ndarray, below: np.ndarray, on: np.ndarray,
-    s_len: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gather indices of each kind of row group, back to back, cut from ``_template_table(top)``.
-
-    Block (kind, beta) is the first u * S_beta entries of the table's block
-    beta, since j runs slowest in a block; where ``on``, a placeholder for
-    the diagonal entry (the table's final 0) goes after the first ``below``
-    of them.  So each block is three runs of the table.
-    """
-    begin = top * np.concatenate(([0], np.cumsum(s_len[:-1])))  # of each table block
-    size = np.outer(u, s_len)
-    split = np.where(on, below, size)
-    starts = np.stack(np.broadcast_arrays(begin, table.shape[1] - 1, begin + split), axis=-1).ravel()
-    take = _runs(starts, np.stack((split, on, size - split), axis=-1).ravel())
-    widths = size.sum(axis=1) + on.sum(axis=1)
-    return table[0][take], table[1][take], np.concatenate(([0], np.cumsum(widths)))
-
-
-def _on_diagonal(diagonal: Optional[np.ndarray], start: int, stop: int, n_b: int) -> np.ndarray:
-    """Which states start:stop have a diagonal entry, one row of ``n_b`` per mask row."""
-    on = np.zeros(stop - start, bool) if diagonal is None else diagonal[start:stop] != 0
-    return on.reshape(-1, n_b)
-
-
 def assemble_interaction(
     factors: Dict[Ladder, sp.csr_matrix],
     basis: FockBasis,
@@ -468,22 +424,22 @@ def assemble_interaction(
     most one entry and none on the diagonal.  With U the union of the factor
     patterns, row (i, beta) is therefore (j in U_i) x (the slots of beta,
     sorted by target), which fixes the sorted layout before any value
-    exists: nnz is |U| * nnz(B) plus the diagonal's nonzeros, and
-    ``indptr``, ``data`` and ``indices`` are allocated once.  The rows
-    (i, beta) of mask row i are written by two gathers, from U_i times each
-    distinct (ladder, slot value) product and from U_i's columns, through
-    templates shared by every mask row of the same kind (|U_i|, diagonal
-    position, diagonal pattern), and the diagonal by a scatter.
+    exists: the row group of mask row i (its rows (i, beta)) holds
+    |U_i| * nnz(B) entries plus its diagonal count, and ``indptr``, ``data``
+    and ``indices`` are allocated once.
 
-    Every pass works in chunks whose scratch arrays hold at most
-    ``CHUNK_ENTRIES`` entries each, a larger item being a chunk of its own:
-    ``indptr`` and the diagonal in chunks of mask rows, the templates for
-    runs of kinds, and the two gather tables for runs of the row groups of
-    those kinds, in kind order.  Entries that come out zero (a factor
-    without an entry of U, explicit zeros) are dropped last, in place.  So
-    the scratch beyond the result is bounded by the budget and the largest
-    row group, plus arrays of one entry per mask row or per entry of U or B;
-    a small model is one chunk of each.
+    One loop walks the row groups in kind order (|U_i|, diagonal position,
+    diagonal pattern), in chunks whose scratch arrays hold at most
+    ``CHUNK_ENTRIES`` entries each, a larger row group being a chunk of its
+    own.  A chunk writes its states' ``indptr``, each row group by two
+    gathers, from U_i times each distinct (ladder, slot value) product and
+    from U_i's columns, and its diagonal by a scatter.  The gathers read the
+    current kind's templates, cut from a table of the largest row group
+    when the kind changes.  Entries that come out zero (a factor without an
+    entry of U, explicit zeros) are dropped last, in place, in mask order.
+    So the scratch beyond the result is bounded by the budget and the
+    largest row group, plus arrays of one entry per mask row or per entry
+    of U or B; a small model is one chunk.
     """
     n_f, n_b = basis.fermion_dim, basis.boson_dim
     u_ptr, u_col, values = _union_values(factors, n_f)
@@ -494,81 +450,79 @@ def assemble_interaction(
     # column per distinct (ladder, value), F * b then * coupling, as a sparse product has it
     s_row, s_col, s_val, s_ladder = _boson_slots(factors, basis)
     s_len = np.bincount(s_row, minlength=n_b)
+    s_start = np.cumsum(s_len) - s_len  # of each boson row's slots
     b_values, b_of = np.unique(s_val, return_inverse=True)
     pairs, s_pair = np.unique(s_ladder * len(b_values) + b_of, return_inverse=True)
     pair_ladder, pair_value = (pairs // len(b_values)).tolist(), b_values[pairs % len(b_values)]
 
-    # mask-row chunks of the state space: the row pointer, then the diagonal
-    state_chunks = list(chunks(np.arange(n_f + 1) * n_b, CHUNK_ENTRIES))
-    nnz = len(u_col) * len(s_row) + (0 if diagonal is None else int(np.count_nonzero(diagonal)))
-    index = np.int32 if max(nnz, basis.dim) <= np.iinfo(np.int32).max else np.int64
+    if diagonal is None:  # a zero diagonal, which stores nothing
+        diagonal = np.broadcast_to(0.0, basis.dim)
+    on_count = np.count_nonzero(diagonal.reshape(n_f, n_b), axis=1)
+    starts = np.concatenate(([0], np.cumsum(u_len * len(s_row) + on_count)))  # of each row group
+    index = np.int32 if max(int(starts[-1]), basis.dim) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(basis.dim + 1, index)
-    dtype = np.result_type(s_val.dtype, *(v.dtype for v in values), float if diagonal is None else diagonal.dtype)
-    data = np.empty(nnz, dtype)
-    indices = np.empty(nnz, index)
-    some, every = np.zeros(n_f, bool), np.zeros(n_f, bool)  # of each mask row's states on the diagonal
-    for m0, m1 in state_chunks:
-        s0, s1 = m0 * n_b, m1 * n_b
-        on = _on_diagonal(diagonal, s0, s1, n_b)
-        some[m0:m1], every[m0:m1] = on.any(axis=1), on.all(axis=1)
-        np.cumsum(np.outer(u_len[m0:m1], s_len) + on, out=indptr[s0 + 1:s1 + 1])
-        indptr[s0 + 1:s1 + 1] += indptr[s0]
+    dtype = np.result_type(s_val.dtype, *(v.dtype for v in values), diagonal.dtype)
+    data = np.empty(starts[-1], dtype)
+    indices = np.empty(starts[-1], index)
 
     # the diagonal entry of row (i, beta) follows the entries (j, gamma) with
     # j < i, or j == i and gamma < beta
+    some = on_count > 0
     lt = np.bincount(u_row[u_col < u_row], minlength=n_f) * some
     eq = np.bincount(u_row[u_col == u_row], minlength=n_f) * some
     s_below = np.bincount(s_row[s_col < s_row], minlength=n_b)
     # a kind's diagonal pattern is all or none of its rows; any other is its own kind
-    pattern = np.where(every, 0, np.where(some, 2 + np.arange(n_f), 1))
-    _, first, kind_of = np.unique(((pattern * (n_f + 1) + u_len) * (n_f + 1) + lt) * 2 + eq,
-                                  return_index=True, return_inverse=True)
-    on_first = np.zeros((len(first), n_b), bool) if diagonal is None else diagonal.reshape(n_f, n_b)[first] != 0
-    below_first = np.outer(lt[first], s_len) + np.outer(eq[first], s_below)
-    widths = u_len[first] * len(s_row) + on_first.sum(axis=1)
-    order = np.argsort(kind_of, kind="stable")
-    kind_start = np.searchsorted(kind_of[order], np.arange(len(first) + 1))
-    top = int(u_len.max(initial=0))
-    table = _template_table(top, s_len, s_col, s_pair, len(pairs))
-    starts = indptr[::n_b]  # of each row group
-    pruned = False
-    # the templates of a run of kinds, at most CHUNK_ENTRIES entries (or one kind)
-    for k0, k1 in chunks(np.concatenate(([0], np.cumsum(widths))), CHUNK_ENTRIES):
-        take_values, take_columns, template_start = _gather_templates(
-            table, top, u_len[first[k0:k1]], below_first[k0:k1], on_first[k0:k1], s_len)
-        group = order[kind_start[k0]:kind_start[k1]]
-        # the group's row groups, in kind order, in chunks whose tables hold at most CHUNK_ENTRIES entries
-        for c0, c1 in chunks(np.concatenate(([0], np.cumsum(u_len[group]))) * max(n_b, len(pairs)), CHUNK_ENTRIES):
-            rows = group[c0:c1]
-            lens = u_len[rows]
-            offsets = np.cumsum(lens) - lens  # of each row group in the chunk's tables
-            u = _runs(u_ptr[rows], lens)
-            products = np.zeros((len(u), 0)) if not pair_ladder else np.stack([values[r][u] for r in pair_ladder], -1)
-            products *= pair_value
-            if coupling is not None:
-                products *= coupling
-            products += 0  # signed zeros read +0.0, as after a sparse sum
-            pruned = pruned or not products.all()
-            products = products.ravel()
-            columns = np.add.outer(u_col[u].astype(index) * n_b, np.arange(n_b, dtype=index)).ravel()
-            kinds = kind_of[rows]
-            cuts = (np.flatnonzero(np.diff(kinds)) + 1).tolist()
-            for r0, r1 in zip([0] + cuts, cuts + [len(rows)]):  # the runs of one kind
-                if lens[r0] == 0:  # diagonal entries only
-                    continue
-                t0, t1 = template_start[kinds[r0] - k0: kinds[r0] - k0 + 2].tolist()
-                take_v, take_c, width = take_values[t0:t1], take_columns[t0:t1], t1 - t0
-                # mode="clip": under the default mode numpy buffers ``out``
-                for lo, a in zip(starts[rows[r0:r1]].tolist(), offsets[r0:r1].tolist()):
-                    np.take(products[a * len(pairs):], take_v, out=data[lo:lo + width], mode="clip")
-                    np.take(columns[a * n_b:], take_c, out=indices[lo:lo + width], mode="clip")
+    pattern = np.where(on_count == n_b, 0, np.where(some, 2 + np.arange(n_f), 1))
+    kind = ((pattern * (n_f + 1) + u_len) * (n_f + 1) + lt) * 2 + eq
+    order = np.argsort(kind, kind="stable")
 
-    for m0, m1 in state_chunks if diagonal is not None else ():
-        s0, s1 = m0 * n_b, m1 * n_b
-        on = _on_diagonal(diagonal, s0, s1, n_b)
-        at = indptr[s0:s1][on.ravel()] + (np.outer(lt[m0:m1], s_len) + np.outer(eq[m0:m1], s_below))[on]
-        data[at] = diagonal[s0:s1][on.ravel()]
-        indices[at] = s0 + np.flatnonzero(on)
+    # the gathers of a row group with |U_i| = top and no diagonal entry, in
+    # (beta, j, gamma) order, each with a final 0 for the diagonal's place:
+    # block beta holds top * S_beta entries, j over U_i, gamma over the slots of beta
+    top = int(u_len.max(initial=0))
+    length = np.repeat(s_len, top)  # of the run (beta, j)
+    j = np.repeat(np.tile(np.arange(top), n_b), length)
+    slot = _runs(np.repeat(s_start, top), length)
+    table_values = np.append(s_pair[slot] + j * len(pairs), 0)
+    table_columns = np.append(s_col[slot] + j * n_b, 0)
+    current, pruned = -1, False
+    # kind-ordered row groups, in chunks whose tables hold at most CHUNK_ENTRIES entries
+    for c0, c1 in chunks(np.concatenate(([0], np.cumsum(np.maximum(u_len[order], 1)))) * max(n_b, len(pairs)),
+                         CHUNK_ENTRIES):
+        rows = order[c0:c1]
+        lens = u_len[rows]
+        on = diagonal.reshape(n_f, n_b)[rows] != 0
+        below = np.outer(lt[rows], s_len) + np.outer(eq[rows], s_below)
+        sizes = np.outer(lens, s_len)
+        ends = np.cumsum(sizes + on, axis=1) + starts[rows, None]  # of each state's row
+        indptr[1:].reshape(n_f, n_b)[rows] = ends
+
+        offsets = np.cumsum(lens) - lens  # of each row group in the chunk's tables
+        u = _runs(u_ptr[rows], lens)
+        products = np.zeros((len(u), 0)) if not pair_ladder else np.stack([values[r][u] for r in pair_ladder], -1)
+        products *= pair_value
+        if coupling is not None:
+            products *= coupling
+        products += 0  # signed zeros read +0.0, as after a sparse sum
+        pruned = pruned or not products.all()
+        products = products.ravel()
+        columns = np.add.outer(u_col[u].astype(index) * n_b, np.arange(n_b, dtype=index)).ravel()
+        for r, (i, n, lo, a) in enumerate(zip(kind[rows].tolist(), lens.tolist(), starts[rows].tolist(),
+                                              offsets.tolist())):
+            if n == 0:  # diagonal entries only
+                continue
+            if i != current:  # per block, the table's first |U_i| * S_beta entries, the final 0 after below of them
+                take = _runs(top * s_start, sizes[r])
+                take = np.insert(take, (np.cumsum(sizes[r]) - sizes[r] + below[r])[on[r]], len(slot))
+                take_v, take_c, width, current = table_values[take], table_columns[take], len(take), i
+            # mode="clip": under the default mode numpy buffers ``out``
+            products[a * len(pairs):].take(take_v, out=data[lo:lo + width], mode="clip")
+            columns[a * n_b:].take(take_c, out=indices[lo:lo + width], mode="clip")
+
+        at = (ends - sizes - on + below)[on]
+        states = np.add.outer(rows * n_b, np.arange(n_b))[on]
+        data[at] = diagonal[states]
+        indices[at] = states
     if pruned:
         _drop_zeros(data, indices, indptr)
         data.resize(indptr[-1], refcheck=False)  # no view of either array is left
@@ -619,8 +573,9 @@ def interaction_hermiticity_defect(factors: Dict[Ladder, sp.csr_matrix], basis: 
 class Model:
     """All ingredients of one parameter set; the interaction is kept factored.
 
-    ``h_free`` is the diagonal dGamma(Dirac) + dGamma(omega).  No H_KG is kept:
-    the bounds read dGamma(omega) off the basis occupations as a diagonal.
+    ``free`` is the diagonal dGamma(Dirac) + dGamma(omega), one float64 per
+    basis state, and ``h_free`` its CSR, built on first access.  No H_KG is
+    kept: the bounds read dGamma(omega) off the basis occupations as a diagonal.
     ``factors`` holds the mask-space factor F_r of each boson ladder, so
     H_int = sum_r F_r (x) B_r is never stored by ``build_model``:
     ``assemble_interaction`` writes it on demand, as ``h_int`` (built on
@@ -633,7 +588,7 @@ class Model:
     f: list
     g: list
     h: DiscreteCoefficients
-    h_free: sp.csr_matrix
+    free: np.ndarray
     factors: Dict[Ladder, sp.csr_matrix]
     terms: np.recarray       # one row per interaction monomial (TERM_DTYPE)
 
@@ -646,6 +601,10 @@ class Model:
         return self.basis.boson_lattice
 
     @cached_property
+    def h_free(self) -> sp.csr_matrix:
+        return sp.diags(self.free, format="csr")
+
+    @cached_property
     def h_int(self) -> sp.csr_matrix:
         return assemble_interaction(self.factors, self.basis)
 
@@ -656,7 +615,7 @@ class Model:
             raise ParameterError(f"coupling must be finite, got {kappa}")
         if kappa == 0:
             return self.h_free
-        return assemble_interaction(self.factors, self.basis, kappa, self.h_free.diagonal())
+        return assemble_interaction(self.factors, self.basis, kappa, self.free)
 
 
 def build_model(
@@ -664,7 +623,7 @@ def build_model(
     algebra: Optional[DiracAlgebra] = None,
     basis: Optional[FockBasis] = None,
 ) -> Model:
-    """Sample coefficients, enumerate the basis, build h_free and the checked ladder factors."""
+    """Sample coefficients, enumerate the basis, sum the free diagonal and build the checked ladder factors."""
     algebra = algebra or dirac_algebra()
     if basis is None:
         basis = enumerate_basis(
@@ -679,7 +638,7 @@ def build_model(
 
     dirac = discretize(lambda q: dirac_energy(q, params.dirac_mass), basis.fermion_lattice)
     kg = discretize(lambda k: boson_energy(k, params.boson_mass), basis.boson_lattice)
-    # h_free from one diagonal, fermion-mask major as the basis is ordered
+    # one diagonal, fermion-mask major as the basis is ordered
     free = np.add.outer(fermion_number_diagonal(basis, dirac.values), boson_number_diagonal(basis, kg.values))
     terms = enumerate_interaction_terms(params, f, g, h, algebra.beta)
     factors = ladder_factors(terms, basis)
@@ -687,7 +646,7 @@ def build_model(
     if defect > 1e-12:
         raise AssemblyError(f"interaction matrix hermiticity defect {defect:.3e} exceeds 1e-12")
     return Model(params=params, algebra=algebra, basis=basis, f=f, g=g, h=h,
-                 h_free=sp.diags(free.ravel(), format="csr"), factors=factors, terms=terms)
+                 free=free.ravel(), factors=factors, terms=terms)
 
 
 # -- field operators at a point and the direct form evaluation ------------------

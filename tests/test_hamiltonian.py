@@ -529,6 +529,38 @@ class TestAssemblyKernel:
         assert_bitwise_equal(assemble_interaction(factors, model.basis), want)
         assert_bitwise_equal(assemble_interaction(factors, model.basis, 0.5, model.h_free.diagonal()), want_h)
 
+    @pytest.mark.parametrize("name", ["w1", "off_axis"])
+    @pytest.mark.parametrize("budget", [1, 7, 300, None])
+    def test_diagonal_zeros_in_many_mask_rows(self, name, budget, monkeypatch):
+        """Zeros in some states of many mask rows (each row its own kind) and in whole rows, bitwise at every budget."""
+        model = build_model(KERNEL_MODELS[name])
+        n_f, n_b = model.basis.fermion_dim, model.basis.boson_dim
+        d = model.free.copy()
+        d[::37] = 0  # at a different place in each mask row it falls in
+        d.reshape(n_f, n_b)[1::7] = 0
+        zeros = np.count_nonzero(d.reshape(n_f, n_b) == 0, axis=1)
+        assert np.count_nonzero((zeros > 0) & (zeros < n_b)) > 50 and np.count_nonzero(zeros == n_b) > 30
+        want = (sp.diags(d, format="csr") + 0.5 * kron_sum_oracle(model.factors, model.basis)).tocsr()
+        if budget is not None:
+            monkeypatch.setattr(hamiltonian, "CHUNK_ENTRIES", budget)
+        assert_bitwise_equal(assemble_interaction(model.factors, model.basis, 0.5, d), want)
+
+    @pytest.mark.parametrize("name", ["w1", "off_axis"])
+    def test_hamiltonian_hands_the_kernel_the_stored_free_diagonal(self, name, monkeypatch):
+        seen, kernel = [], hamiltonian.assemble_interaction
+
+        def recorded(factors, basis, coupling=None, diagonal=None):
+            seen.append(diagonal)
+            return kernel(factors, basis, coupling, diagonal)
+
+        monkeypatch.setattr(hamiltonian, "assemble_interaction", recorded)
+        model = build_model(KERNEL_MODELS[name])
+        model.hamiltonian(0.5)
+        assert len(seen) == 1 and seen[0] is model.free
+        assert model.free.dtype == np.float64 and model.free.shape == (model.basis.dim,)
+        assert model.free.tobytes() == model.h_free.diagonal().tobytes()
+        assert model.hamiltonian(0.0) is model.h_free
+
     def test_small_model_is_one_chunk_of_each_pass(self, monkeypatch):
         spans, chunks = [], hamiltonian.chunks
 
