@@ -16,15 +16,15 @@ components of its pattern, its invariant blocks (method ``"blocks"``; a
 connected matrix is one block, a diagonal one a block per state).  It
 solves them densely up to the cap and by Lanczos with partial
 reorthogonalization above it, in increasing Gershgorin bound, until a bound
-reaches the k-th value merged so far; a Lanczos block stops once an
-accepted round lies above it.  A single state's bound and dense solve are
-both its diagonal entry, so the block route reads a diagonal matrix (the
-free Hamiltonian above the cap) off exactly.  The search reads the matrix
-once, in chunks of whole rows of at most ``hamiltonian.CHUNK_ENTRIES``
-stored entries, for the components' closure test and the Gershgorin row
-sums, so its scratch does not grow with nnz.  Every route reads its matrix
-through ``_as_operator``, which rejects a non-finite entry with
-``ParameterError``, naming its row.
+reaches the k-th value merged so far; a Lanczos block stops once a round is
+decided above it, and a block decided in its first round adds no pairs.  A
+single state's bound and dense solve are both its diagonal entry, so the
+block route reads a diagonal matrix (the free Hamiltonian above the cap)
+off exactly.  The search reads the matrix once, in chunks of whole rows of
+at most ``hamiltonian.CHUNK_ENTRIES`` stored entries, for the components'
+closure test and the Gershgorin row sums, so its scratch does not grow with
+nnz.  Every route reads its matrix through ``_as_operator``, which rejects
+a non-finite entry with ``ParameterError``, naming its row.
 
 Lanczos restarts in the orthogonal complement of converged eigenvectors, so
 degenerate levels keep their multiplicities and the routes can be compared
@@ -35,8 +35,13 @@ O(j) flops; the vector is projected against the block only when an
 estimate passes sqrt(eps), at that step and the next, which keeps the
 basis semi-orthogonal and the Ritz values as accurate as under full
 reorthogonalization.  A step computes only the lowest Ritz pairs it
-checks.  Accepted Ritz vectors are orthonormalized against the deflation
-vectors before they join them.
+checks, by LAPACK's bisection and inverse iteration.  Accepted Ritz vectors
+are orthonormalized against the deflation vectors before they join them.
+
+A completeness probe, or a block's round above the merged k-th value, ends
+once decided: its lowest Ritz pair has residual r_0 <= sqrt(tol) and
+theta_0 - r_0 above the limit plus the tie tolerance.  Values are accepted
+only at ``tol``, so no reported value depends on the looser test.
 """
 
 from __future__ import annotations
@@ -178,13 +183,16 @@ class _LanczosState:
         self.krylov = np.empty((0, h.shape[0]), dtype=dtype)
         self.vectors = np.empty((0, h.shape[0]), dtype=dtype)  # converged, one per row
 
-    def run_round(self, need: int, tol: float, max_iter: int) -> Optional[float]:
+    def run_round(self, need: int, tol: float, max_iter: int, bar: float = math.inf) -> Optional[float]:
         """One Lanczos sweep in the complement of the converged vectors.
 
         Accepts the lowest Ritz pairs whose residual estimates pass ``tol``
         and returns the smallest value accepted this round, or None when
         nothing converged (either a residual failure or an exhausted
         complement; the caller distinguishes via the remaining dimension).
+        A round is decided above ``bar`` once its lowest Ritz pair has a
+        residual r_0 <= sqrt(tol) and theta_0 - r_0 > bar: it ends at once,
+        accepting nothing, and returns theta_0.
         """
         dim = self.h.shape[0]
         steps = min(max_iter, dim - len(self.values))
@@ -192,6 +200,10 @@ class _LanczosState:
             self.krylov = np.empty((steps + 1, dim), dtype=self.krylov.dtype)
         krylov = self.krylov
         axpy = sla.get_blas_funcs("axpy", (krylov,))
+        alphas = np.zeros(steps)
+        betas = np.zeros(steps)
+        ritz_drivers = sla.get_lapack_funcs(("stebz", "stein"), (alphas, betas))
+        loose = math.sqrt(tol)
         deflate = self.vectors if self.values else None
 
         start = krylov[0]
@@ -207,8 +219,6 @@ class _LanczosState:
             return None
         start /= nrm
 
-        alphas = np.zeros(steps)
-        betas = np.zeros(steps)
         # rows j-1, j and j+1 of Simon's estimates omega[j, k] ~ q_j . q_k
         prev, cur, nxt = np.zeros((3, steps + 1))
         cur[0] = 1.0
@@ -237,9 +247,12 @@ class _LanczosState:
 
             # the lowest `need` Ritz pairs for the residual estimates
             ritz = (alphas[: j + 1], betas[:j])
-            theta, smat = sla.eigh_tridiagonal(*ritz, select="i", select_range=(0, min(need, j + 1) - 1))
-            converged = np.abs(beta * smat[-1, :]) <= tol
-            self.best_residual = min(self.best_residual, float(abs(beta * smat[-1, 0])))
+            theta, smat = _lowest_ritz(*ritz_drivers, *ritz, min(need, j + 1))
+            residuals = np.abs(beta * smat[-1, :])
+            self.best_residual = min(self.best_residual, float(residuals[0]))
+            if residuals[0] <= loose and theta[0] - residuals[0] > bar:
+                return float(theta[0])
+            converged = residuals <= tol
             exhausted = beta < 1e-13 * max(1.0, float(np.max(np.abs(alphas[: j + 1]))))
             if converged.all() or exhausted or j == steps - 1:
                 # every Ritz pair now: on an exhausted Krylov space each one is
@@ -269,6 +282,27 @@ class _LanczosState:
                 _project_out(self.vectors[:row], vec)
             vec /= np.linalg.norm(vec)
         self.values.extend(float(value) for value in values)
+
+
+def _lowest_ritz(stebz, stein, alphas: np.ndarray, betas: np.ndarray, count: int):
+    """The lowest ``count`` eigenpairs of a real symmetric tridiagonal matrix, ascending.
+
+    Bit for bit what ``eigh_tridiagonal(alphas, betas, select="i",
+    select_range=(0, count - 1))`` returns: bisection (``stebz``, block
+    order) and inverse iteration (``stein``), called with the arguments
+    scipy passes them but without its per-call validation.  The 1x1 matrix,
+    which scipy answers without LAPACK, goes through scipy.
+    """
+    if len(alphas) == 1:
+        return sla.eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+    found, values, blocks, splits, info = stebz(alphas, betas, 2, 0.0, 1.0, 1, count, 0.0, "B")
+    values = values[:found]
+    if info == 0:
+        vectors, info = stein(alphas, betas, values, blocks, splits)
+    if info != 0:
+        raise sla.LinAlgError(f"tridiagonal Ritz pairs failed (LAPACK info {info})")
+    order = np.argsort(values)
+    return values[order], vectors[:, order]
 
 
 def _omega_step(prev, cur, nxt, alphas, betas, j: int, beta: float) -> float:
@@ -323,7 +357,10 @@ def lanczos_lowest(
     eigenvalue lies above the k-th found value, so no degenerate copy
     hiding below the k-th level can be missed; a round whose lowest value
     lies above ``above`` (the block route's merged k-th value) ends it too.
-    Deterministic for a fixed seed.
+    Such a round ends once it is decided above its limit (residual of its
+    lowest Ritz pair at most sqrt(tol), see ``_LanczosState.run_round``),
+    accepting nothing: when that is the first round, the result has no
+    eigenvalues and ``ground_vector`` None.  Deterministic for a fixed seed.
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
@@ -341,7 +378,7 @@ def lanczos_lowest(
             break
         need = k - len(state.values)
         limit = above if need > 0 else min(above, float(np.sort(state.values)[k - 1]))
-        lowest = state.run_round(max(need, 1), tol, max_iter)
+        lowest = state.run_round(max(need, 1), tol, max_iter, limit + tie_tol)
         if lowest is None:
             what = (f"failed to converge within {max_iter} iterations" if need > 0
                     else "completeness probe failed to converge")
@@ -360,10 +397,12 @@ def lanczos_lowest(
             best_residual=state.best_residual,
         )
 
+    work = {key: getattr(state, key) for key in LANCZOS_WORK}
+    if not state.values:  # the first round was decided above `above`
+        return SpectralResult(np.empty(0), None, math.nan, "lanczos", **work)
     order = np.argsort(state.values)[:k]
     vals = np.array([state.values[i] for i in order])
     ground = state.vectors[order[0]].copy()
-    work = {key: getattr(state, key) for key in LANCZOS_WORK}
     del state  # frees both arrays before the residual check allocates
     residual = float(np.linalg.norm(h @ ground - vals[0] * ground))
     return SpectralResult(
@@ -406,7 +445,9 @@ def solve_lowest(
     from ``h`` by its rows, whose columns stay inside it, and solved densely
     up to the cap, by Lanczos above it.  Once ``k`` values are merged, a
     Lanczos block is asked only for as many pairs as merged values lie
-    above its floor.
+    above its floor, and one decided above the k-th value adds none.  The
+    blocks are invariant, so the residual reported is the winning block's
+    own, that of the zero-padded ground vector on the whole matrix.
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
@@ -416,7 +457,7 @@ def solve_lowest(
     # imported here: csgraph adds ~1.5 MB of RSS to processes that never need it
     from scipy.sparse.csgraph import connected_components
     h = sp.csr_matrix(h)
-    pattern = sp.csr_matrix((h.data.real, h.indices, h.indptr), shape=h.shape)
+    pattern = sp.csr_matrix((h.data.real, h.indices, h.indptr), shape=h.shape) if np.iscomplexobj(h) else h
     n_blocks, labels = connected_components(pattern, connection="strong")
     closed, row_sums = _sweep(h, labels)
     if not closed:
@@ -446,13 +487,14 @@ def solve_lowest(
             part = lanczos_lowest(sub, need, tol, max_iter, seed, above=kth)
         solved += 1
         work = {key: count + getattr(part, key) for key, count in work.items()}
+        if not len(part.eigenvalues):  # decided above the k-th value: nothing to merge
+            continue
         if not len(values) or part.eigenvalues[0] < values[0]:
-            ground_states, ground = states, part.ground_vector
+            ground_states, ground, residual = states, part.ground_vector, part.residual
         values = np.sort(np.concatenate((values, part.eigenvalues)))[:k]
         kth = float(values[-1]) if len(values) == k else math.inf
     vector = np.zeros(h.shape[0], dtype=h.dtype)
     vector[ground_states] = ground
-    residual = float(np.linalg.norm(h @ vector - values[0] * vector))
     return SpectralResult(values, vector, residual, "blocks", blocks=n_blocks, blocks_solved=solved, **work)
 
 

@@ -286,6 +286,23 @@ class TestRealRoute:
         assert np.max(np.abs(gram - np.eye(len(vecs)))) < 1e-12
 
 
+class TestRitzPairs:
+    @pytest.mark.parametrize("size, count", [(1, 1), (2, 1), (2, 2), (20, 1), (20, 2), (80, 1), (80, 2)])
+    def test_lapack_calls_match_eigh_tridiagonal_bitwise(self, size, count):
+        import scipy.linalg as sla
+
+        from yukawa_ed.solver import _lowest_ritz
+
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            alphas, betas = rng.normal(size=size), np.abs(rng.normal(size=size - 1))
+            drivers = sla.get_lapack_funcs(("stebz", "stein"), (alphas, betas))
+            got = _lowest_ritz(*drivers, alphas, betas, count)
+            want = sla.eigh_tridiagonal(alphas, betas, select="i", select_range=(0, count - 1))
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+
 class TestReorthogonalization:
     def test_basis_stays_semi_orthogonal_with_few_projections(self):
         # tol 0 accepts no Ritz pair early: the sweep runs until W1's Krylov
@@ -459,9 +476,46 @@ class TestBlockRoute:
         # each round finds one copy of the triple level; all three lie below 0.1
         full = lanczos_lowest(h, 3, tol=1e-11, seed=3, above=0.1)
         assert np.allclose(full.eigenvalues, [0.0, 0.0, 0.0], rtol=0, atol=1e-10)
-        # a first round that already lies above the merged k-th value ends the solve
+        # a first round decided above the merged k-th value ends the solve with no pairs
         early = lanczos_lowest(h, 3, tol=1e-11, seed=3, above=-1.0)
-        assert abs(early.eigenvalues[0]) < 1e-10 and early.matvecs < full.matvecs
+        assert early.eigenvalues.shape == (0,) and early.ground_vector is None
+        assert 0 < early.matvecs < full.matvecs
+
+    def test_a_level_just_below_the_limit_is_converged_and_returned(self):
+        # 1e-7 below `above`: past tie_tol (1e-9) but within sqrt(tol) (1e-5) of it
+        above, rng = 0.3, np.random.default_rng(43)
+        spectrum = np.concatenate([[above - 1e-7], np.sort(rng.uniform(1.0, 4.0, size=59))])
+        h = hermitian_with_spectrum(spectrum, rng)
+        result = lanczos_lowest(h, 1, seed=2, above=above)
+        assert result.eigenvalues.shape == (1,)
+        assert abs(result.eigenvalues[0] - (above - 1e-7)) < 1e-10
+
+    def test_a_block_above_the_kth_value_is_decided_without_converging(self):
+        rng = np.random.default_rng(41)
+        spectrum = np.concatenate([[0.0, 0.2], np.sort(rng.uniform(1.0, 3.0, size=58))])
+        a = hermitian_with_spectrum(spectrum, rng)
+        b = a + 0.7 * np.eye(60)  # lowest level 0.7, 0.5 above a's second; its floor is a's plus 0.7
+        h = sp.block_diag([a, b], format="csr")
+        result = solve_lowest(h, 2, dense_cap=10, tol=1e-11)
+        assert (result.blocks, result.blocks_solved) == (2, 2)  # b's floor lies below 0.2
+        assert np.allclose(result.eigenvalues, dense_lowest(h, 2).eigenvalues, rtol=0, atol=1e-10)
+        unbounded = sum(lanczos_lowest(block, 2, tol=1e-11).matvecs for block in (a, b))
+        assert result.matvecs < unbounded
+        # b's round ends before its lowest value converges to tol
+        to_tol = _LanczosState(sp.csr_matrix(b), np.random.default_rng(0))
+        assert to_tol.run_round(2, 1e-11, 400) == pytest.approx(0.7, abs=1e-10)
+        assert result.matvecs < lanczos_lowest(a, 2, tol=1e-11).matvecs + to_tol.matvecs
+
+    @pytest.mark.parametrize("case", ["w1", "off_axis", "split_level"])
+    def test_residual_is_that_of_the_returned_vector(self, case):
+        if case == "split_level":
+            h, k, kwargs = split_level_matrix(np.random.default_rng(21))[0], 3, dict(dense_cap=10, tol=1e-11)
+        else:
+            h, k, kwargs = oracle_case(case)[0], 2, {}
+        result = solve_lowest(h, k, **kwargs)
+        assert result.method == "blocks"
+        vector, value = result.ground_vector, result.eigenvalues[0]
+        assert abs(result.residual - np.linalg.norm(h @ vector - value * vector)) <= 1e-15
 
     def test_connected_matrix_is_one_lanczos_block(self):
         h = random_hermitian(120, RNG)
