@@ -186,6 +186,8 @@ def verify_inequalities(
     """
     if n_samples < 1:
         raise ParameterError(f"need at least one sample, got {n_samples}")
+    if n_field_points < 1:
+        raise ParameterError(f"need at least one field point, got {n_field_points}")
     dim = model.basis.dim
     if n_samples * dim > SAMPLE_CAP:
         raise CapacityError(

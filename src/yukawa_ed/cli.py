@@ -208,6 +208,8 @@ def config_from_dict(raw) -> RunConfig:
     config = RunConfig(params, take(SolverConfig), take(ScanConfig), take(VerifyConfig), **given)
     if config.solver.k < 1:
         raise ConfigError(f"solver.k must be >= 1, got {config.solver.k}")
+    if config.solver.seed < 0:
+        raise ConfigError(f"solver.seed must be >= 0, got {config.solver.seed}")
     if not config.scan.kappa_grid:
         raise ConfigError("scan.kappa_grid must not be empty")
     values = config.scan.values
@@ -215,6 +217,8 @@ def config_from_dict(raw) -> RunConfig:
         raise ConfigError("scan.values must be strictly increasing")
     if config.verify.samples < 1:
         raise ConfigError("verify.samples must be >= 1")
+    if config.verify.field_points < 1:
+        raise ConfigError("verify.field_points must be >= 1")
     return config
 
 
@@ -367,6 +371,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             config.solver.seed = args.seed
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")

@@ -27,7 +27,9 @@ groups when it is needed: ``Model.h_int`` on first access, and
 ``Model.hamiltonian(kappa)`` with the coupling and ``Model.free`` merged
 in, without ``h_int``.  Its chunks hold at most ``CHUNK_ENTRIES`` entries
 per scratch array, so its scratch is bounded by that budget and its
-largest row group, not by the operator it writes.
+largest row group, not by the operator it writes.  Entries that come out
+zero are dropped by scipy's ``eliminate_zeros`` on the result, in place; its
+``data`` and ``indices`` can stay views of the full-length buffers.
 
 The ladder, number and identity operators are real, so the F_r alone decide
 the field: ``ladder_factors`` keeps them float64 when their summed
@@ -436,10 +438,11 @@ def assemble_interaction(
     from U_i's columns, and its diagonal by a scatter.  The gathers read the
     current kind's templates, cut from a table of the largest row group
     when the kind changes.  Entries that come out zero (a factor without an
-    entry of U, explicit zeros) are dropped last, in place, in mask order.
-    So the scratch beyond the result is bounded by the budget and the
-    largest row group, plus arrays of one entry per mask row or per entry
-    of U or B; a small model is one chunk.
+    entry of U, explicit zeros) are dropped last by scipy's in-place
+    ``eliminate_zeros``, which can leave ``data`` and ``indices`` views of
+    the full-length buffers.  So the scratch beyond the result is bounded by
+    the budget and the largest row group, plus arrays of one entry per mask
+    row or per entry of U or B; a small model is one chunk.
     """
     n_f, n_b = basis.fermion_dim, basis.boson_dim
     u_ptr, u_col, values = _union_values(factors, n_f)
@@ -523,28 +526,10 @@ def assemble_interaction(
         states = np.add.outer(rows * n_b, np.arange(n_b))[on]
         data[at] = diagonal[states]
         indices[at] = states
+    h = sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
     if pruned:
-        _drop_zeros(data, indices, indptr)
-        data.resize(indptr[-1], refcheck=False)  # no view of either array is left
-        indices.resize(indptr[-1], refcheck=False)
-    return sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
-
-
-def _drop_zeros(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> None:
-    """Move the nonzero entries of a CSR to the front of its arrays, in place, and fix ``indptr``.
-
-    Reads the rows in chunks of at most ``CHUNK_ENTRIES`` stored entries; the
-    write position never passes the read position.
-    """
-    spans, lo, end = list(chunks(indptr, CHUNK_ENTRIES)), 0, 0
-    for r0, r1 in spans:
-        hi = int(indptr[r1])
-        kept = data[lo:hi] != 0
-        count = np.concatenate(([0], np.cumsum(kept)))
-        indptr[r0 + 1:r1 + 1] = end + count[indptr[r0 + 1:r1 + 1] - lo]
-        data[end:end + count[-1]] = data[lo:hi][kept]
-        indices[end:end + count[-1]] = indices[lo:hi][kept]
-        lo, end = hi, end + int(count[-1])
+        h.eliminate_zeros()
+    return h
 
 
 def hermiticity_defect(mat: sp.spmatrix) -> float:

@@ -16,7 +16,7 @@ from yukawa_ed.bounds import (
     compute_constants,
     verify_inequalities,
 )
-from yukawa_ed.errors import CapacityError
+from yukawa_ed.errors import CapacityError, ParameterError
 from yukawa_ed.fock import boson_number_diagonal, lift_boson, second_quantization, smeared_boson_block
 from yukawa_ed.hamiltonian import (
     ModelParams,
@@ -325,6 +325,12 @@ class TestSampleBlocks:
         with pytest.raises(CapacityError, match="over the cap") as err:
             verify_inequalities(model, n_samples=n)
         assert (err.value.projected, err.value.cap) == (n * 64, SAMPLE_CAP)
+
+    @pytest.mark.parametrize("points", [0, -2])
+    def test_no_field_point_is_rejected(self, points):
+        # without a point the field checks would report a pass they never ran
+        with pytest.raises(ParameterError, match="at least one field point"):
+            verify_inequalities(build_model(minimal_params()), n_samples=10, n_field_points=points)
 
     def test_sample_cap_admits_exactly_the_cap(self, monkeypatch):
         model = build_model(minimal_params())

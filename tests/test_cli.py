@@ -96,6 +96,9 @@ MALFORMED = [
     ("limits", {"chi_hat_floor": math.nan}),
     ("solver", {"tol": True}),
     ("scan", {"values": [True, 2]}),
+    # numpy's generators take no negative seed, and the field checks need a point
+    ("solver", {"seed": -1}),
+    ("verify", {"field_points": 0}),
 ]
 
 
@@ -421,6 +424,14 @@ class TestVerifyCommand:
             " over the cap of 100000000\n"
         )
         assert captured.out == ""
+        assert not os.path.exists(out)
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        out = str(tmp_path / "never.json")
+        assert main(["verify", "--config", cfg, "--out", out, "--seed", "-1"]) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: --seed must be >= 0, got -1"]
         assert not os.path.exists(out)
 
 

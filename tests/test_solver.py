@@ -23,6 +23,7 @@ from yukawa_ed.solver import (
     sector_minima,
     solve_lowest,
 )
+from yukawa_ed.spinor import CutoffProfile
 
 RNG = np.random.default_rng(97)
 
@@ -806,9 +807,14 @@ class TestSectorMinima:
             sector_minima(sp.identity(dim, format="csr"), model.basis, 1, label="charge")
 
 
+def pruned_w1_params():
+    """W1 with a wide spatial cutoff: some terms vanish, so assembly drops the zeros it wrote."""
+    return replace(w1_params(), chi_spatial=CutoffProfile.gaussian(3.0))
+
+
 def sector_case(case, label):
     """A model's Hamiltonian and labels; for the number label, only the part of H that conserves it."""
-    model = build_model({"w1": w1_params, "off_axis": off_axis_params}[case]())
+    model = build_model({"w1": w1_params, "off_axis": off_axis_params, "pruned_3": pruned_w1_params}[case]())
     h = model.hamiltonian()
     labels = model.basis.charge() if label == "charge" else model.basis.fermion_number()
     if label == "number":  # the interaction changes the fermion number by pairs
@@ -843,7 +849,7 @@ class TestSectorCut:
     """sector_minima cuts each sector once and hands solve_lowest the matrix h[inside][:, inside]."""
 
     @pytest.mark.parametrize("label", ["charge", "number"])
-    @pytest.mark.parametrize("case", ["w1", "off_axis"])
+    @pytest.mark.parametrize("case", ["w1", "off_axis", "pruned_3"])
     def test_sector_matrix_is_the_sliced_sector_bitwise(self, case, label, monkeypatch):
         model, h, labels = sector_case(case, label)
         seen = handed_to_the_solver(monkeypatch)
@@ -870,6 +876,18 @@ class TestSectorCut:
             assert_same_csr(seen[-1], want)
             assert_same_csr(want, h[inside][:, inside])
             assert sector.energy == solve_lowest(want, 1).ground_energy
+
+    @pytest.mark.parametrize("label", ["charge", "number"])
+    @pytest.mark.parametrize("params", [w1_params, pruned_w1_params], ids=["sigma1", "sigma3"])
+    def test_mixing_is_the_largest_entry_leaving_the_sector(self, params, label):
+        model = build_model(params())
+        h = model.hamiltonian()
+        labels = model.basis.charge() if label == "charge" else model.basis.fermion_number()
+        for n in sorted(set(labels.tolist())):
+            inside = labels == n
+            cut = h[np.flatnonzero(inside)][:, np.flatnonzero(~inside)]
+            want = float(abs(cut).max()) if cut.nnz else 0.0
+            assert sector_minima(h, model.basis, n, label=label).mixing == want
 
 
 class TestConvergeScan:
