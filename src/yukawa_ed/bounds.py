@@ -13,30 +13,39 @@ Sampling contract: every batch of states is drawn as its real block and
 then its imaginary block, each ``standard_normal((count, dim))``, and the
 interaction loop draws the real and then the imaginary half of each sample's
 phi after them.  That order fixes every ratio for a given seed, so the
-``verify`` output is reproducible byte for byte.  The interaction batch holds
-16 * n_samples * dim bytes (two float64 blocks, no complex copy), and
+``verify`` output is reproducible byte for byte.  The interaction batch is
+read in blocks of ``max(1, CHUNK_ENTRIES // (2 * dim))`` states, so a
+complex block holds ``CHUNK_ENTRIES`` float64 values: one copy of the
+generator reads the real block and a second the imaginary one, while the
+generator itself skips both, so every draw keeps its value.  The loop's
+scratch is a few arrays of that size, whatever ``n_samples`` is.  Each
+block goes through ``h_int`` in one sparse product, and its elementwise and
+ratio arithmetic runs over the whole block and ``EPS_GRID`` at once; every
+norm and ``vdot`` is still one 1-D call per sample on a contiguous complex
+row, so each sample's sums are rounded as before.
 ``n_samples * dim`` above ``SAMPLE_CAP`` raises ``CapacityError`` before
 anything is drawn.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import CapacityError, ParameterError, size_text
+from .errors import CapacityError, ParameterError, check_seed, size_text
 from .fock import boson_number_diagonal, smeared_boson_block
-from .hamiltonian import Model, boson_field_block, chi_spatial_l1_norm, dirac_field_mask
+from .hamiltonian import CHUNK_ENTRIES, Model, boson_field_block, chi_spatial_l1_norm, dirac_field_mask
 from .lattice import DiscreteCoefficients
 from .spinor import boson_energy
 
 RATIO_TOL = 1e-9
-# draws in the interaction batch, n_samples * dim: 1.6 GB as two float64 blocks
+# draws in the interaction batch, n_samples * dim: a bound on the sampling work
 SAMPLE_CAP = 10**8
 # the epsilons of the free_relative check, 1e-3 to 10
 EPS_GRID = tuple(10.0 ** e for e in range(-3, 2))
@@ -144,14 +153,25 @@ def _largest_singular_value(op: sp.spmatrix, seed: int) -> float:
     return float(spla.svds(op.tocsc(), k=1, v0=v0, return_singular_vectors=False)[0])
 
 
-def _apply(op: sp.spmatrix, psi: np.ndarray) -> np.ndarray:
-    """``op @ psi``; a real operator acts on the real and imaginary parts of a
-    complex state separately, so its data is never cast to complex."""
-    if np.iscomplexobj(op) or not np.iscomplexobj(psi):
-        return op @ psi
-    out = np.empty(psi.shape, complex)
-    out.real = op @ psi.real
-    out.imag = op @ psi.imag
+def _apply(op: sp.spmatrix, psi: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``op @ psi``, or ``op`` on each row of a block of states, written to ``out`` in C order.
+
+    The states go through one sparse product as columns, copied into
+    ``out``'s memory, which then takes the result.  A real operator acts on
+    the real and imaginary parts of complex states separately (as the
+    columns of their float view), so its data is never cast to complex.
+    scipy's multi-vector CSR kernel sums each row in its single-vector order,
+    so each row of the result is bitwise ``op @ row``.
+    """
+    if out is None:
+        out = np.empty(psi.shape, np.result_type(op.dtype, psi.dtype))
+    x = out.reshape(psi.shape[::-1])
+    np.copyto(x, psi.T)
+    if np.iscomplexobj(x) and not np.iscomplexobj(op):
+        y = (op @ x.view(float).reshape(len(x), -1)).view(complex).reshape(x.shape)
+    else:
+        y = op @ x
+    np.copyto(out, y.T)
     return out
 
 
@@ -165,10 +185,37 @@ def _random_states(rng: np.random.Generator, dim: int, count: int) -> Tuple[np.n
     return rng.standard_normal((count, dim)), rng.standard_normal((count, dim))
 
 
-def _ratio(lhs: float, rhs: float) -> float:
-    if rhs == 0.0:
-        return 0.0 if lhs == 0.0 else math.inf
-    return lhs / rhs
+def _state_blocks(rng: np.random.Generator, dim: int, count: int, rows: int) -> Iterator[np.ndarray]:
+    """The states of ``_random_states(rng, dim, count)``, as complex blocks of ``rows`` rows.
+
+    One copy of ``rng`` reads the real block and a second the imaginary one,
+    while ``rng`` itself skips both before the first block is yielded, so it
+    then stands where ``_random_states`` leaves it.  Each block is
+    overwritten by the next.
+    """
+    sizes = [min(rows, count - start) for start in range(0, count, rows)]
+    scratch, copies = np.empty((sizes[0], dim)), []
+    for _ in range(2):  # the real block, then the imaginary one
+        copies.append(copy.deepcopy(rng))
+        for size in sizes:
+            rng.standard_normal(out=scratch[:size])
+    states = np.empty((sizes[0], dim), complex)
+    for size in sizes:
+        block = states[:size]
+        block.real = copies[0].standard_normal(out=scratch[:size])
+        block.imag = copies[1].standard_normal(out=scratch[:size])
+        yield block
+
+
+def _row_norms(block: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, one 1-D call per row: batched sums round differently."""
+    return np.array([np.linalg.norm(row) for row in block])
+
+
+def _ratio(lhs, rhs) -> float:
+    """The largest ``lhs / rhs`` over nonnegative numbers or arrays: 0 where ``lhs`` is, inf where only ``rhs`` is."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(np.equal(lhs, 0.0), 0.0, np.divide(lhs, rhs))))
 
 
 def verify_inequalities(
@@ -188,11 +235,12 @@ def verify_inequalities(
         raise ParameterError(f"need at least one sample, got {n_samples}")
     if n_field_points < 1:
         raise ParameterError(f"need at least one field point, got {n_field_points}")
+    check_seed(seed)
     dim = model.basis.dim
     if n_samples * dim > SAMPLE_CAP:
         raise CapacityError(
-            f"{n_samples} sample states of dimension {dim} need {size_text(n_samples * dim)} draws "
-            f"({16 * n_samples * dim / 1e9:.3g} GB), over the cap of {SAMPLE_CAP}",
+            f"{n_samples} sample states of dimension {dim} need {size_text(n_samples * dim)} draws, "
+            f"over the cap of {SAMPLE_CAP}",
             projected=n_samples * dim,
             cap=SAMPLE_CAP,
         )
@@ -223,7 +271,7 @@ def verify_inequalities(
         "vacuum_interaction": 0.0,
     }
 
-    # each sample is copied into psi, so no complex block of the batch is built
+    # the ladder and field batches copy one state at a time into psi
     psi = np.empty(dim, dtype=complex)
 
     # smeared ladder bounds on random coefficient vectors and states
@@ -264,33 +312,30 @@ def verify_inequalities(
             )
             worst["boson_field_vector"] = max(worst["boson_field_vector"], _ratio(lhs, rhs))
 
-    # quadratic form and vector bounds on the interaction
+    # quadratic form and vector bounds on the interaction, a block of states at a time;
+    # ``products`` holds the block times each free diagonal in turn, then h_int on it
+    rows = max(1, CHUNK_ENTRIES // (2 * dim))
+    products = np.empty((min(rows, n_samples), dim), complex)
+    eps = np.array(EPS_GRID)[:, None]
     phi = np.empty(dim, dtype=complex)
-    for re, im in zip(*_random_states(rng, dim, n_samples)):
-        psi.real, psi.imag = re, im
-        norm_psi = np.linalg.norm(psi)
-        sqrt_term = np.linalg.norm(sqrt_kg * psi)
-        int_psi = _apply(h_int, psi)
-        int_norm = np.linalg.norm(int_psi)
+    for block in _state_blocks(rng, dim, n_samples, rows):
+        scaled = products[: len(block)]
+        norm_psi = _row_norms(block)
+        sqrt_term, kg_term, free_term = (_row_norms(np.multiply(d, block, out=scaled)) for d in (sqrt_kg, kg, free))
+        int_psi = _apply(h_int, block, out=scaled)
+        int_norm = _row_norms(int_psi)
         rhs_int = slope * sqrt_term + offset * norm_psi
         worst["interaction_relative"] = max(worst["interaction_relative"], _ratio(int_norm, rhs_int))
-        phi.real = rng.standard_normal(dim)
-        phi.imag = rng.standard_normal(dim)
-        lhs = abs(np.vdot(phi, int_psi))
-        worst["form_bound"] = max(
-            worst["form_bound"], _ratio(lhs, rhs_int * np.linalg.norm(phi))
-        )
-        kg_term = np.linalg.norm(kg * psi)
-        free_term = np.linalg.norm(free * psi)
-        for eps in EPS_GRID:
-            rhs_half = eps * kg_term + norm_psi / (4.0 * eps)
-            worst["sqrt_interpolation"] = max(
-                worst["sqrt_interpolation"], _ratio(sqrt_term, rhs_half)
-            )
-            rhs_free = eps * slope * free_term + (slope / (4.0 * eps) + offset) * norm_psi
-            worst["free_relative"] = max(
-                worst["free_relative"], _ratio(int_norm, rhs_free)
-            )
+        lhs, norm_phi = np.empty(len(block)), np.empty(len(block))
+        for i, row in enumerate(int_psi):
+            phi.real = rng.standard_normal(dim)
+            phi.imag = rng.standard_normal(dim)
+            lhs[i], norm_phi[i] = abs(np.vdot(phi, row)), np.linalg.norm(phi)
+        worst["form_bound"] = max(worst["form_bound"], _ratio(lhs, rhs_int * norm_phi))
+        rhs_half = eps * kg_term + norm_psi / (4.0 * eps)
+        worst["sqrt_interpolation"] = max(worst["sqrt_interpolation"], _ratio(sqrt_term, rhs_half))
+        rhs_free = eps * slope * free_term + (slope / (4.0 * eps) + offset) * norm_psi
+        worst["free_relative"] = max(worst["free_relative"], _ratio(int_norm, rhs_free))
 
     # the vacuum carries no boson energy, so the offset alone must bound it
     vacuum = np.zeros(dim, dtype=complex)

@@ -16,6 +16,12 @@ class ParameterError(ValueError):
     """Invalid physical or numerical parameter (non-positive mass, bad cap, ...)."""
 
 
+def check_seed(seed) -> None:
+    """Reject a seed that ``numpy.random.default_rng`` cannot take."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
 class CapacityError(RuntimeError):
     """A requested object would exceed a configured size cap.
 

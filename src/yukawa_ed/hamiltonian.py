@@ -28,8 +28,8 @@ groups when it is needed: ``Model.h_int`` on first access, and
 in, without ``h_int``.  Its chunks hold at most ``CHUNK_ENTRIES`` entries
 per scratch array, so its scratch is bounded by that budget and its
 largest row group, not by the operator it writes.  Entries that come out
-zero are dropped by scipy's ``eliminate_zeros`` on the result, in place; its
-``data`` and ``indices`` can stay views of the full-length buffers.
+zero are dropped by scipy's ``eliminate_zeros`` on the result, and its
+``data`` and ``indices`` hold exactly their nnz entries.
 
 The ladder, number and identity operators are real, so the F_r alone decide
 the field: ``ladder_factors`` keeps them float64 when their summed
@@ -439,10 +439,11 @@ def assemble_interaction(
     current kind's templates, cut from a table of the largest row group
     when the kind changes.  Entries that come out zero (a factor without an
     entry of U, explicit zeros) are dropped last by scipy's in-place
-    ``eliminate_zeros``, which can leave ``data`` and ``indices`` views of
-    the full-length buffers.  So the scratch beyond the result is bounded by
-    the budget and the largest row group, plus arrays of one entry per mask
-    row or per entry of U or B; a small model is one chunk.
+    ``eliminate_zeros``; when over half survive it leaves ``data`` and
+    ``indices`` views of the full-length buffers, so they are copied to their
+    nnz entries.  So the scratch beyond the result is bounded by the budget
+    and the largest row group (or, when pruned, by that copy), plus arrays of
+    one entry per mask row or per entry of U or B; a small model is one chunk.
     """
     n_f, n_b = basis.fermion_dim, basis.boson_dim
     u_ptr, u_col, values = _union_values(factors, n_f)
@@ -529,6 +530,8 @@ def assemble_interaction(
     h = sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
     if pruned:
         h.eliminate_zeros()
+        if h.data.base is not None:  # scipy keeps views of the full buffers when over half survive
+            h.data, h.indices = h.data.copy(), h.indices.copy()
     return h
 
 

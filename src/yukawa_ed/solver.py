@@ -54,7 +54,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import CapacityError, ConvergenceError, ParameterError
+from .errors import CapacityError, ConvergenceError, ParameterError, check_seed
 from .fock import FockBasis
 from .hamiltonian import CHUNK_ENTRIES, ModelParams, build_model, chunks
 
@@ -364,6 +364,7 @@ def lanczos_lowest(
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
+    check_seed(seed)
     h = _as_operator(h)
     dim = h.shape[0]
     k = min(k, dim)
@@ -451,6 +452,7 @@ def solve_lowest(
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
+    check_seed(seed)
     h = _as_operator(h)
     if h.shape[0] <= dense_cap:
         return dense_lowest(h, k, dense_cap)
@@ -545,6 +547,7 @@ def sector_minima(
         raise ParameterError(f"matrix of shape {h.shape} does not act on the basis of dimension {basis.dim}")
     if label not in ("charge", "number"):
         raise ParameterError(f"unknown sector label {label!r}")
+    check_seed(seed)
     member = np.repeat((basis.mask_charge if label == "charge" else basis.mask_fermion_number) == n, basis.boson_dim)
     inside = np.flatnonzero(member)
     if inside.size == 0:
@@ -681,6 +684,7 @@ def converge_scan(
 
     Aborts with the partial report attached on the first non-converged step.
     """
+    check_seed(seed)
     values = list(values)
     if not values:
         raise ParameterError("refinement list is empty")

@@ -13,6 +13,7 @@ from yukawa_ed.bounds import (
     _largest_singular_value,
     _on_block,
     _random_states,
+    _state_blocks,
     compute_constants,
     verify_inequalities,
 )
@@ -218,6 +219,20 @@ class TestTensorFactorRoute:
         assert psi.tobytes() == (want_re[2] + 1j * want_im[2]).tobytes()
         assert got_rng.standard_normal(3).tobytes() == want_rng.standard_normal(3).tobytes()
 
+    @pytest.mark.parametrize("rows", [1, 4, 10, 25])
+    def test_state_blocks_read_the_two_draw_blocks(self, rows):
+        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+        stream = _state_blocks(got_rng, 37, 10, rows)
+        blocks = [next(stream).copy()]  # each block is overwritten by the next
+        re, im = _random_states(want_rng, 37, 10)
+        # the generator has skipped both blocks once the first is read
+        assert got_rng.standard_normal(3).tobytes() == want_rng.standard_normal(3).tobytes()
+        blocks += [block.copy() for block in stream]
+        assert [len(block) for block in blocks] == [min(rows, 10 - start) for start in range(0, 10, rows)]
+        got = np.concatenate(blocks)
+        assert got.real.tobytes() == re.tobytes()
+        assert got.imag.tobytes() == im.tobytes()
+
 
 def complex_block_ratios(model, report, n_samples, n_field_points, seed):
     """The sampled worst ratios as computed with one complex block of states per batch.
@@ -285,34 +300,52 @@ def complex_block_ratios(model, report, n_samples, n_field_points, seed):
     return worst
 
 
+def traced_peak(model, report, n_samples):
+    """Traced peak of one ``verify_inequalities`` run above what was held before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        verify_inequalities(model, report=report, n_samples=n_samples, n_field_points=2, seed=3)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 class TestSampleBlocks:
-    """verify_inequalities holds each batch as two real blocks and copies one state at a time."""
+    """verify_inequalities streams the interaction batch in blocks of at most CHUNK_ENTRIES float values."""
 
     @pytest.mark.parametrize("seed", [2, 13])
+    @pytest.mark.parametrize("rows", [None, 128, 30, 7])  # None keeps the default budget
     @pytest.mark.parametrize(
         "params",
         [minimal_params(), two_point_params(), two_point_params(fermion_points=((0, 0, 0), (1, 2, 1)))],
         ids=["w0", "two_point", "off_axis_two_point"],  # the off-axis h_int is complex
     )
-    def test_ratios_equal_the_complex_block_oracle_bitwise(self, params, seed):
+    def test_ratios_equal_the_complex_block_oracle_bitwise(self, params, rows, seed, monkeypatch):
         model = build_model(params)
+        if rows is not None:  # 100 states in blocks of `rows`: fewer than one block, or the last one partial
+            monkeypatch.setattr(bounds, "CHUNK_ENTRIES", 2 * rows * model.basis.dim)
         report = verify_inequalities(model, n_samples=100, n_field_points=3, seed=seed)
         want = complex_block_ratios(model, compute_constants(model), 100, 3, seed)
         got = report.worst_ratios()
         assert {name: got[name].hex() for name in want} == {name: float(v).hex() for name, v in want.items()}
 
-    def test_traced_peak_stays_near_the_two_blocks(self):
+    def test_traced_peak_does_not_grow_with_the_samples(self, monkeypatch):
+        # 20-state blocks, so 40 samples already fill whole blocks; holding
+        # the batch would add 16 bytes per entry of the 360 further states
         model = build_model(two_point_params())
         report = compute_constants(model)
-        n, dim = 400, model.basis.dim
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            verify_inequalities(model, report=report, n_samples=n, n_field_points=2, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - start <= 1.2 * 16 * n * dim
+        monkeypatch.setattr(bounds, "CHUNK_ENTRIES", 2 * 20 * model.basis.dim)
+        small, large = traced_peak(model, report, 40), traced_peak(model, report, 400)
+        assert large - small < 8 * bounds.CHUNK_ENTRIES  # one block's scratch array
+
+    def test_negative_seed_raises_before_any_work(self, monkeypatch):
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before the seed check")
+
+        monkeypatch.setattr(bounds, "compute_constants", computed)
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            verify_inequalities(build_model(minimal_params()), n_samples=10, seed=-1)
 
     def test_sample_cap_raises_before_anything_is_drawn(self, monkeypatch):
         def drawn(*args, **kwargs):

@@ -414,13 +414,13 @@ class TestVerifyCommand:
 
     def test_sample_block_past_the_cap_exits_3(self, tmp_path, capsys):
         data = base_config()
-        data["verify"] = {"samples": 20_000_000}  # 1.28e9 draws on the 64-state model: 20 GB
+        data["verify"] = {"samples": 20_000_000}  # 1.28e9 draws on the 64-state model
         cfg = write_config(tmp_path, data)
         out = str(tmp_path / "never.json")
         assert main(["verify", "--config", cfg, "--out", out]) == EXIT_CAPACITY
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: 20000000 sample states of dimension 64 need 1280000000 draws (20.5 GB),"
+            "error: 20000000 sample states of dimension 64 need 1280000000 draws,"
             " over the cap of 100000000\n"
         )
         assert captured.out == ""

@@ -514,6 +514,14 @@ class TestAssemblyKernel:
         monkeypatch.setattr(sp, "kron", kron)
         assert_bitwise_equal(model.h_int, kron_sum_oracle(model.factors, model.basis))
 
+    def test_pruned_result_holds_only_its_entries(self):
+        # scipy's eliminate_zeros leaves views of the full-length buffers when over half the entries survive
+        model = build_model(CHUNK_CASES["pruned_3"])
+        for h in (model.h_int, model.hamiltonian()):
+            for part in (h.data, h.indices):
+                held = part if part.base is None else part.base
+                assert held.nbytes == part.nbytes == h.nnz * part.itemsize
+
     @pytest.mark.parametrize("name", list(CHUNK_CASES))
     @pytest.mark.parametrize("budget", [1, 7, 300])
     def test_small_budgets_match_kron_sum_bitwise(self, name, budget, monkeypatch):

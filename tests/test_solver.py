@@ -757,6 +757,48 @@ class TestPerturbationBound:
             assert abs(e0 - e0_free) <= kappa * hnorm * (1 + 1e-12)
 
 
+def tridiagonal(size):
+    off = np.ones(size - 1)
+    return sp.diags([off, np.arange(size, dtype=float), off], [-1, 0, 1], format="csr")
+
+
+class TestNegativeSeed:
+    """numpy's default_rng rejects a negative seed with a bare ValueError; each entry point names it first."""
+
+    def test_solve_lowest_rejects_it_before_the_block_route(self, monkeypatch):
+        h = tridiagonal(800)
+        stats = solve_lowest(h, 1, seed=0, dense_cap=100).stats()
+        assert stats["blocks"] == 1 and stats["matvecs"] > 0  # one block, above the cap: Lanczos
+        import yukawa_ed.solver as solver_mod
+
+        def converted(*args):
+            raise AssertionError("worked on the matrix before the seed check")
+
+        monkeypatch.setattr(solver_mod, "_as_operator", converted)
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            solve_lowest(h, 1, seed=-1, dense_cap=100)
+
+    def test_lanczos_lowest_rejects_it(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -2"):
+            lanczos_lowest(tridiagonal(800), 1, seed=-2)
+
+    def test_converge_scan_rejects_it_before_building_a_model(self, monkeypatch):
+        import yukawa_ed.solver as solver_mod
+
+        def built(*args):
+            raise AssertionError("built a model before the seed check")
+
+        monkeypatch.setattr(solver_mod, "build_model", built)
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            converge_scan(minimal_params(), "n_max", [1, 2], seed=-1)
+
+    def test_sector_minima_rejects_it(self):
+        # the minimal model's sectors are solved densely, where the seed is never read
+        model = build_model(minimal_params())
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            sector_minima(model.hamiltonian(), model.basis, 1, seed=-1)
+
+
 class TestSectorMinima:
     def test_free_charge_sectors_cost_one_mass_each(self):
         params = minimal_params(coupling=0.0)
