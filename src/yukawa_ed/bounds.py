@@ -13,16 +13,20 @@ Sampling contract: every batch of states is drawn as its real block and
 then its imaginary block, each ``standard_normal((count, dim))``, and the
 interaction loop draws the real and then the imaginary half of each sample's
 phi after them.  That order fixes every ratio for a given seed, so the
-``verify`` output is reproducible byte for byte.  The interaction batch is
-read in blocks of ``max(1, CHUNK_ENTRIES // (2 * dim))`` states, so a
-complex block holds ``CHUNK_ENTRIES`` float64 values: one copy of the
+``verify`` output is reproducible byte for byte.  The ladder, field and
+interaction batches all go through ``_state_blocks`` in blocks of
+``max(1, CHUNK_ENTRIES // (2 * dim))`` states, so a complex block holds
+``CHUNK_ENTRIES`` float64 values.  A batch of one block is drawn straight
+from the generator, with no copy of it; for a longer one, one copy of the
 generator reads the real block and a second the imaginary one, while the
-generator itself skips both, so every draw keeps its value.  The loop's
-scratch is a few arrays of that size, whatever ``n_samples`` is.  Each
-block goes through ``h_int`` in one sparse product, and its elementwise and
-ratio arithmetic runs over the whole block and ``EPS_GRID`` at once; every
-norm and ``vdot`` is still one 1-D call per sample on a contiguous complex
-row, so each sample's sums are rounded as before.
+generator itself skips both, so every draw keeps its value.  The scratch
+is a few arrays of that size, whatever ``n_samples`` is.  Each operator
+acts on a whole block in one sparse product through ``_apply`` (a
+boson-block operator B as I (x) B, on the block's ``(-1, boson_dim)``
+view), and the elementwise and ratio arithmetic runs over the block and
+``EPS_GRID`` at once; every norm and ``vdot`` is still one 1-D call per
+sample on a contiguous complex row, so each sample's sums are rounded as
+before.
 ``n_samples * dim`` above ``SAMPLE_CAP`` raises ``CapacityError`` before
 anything is drawn.
 """
@@ -32,7 +36,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -175,35 +179,28 @@ def _apply(op: sp.spmatrix, psi: np.ndarray, out: Optional[np.ndarray] = None) -
     return out
 
 
-def _on_block(block: sp.spmatrix, psi: np.ndarray) -> np.ndarray:
-    """``(I (x) block) @ psi`` without the lift; the sums run in the lifted CSR's order."""
-    return (block @ psi.reshape(-1, block.shape[1]).T).T.reshape(-1)
-
-
-def _random_states(rng: np.random.Generator, dim: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of ``count`` states: two draws ``standard_normal((count, dim))``."""
-    return rng.standard_normal((count, dim)), rng.standard_normal((count, dim))
-
-
 def _state_blocks(rng: np.random.Generator, dim: int, count: int, rows: int) -> Iterator[np.ndarray]:
-    """The states of ``_random_states(rng, dim, count)``, as complex blocks of ``rows`` rows.
+    """``count`` states as complex blocks of ``rows`` rows, from two draws ``standard_normal((count, dim))``.
 
-    One copy of ``rng`` reads the real block and a second the imaginary one,
-    while ``rng`` itself skips both before the first block is yielded, so it
-    then stands where ``_random_states`` leaves it.  Each block is
-    overwritten by the next.
+    The first draw gives the real parts and the second the imaginary ones.
+    A batch of one block is drawn straight from ``rng``.  For a longer one,
+    one copy of ``rng`` reads the real block and a second the imaginary one,
+    while ``rng`` itself skips both before the first block is yielded.
+    Either way ``rng`` then stands where the two draws leave it.  Each block
+    is overwritten by the next.
     """
     sizes = [min(rows, count - start) for start in range(0, count, rows)]
-    scratch, copies = np.empty((sizes[0], dim)), []
-    for _ in range(2):  # the real block, then the imaginary one
-        copies.append(copy.deepcopy(rng))
-        for size in sizes:
-            rng.standard_normal(out=scratch[:size])
+    scratch, sources = np.empty((sizes[0], dim)), [rng, rng]
+    if len(sizes) > 1:
+        for i in range(2):  # the real block, then the imaginary one
+            sources[i] = copy.deepcopy(rng)
+            for size in sizes:
+                rng.standard_normal(out=scratch[:size])
     states = np.empty((sizes[0], dim), complex)
     for size in sizes:
         block = states[:size]
-        block.real = copies[0].standard_normal(out=scratch[:size])
-        block.imag = copies[1].standard_normal(out=scratch[:size])
+        block.real = sources[0].standard_normal(out=scratch[:size])
+        block.imag = sources[1].standard_normal(out=scratch[:size])
         yield block
 
 
@@ -259,20 +256,17 @@ def verify_inequalities(
     slope, offset = report.form_bound_slope, report.form_bound_offset
     m_kg0, m_kg1 = report.kg_weighted_norms[0], report.kg_weighted_norms[1]
 
-    worst: Dict[str, float] = {
-        "annihilator_relative": 0.0,
-        "creator_relative": 0.0,
-        "dirac_field_norm": 0.0,
-        "boson_field_vector": 0.0,
-        "form_bound": 0.0,
-        "interaction_relative": 0.0,
-        "sqrt_interpolation": 0.0,
-        "free_relative": 0.0,
-        "vacuum_interaction": 0.0,
-    }
+    worst: Dict[str, float] = {}  # each check's largest ratio, in the order the checks first run
 
-    # the ladder and field batches copy one state at a time into psi
-    psi = np.empty(dim, dtype=complex)
+    def note(name: str, lhs, rhs) -> None:
+        worst[name] = max(worst.get(name, 0.0), _ratio(lhs, rhs))
+
+    def lifted_norms(op: sp.spmatrix, block: np.ndarray) -> np.ndarray:
+        """The norm of ``(I (x) op) @ psi`` for each state: ``op`` acts on the ``(-1, boson_dim)`` view."""
+        return _row_norms(_apply(op, block.reshape(-1, op.shape[1])).reshape(block.shape))
+
+    # every batch is read in blocks of `rows` states, so a complex block holds CHUNK_ENTRIES float64 values
+    rows = max(1, CHUNK_ENTRIES // (2 * dim))
 
     # smeared ladder bounds on random coefficient vectors and states
     for _ in range(max(1, n_samples // 20)):
@@ -283,38 +277,24 @@ def verify_inequalities(
         weighted = DiscreteCoefficients(eta.values / np.sqrt(omega), model.boson_lattice)
         ann = smeared_boson_block(eta, model.basis)
         cre = ann.conj().T.tocsr()
-        for re, im in zip(*_random_states(rng, dim, 5)):
-            psi.real, psi.imag = re, im
-            sqrt_term = np.linalg.norm(sqrt_kg * psi)
-            lhs = np.linalg.norm(_on_block(ann, psi))
-            worst["annihilator_relative"] = max(
-                worst["annihilator_relative"], _ratio(lhs, weighted.norm * sqrt_term)
-            )
-            lhs = np.linalg.norm(_on_block(cre, psi))
-            rhs = weighted.norm * sqrt_term + eta.norm * np.linalg.norm(psi)
-            worst["creator_relative"] = max(worst["creator_relative"], _ratio(lhs, rhs))
+        for block in _state_blocks(rng, dim, 5, rows):
+            kg_bound = weighted.norm * _row_norms(sqrt_kg * block)
+            note("annihilator_relative", lifted_norms(ann, block), kg_bound)
+            note("creator_relative", lifted_norms(cre, block), kg_bound + eta.norm * _row_norms(block))
 
     # field operators at random spatial points
     for i in range(n_field_points):
         x = rng.normal(scale=2.0 * model.params.chi_spatial.scale, size=3)
         for l in range(4):
             sigma = _largest_singular_value(dirac_field_mask(model, l, x), seed=seed + 13 * i + l)
-            worst["dirac_field_norm"] = max(
-                worst["dirac_field_norm"], _ratio(sigma, report.dirac_field_norms[l])
-            )
+            note("dirac_field_norm", sigma, report.dirac_field_norms[l])
         phi_op = boson_field_block(model, x)
-        for re, im in zip(*_random_states(rng, dim, 3)):
-            psi.real, psi.imag = re, im
-            lhs = np.linalg.norm(_on_block(phi_op, psi))
-            rhs = (
-                math.sqrt(2.0) * m_kg1 * np.linalg.norm(sqrt_kg * psi)
-                + m_kg0 * np.linalg.norm(psi) / math.sqrt(2.0)
-            )
-            worst["boson_field_vector"] = max(worst["boson_field_vector"], _ratio(lhs, rhs))
+        for block in _state_blocks(rng, dim, 3, rows):
+            rhs = math.sqrt(2.0) * m_kg1 * _row_norms(sqrt_kg * block) + m_kg0 * _row_norms(block) / math.sqrt(2.0)
+            note("boson_field_vector", lifted_norms(phi_op, block), rhs)
 
-    # quadratic form and vector bounds on the interaction, a block of states at a time;
+    # quadratic form and vector bounds on the interaction;
     # ``products`` holds the block times each free diagonal in turn, then h_int on it
-    rows = max(1, CHUNK_ENTRIES // (2 * dim))
     products = np.empty((min(rows, n_samples), dim), complex)
     eps = np.array(EPS_GRID)[:, None]
     phi = np.empty(dim, dtype=complex)
@@ -325,22 +305,20 @@ def verify_inequalities(
         int_psi = _apply(h_int, block, out=scaled)
         int_norm = _row_norms(int_psi)
         rhs_int = slope * sqrt_term + offset * norm_psi
-        worst["interaction_relative"] = max(worst["interaction_relative"], _ratio(int_norm, rhs_int))
         lhs, norm_phi = np.empty(len(block)), np.empty(len(block))
         for i, row in enumerate(int_psi):
             phi.real = rng.standard_normal(dim)
             phi.imag = rng.standard_normal(dim)
             lhs[i], norm_phi[i] = abs(np.vdot(phi, row)), np.linalg.norm(phi)
-        worst["form_bound"] = max(worst["form_bound"], _ratio(lhs, rhs_int * norm_phi))
-        rhs_half = eps * kg_term + norm_psi / (4.0 * eps)
-        worst["sqrt_interpolation"] = max(worst["sqrt_interpolation"], _ratio(sqrt_term, rhs_half))
-        rhs_free = eps * slope * free_term + (slope / (4.0 * eps) + offset) * norm_psi
-        worst["free_relative"] = max(worst["free_relative"], _ratio(int_norm, rhs_free))
+        note("form_bound", lhs, rhs_int * norm_phi)
+        note("interaction_relative", int_norm, rhs_int)
+        note("sqrt_interpolation", sqrt_term, eps * kg_term + norm_psi / (4.0 * eps))
+        note("free_relative", int_norm, eps * slope * free_term + (slope / (4.0 * eps) + offset) * norm_psi)
 
     # the vacuum carries no boson energy, so the offset alone must bound it
     vacuum = np.zeros(dim, dtype=complex)
     vacuum[0] = 1.0
-    worst["vacuum_interaction"] = _ratio(float(np.linalg.norm(_apply(h_int, vacuum))), offset)
+    note("vacuum_interaction", float(np.linalg.norm(_apply(h_int, vacuum))), offset)
 
     for name, ratio in worst.items():
         report.checks[name] = InequalityCheck(name=name, worst_ratio=float(ratio), samples=n_samples)

@@ -29,7 +29,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import yaml
 
 from .bounds import verify_inequalities
-from .errors import CapacityError, ConfigError, ConvergenceError, EvaluationError, ParameterError
+from .errors import (
+    CapacityError, ConfigError, ConvergenceError, EvaluationError, ParameterError, check_iteration, check_seed,
+)
 from .hamiltonian import ModelParams, build_model
 from .solver import DEFAULT_DENSE_CAP, SOLVE_STATS, as_integer, converge_scan, solve_lowest
 
@@ -208,8 +210,11 @@ def config_from_dict(raw) -> RunConfig:
     config = RunConfig(params, take(SolverConfig), take(ScanConfig), take(VerifyConfig), **given)
     if config.solver.k < 1:
         raise ConfigError(f"solver.k must be >= 1, got {config.solver.k}")
-    if config.solver.seed < 0:
-        raise ConfigError(f"solver.seed must be >= 0, got {config.solver.seed}")
+    try:
+        check_seed(config.solver.seed)
+        check_iteration(config.solver.tol, config.solver.max_iter)
+    except ParameterError as err:
+        raise ConfigError(f"solver.{err}") from err
     if not config.scan.kappa_grid:
         raise ConfigError("scan.kappa_grid must not be empty")
     values = config.scan.values

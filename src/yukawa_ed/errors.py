@@ -22,6 +22,13 @@ def check_seed(seed) -> None:
         raise ParameterError(f"seed must be >= 0, got {seed}")
 
 
+def check_iteration(tol, max_iter) -> None:
+    """Reject a negative (or NaN) ``tol`` and a ``max_iter`` below 1 before an iterative solve."""
+    for name, value, low in (("tol", tol, 0), ("max_iter", max_iter, 1)):
+        if not value >= low:
+            raise ParameterError(f"{name} must be >= {low}, got {value}")
+
+
 class CapacityError(RuntimeError):
     """A requested object would exceed a configured size cap.
 

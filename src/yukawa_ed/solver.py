@@ -24,7 +24,8 @@ off exactly.  The search reads the matrix once, in chunks of whole rows of
 at most ``hamiltonian.CHUNK_ENTRIES`` stored entries, for the components'
 closure test and the Gershgorin row sums, so its scratch does not grow with
 nnz.  Every route reads its matrix through ``_as_operator``, which rejects
-a non-finite entry with ``ParameterError``, naming its row.
+an empty or non-square matrix and a non-finite entry with ``ParameterError``,
+naming its shape or row.
 
 Lanczos restarts in the orthogonal complement of converged eigenvectors, so
 degenerate levels keep their multiplicities and the routes can be compared
@@ -54,7 +55,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import CapacityError, ConvergenceError, ParameterError, check_seed
+from .errors import CapacityError, ConvergenceError, ParameterError, check_iteration, check_seed
 from .fock import FockBasis
 from .hamiltonian import CHUNK_ENTRIES, ModelParams, build_model, chunks
 
@@ -111,12 +112,15 @@ class SpectralResult:
 def _as_operator(h):
     """CSR or ndarray of ``h`` in its own dtype (float64 for integer input).
 
-    Raises ``ParameterError`` naming the row of the first non-finite stored
-    entry.  The entries are summed first; only a sum that is not finite (a
+    Raises ``ParameterError`` naming the shape of a matrix that is not
+    square or is empty, and the row of the first non-finite stored entry.
+    The entries are summed first; only a sum that is not finite (a
     non-finite entry, or finite ones that overflow) is followed by a search,
     in chunks of at most ``CHUNK_ENTRIES`` entries of whole rows.
     """
     h = h.tocsr() if sp.issparse(h) else np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
+        raise ParameterError(f"need a non-empty square matrix, got shape {h.shape}")
     h = h if np.iscomplexobj(h) else h.astype(float, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):
         total = (h.data if sp.issparse(h) else h).sum()
@@ -365,6 +369,7 @@ def lanczos_lowest(
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     check_seed(seed)
+    check_iteration(tol, max_iter)
     h = _as_operator(h)
     dim = h.shape[0]
     k = min(k, dim)
@@ -453,6 +458,7 @@ def solve_lowest(
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     check_seed(seed)
+    check_iteration(tol, max_iter)
     h = _as_operator(h)
     if h.shape[0] <= dense_cap:
         return dense_lowest(h, k, dense_cap)
@@ -685,6 +691,7 @@ def converge_scan(
     Aborts with the partial report attached on the first non-converged step.
     """
     check_seed(seed)
+    check_iteration(tol, max_iter)
     values = list(values)
     if not values:
         raise ParameterError("refinement list is empty")

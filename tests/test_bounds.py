@@ -11,8 +11,6 @@ from yukawa_ed.bounds import (
     SAMPLE_CAP,
     _apply,
     _largest_singular_value,
-    _on_block,
-    _random_states,
     _state_blocks,
     compute_constants,
     verify_inequalities,
@@ -36,6 +34,11 @@ def minimal_params(**kwargs):
     defaults = dict(dirac_mass=1.0, boson_mass=1.0, coupling=1.0, n_max=3, total_boson_cap=3)
     defaults.update(kwargs)
     return ModelParams(**defaults)
+
+
+def on_block(block, psi):
+    """``(I (x) block) @ psi`` one state at a time, without the lift."""
+    return (block @ psi.reshape(-1, block.shape[1]).T).T.reshape(-1)
 
 
 def kg_operator(model):
@@ -176,14 +179,19 @@ class TestTensorFactorRoute:
         ids=["w0", "two_point", "off_axis_two_point"],
     )
     def test_block_action_equals_the_lifted_product_bitwise(self, params):
+        # verify_inequalities applies I (x) B to a block of states through
+        # _apply on the block's (-1, boson_dim) view
         model = build_model(params)
         rng = np.random.default_rng(8)
-        psi = rng.standard_normal(model.basis.dim) + 1j * rng.standard_normal(model.basis.dim)
+        states = rng.standard_normal((3, model.basis.dim)) + 1j * rng.standard_normal((3, model.basis.dim))
         n = model.boson_lattice.n_points
         eta = DiscreteCoefficients(rng.standard_normal(n) + 1j * rng.standard_normal(n), model.boson_lattice)
         ann = smeared_boson_block(eta, model.basis)
         for block in (ann, ann.conj().T.tocsr(), boson_field_block(model, np.array([0.4, -0.3, 1.2]))):
-            assert _on_block(block, psi).tobytes() == _apply(lift_boson(model.basis, block), psi).tobytes()
+            got = _apply(block, states.reshape(-1, model.basis.boson_dim)).reshape(states.shape)
+            for row, psi in zip(got, states):
+                assert row.tobytes() == _apply(lift_boson(model.basis, block), psi).tobytes()
+                assert row.tobytes() == on_block(block, psi).tobytes()
 
     def test_mask_sigma_equals_the_dense_svd_of_the_lift(self):
         # W0: both dense, bitwise
@@ -207,31 +215,23 @@ class TestTensorFactorRoute:
         assert not report.checks["dirac_field_norm"].passed
         assert [name for name, check in report.checks.items() if not check.passed] == ["dirac_field_norm"]
 
-    def test_random_states_keep_the_two_draw_values_and_stream(self):
-        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
-        re, im = _random_states(got_rng, 37, 6)
-        want_re, want_im = want_rng.standard_normal((6, 37)), want_rng.standard_normal((6, 37))
-        assert re.tobytes() == want_re.tobytes()
-        assert im.tobytes() == want_im.tobytes()
-        # a state built from the rows holds the values of a + 1j * b
-        psi = np.empty(37, dtype=complex)
-        psi.real, psi.imag = re[2], im[2]
-        assert psi.tobytes() == (want_re[2] + 1j * want_im[2]).tobytes()
-        assert got_rng.standard_normal(3).tobytes() == want_rng.standard_normal(3).tobytes()
-
     @pytest.mark.parametrize("rows", [1, 4, 10, 25])
-    def test_state_blocks_read_the_two_draw_blocks(self, rows):
+    def test_state_blocks_read_the_two_draw_blocks(self, rows, monkeypatch):
+        if rows >= 10:  # one block, drawn straight from the generator
+            monkeypatch.setattr(bounds.copy, "deepcopy", lambda rng: pytest.fail("copied the generator"))
         got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
         stream = _state_blocks(got_rng, 37, 10, rows)
         blocks = [next(stream).copy()]  # each block is overwritten by the next
-        re, im = _random_states(want_rng, 37, 10)
-        # the generator has skipped both blocks once the first is read
+        re, im = want_rng.standard_normal((10, 37)), want_rng.standard_normal((10, 37))
+        # the generator stands past both blocks once the first is read
         assert got_rng.standard_normal(3).tobytes() == want_rng.standard_normal(3).tobytes()
         blocks += [block.copy() for block in stream]
         assert [len(block) for block in blocks] == [min(rows, 10 - start) for start in range(0, 10, rows)]
         got = np.concatenate(blocks)
         assert got.real.tobytes() == re.tobytes()
         assert got.imag.tobytes() == im.tobytes()
+        # each state holds the values of a + 1j * b
+        assert got.tobytes() == (re + 1j * im).tobytes()
 
 
 def complex_block_ratios(model, report, n_samples, n_field_points, seed):
@@ -266,18 +266,18 @@ def complex_block_ratios(model, report, n_samples, n_field_points, seed):
         cre = ann.conj().T.tocsr()
         for psi in states(5):
             sqrt_term = np.linalg.norm(sqrt_kg * psi)
-            lhs = np.linalg.norm(_on_block(ann, psi))
+            lhs = np.linalg.norm(on_block(ann, psi))
             worst["annihilator_relative"] = max(
                 worst["annihilator_relative"], bounds._ratio(lhs, weighted.norm * sqrt_term)
             )
-            lhs = np.linalg.norm(_on_block(cre, psi))
+            lhs = np.linalg.norm(on_block(cre, psi))
             rhs = weighted.norm * sqrt_term + eta.norm * np.linalg.norm(psi)
             worst["creator_relative"] = max(worst["creator_relative"], bounds._ratio(lhs, rhs))
     for _ in range(n_field_points):
         x = rng.normal(scale=2.0 * model.params.chi_spatial.scale, size=3)
         phi_op = boson_field_block(model, x)
         for psi in states(3):
-            lhs = np.linalg.norm(_on_block(phi_op, psi))
+            lhs = np.linalg.norm(on_block(phi_op, psi))
             rhs = math.sqrt(2.0) * m_kg1 * np.linalg.norm(sqrt_kg * psi) + m_kg0 * np.linalg.norm(psi) / math.sqrt(2.0)
             worst["boson_field_vector"] = max(worst["boson_field_vector"], bounds._ratio(lhs, rhs))
     for psi in states(n_samples):
@@ -352,7 +352,7 @@ class TestSampleBlocks:
             raise AssertionError("drew or computed before the cap check")
 
         monkeypatch.setattr(bounds, "compute_constants", drawn)
-        monkeypatch.setattr(bounds, "_random_states", drawn)
+        monkeypatch.setattr(bounds, "_state_blocks", drawn)
         model = build_model(minimal_params())
         n = SAMPLE_CAP // 64 + 1
         with pytest.raises(CapacityError, match="over the cap") as err:

@@ -99,6 +99,9 @@ MALFORMED = [
     # numpy's generators take no negative seed, and the field checks need a point
     ("solver", {"seed": -1}),
     ("verify", {"field_points": 0}),
+    # the iterative solver needs a nonnegative tolerance and at least one step
+    ("solver", {"tol": -1.0}),
+    ("solver", {"max_iter": 0}),
 ]
 
 

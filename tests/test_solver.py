@@ -799,6 +799,57 @@ class TestNegativeSeed:
             sector_minima(model.hamiltonian(), model.basis, 1, seed=-1)
 
 
+class TestSolverArguments:
+    """A negative tol, a max_iter below 1 and an empty or non-square matrix raise ParameterError before any work."""
+
+    @pytest.mark.parametrize("setting, message", [
+        (dict(tol=-1.0), "tol must be >= 0, got -1.0"),
+        (dict(tol=math.nan), "tol must be >= 0, got nan"),
+        (dict(max_iter=0), "max_iter must be >= 1, got 0"),
+    ])
+    def test_solve_lowest_rejects_them_on_either_route(self, setting, message, monkeypatch):
+        # the tol used to reach math.sqrt in run_round, and max_iter 0 to end in ConvergenceError;
+        # on the dense route both were ignored
+        import yukawa_ed.solver as solver_mod
+
+        def converted(*args):
+            raise AssertionError("worked on the matrix before the argument check")
+
+        monkeypatch.setattr(solver_mod, "_as_operator", converted)
+        for dense_cap in (100, DEFAULT_DENSE_CAP):
+            with pytest.raises(ParameterError, match=message):
+                solve_lowest(tridiagonal(800 if dense_cap == 100 else 40), 2, dense_cap=dense_cap, **setting)
+        with pytest.raises(ParameterError, match=message):
+            lanczos_lowest(tridiagonal(800), 2, **setting)
+
+    def test_converge_scan_rejects_them_before_building_a_model(self, monkeypatch):
+        import yukawa_ed.solver as solver_mod
+
+        def built(*args):
+            raise AssertionError("built a model before the argument check")
+
+        monkeypatch.setattr(solver_mod, "build_model", built)
+        with pytest.raises(ParameterError, match="tol must be >= 0, got -1e-10"):
+            converge_scan(minimal_params(), "n_max", [1, 2], tol=-1e-10)
+        with pytest.raises(ParameterError, match="max_iter must be >= 1, got -3"):
+            converge_scan(minimal_params(), "n_max", [1, 2], max_iter=-3)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (900, 901), (901, 900)])
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_each_route_names_the_shape(self, shape, sparse):
+        # a 0 x 0 matrix used to raise IndexError (or give lanczos_lowest an empty
+        # result), a non-square one a different scipy or numpy ValueError per route
+        h = sp.random(*shape, density=0.01, format="csr", random_state=5) if sparse else np.ones(shape)
+        message = rf"need a non-empty square matrix, got shape \({shape[0]}, {shape[1]}\)"
+        for solve in (dense_lowest, solve_lowest, lanczos_lowest, operator_norm_dense):
+            with pytest.raises(ParameterError, match=message):
+                solve(h) if solve is operator_norm_dense else solve(h, 1)
+
+    def test_a_vector_is_not_a_matrix(self):
+        with pytest.raises(ParameterError, match=r"got shape \(5,\)"):
+            solve_lowest(np.ones(5), 1)
+
+
 class TestSectorMinima:
     def test_free_charge_sectors_cost_one_mass_each(self):
         params = minimal_params(coupling=0.0)
