@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import CapacityError, ParameterError, check_seed, size_text
+from .errors import CapacityError, ParameterError, as_integer, check_seed, size_text
 from .fock import boson_number_diagonal, smeared_boson_block
 from .hamiltonian import CHUNK_ENTRIES, Model, boson_field_block, chi_spatial_l1_norm, dirac_field_mask
 from .lattice import DiscreteCoefficients
@@ -228,11 +228,12 @@ def verify_inequalities(
     above 1 + 1e-9 falsifies the build, and the caller (test suite, CLI)
     decides how loudly to fail.
     """
+    n_samples, n_field_points = as_integer(n_samples, "n_samples"), as_integer(n_field_points, "n_field_points")
     if n_samples < 1:
         raise ParameterError(f"need at least one sample, got {n_samples}")
     if n_field_points < 1:
         raise ParameterError(f"need at least one field point, got {n_field_points}")
-    check_seed(seed)
+    seed = check_seed(seed)
     dim = model.basis.dim
     if n_samples * dim > SAMPLE_CAP:
         raise CapacityError(

@@ -30,10 +30,11 @@ import yaml
 
 from .bounds import verify_inequalities
 from .errors import (
-    CapacityError, ConfigError, ConvergenceError, EvaluationError, ParameterError, check_iteration, check_seed,
+    CapacityError, ConfigError, ConvergenceError, EvaluationError, ParameterError, as_integer, check_iteration,
+    check_seed,
 )
 from .hamiltonian import ModelParams, build_model
-from .solver import DEFAULT_DENSE_CAP, SOLVE_STATS, as_integer, converge_scan, solve_lowest
+from .solver import DEFAULT_DENSE_CAP, SOLVE_STATS, converge_scan, solve_lowest
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "YUKAWA_ED_OUTPUT_DIR"

@@ -5,6 +5,7 @@ reuse one of the classes below rather than raising bare ValueError.
 """
 
 from decimal import Decimal
+from typing import Optional
 
 
 def size_text(n) -> str:
@@ -16,17 +17,28 @@ class ParameterError(ValueError):
     """Invalid physical or numerical parameter (non-positive mass, bad cap, ...)."""
 
 
-def check_seed(seed) -> None:
-    """Reject a seed that ``numpy.random.default_rng`` cannot take."""
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+def as_integer(value, name: str = "", low: Optional[int] = None) -> int:
+    """An integral number, or a numeric string of one, as int; 1.7, booleans and a value below ``low`` raise."""
+    if type(value) is not int:
+        number = float(value)
+        if isinstance(value, bool) or not number.is_integer():
+            raise ParameterError(f"{name + ' must be' if name else 'expected'} an integer, got {value!r}")
+        value = int(number)
+    if low is not None and value < low:
+        raise ParameterError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
-def check_iteration(tol, max_iter) -> None:
-    """Reject a negative (or NaN) ``tol`` and a ``max_iter`` below 1 before an iterative solve."""
-    for name, value, low in (("tol", tol, 0), ("max_iter", max_iter, 1)):
-        if not value >= low:
-            raise ParameterError(f"{name} must be >= {low}, got {value}")
+def check_seed(seed) -> int:
+    """The seed as int; one that ``numpy.random.default_rng`` cannot take raises."""
+    return as_integer(seed, "seed", 0)
+
+
+def check_iteration(tol, max_iter) -> int:
+    """``max_iter`` as int; a negative (or NaN) ``tol`` and a ``max_iter`` below 1 raise before an iterative solve."""
+    if not tol >= 0:
+        raise ParameterError(f"tol must be >= 0, got {tol}")
+    return as_integer(max_iter, "max_iter", 1)
 
 
 class CapacityError(RuntimeError):

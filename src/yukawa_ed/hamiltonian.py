@@ -15,9 +15,9 @@ is a fermion bilinear times one boson ladder operator B_r, r one of a_k or
 a*_k, so the assembled interaction is H_int = sum_r F_r (x) B_r with F_r on
 the 2^(4 N_f) fermion-mask space.  ``ladder_factors`` builds every F_r in one
 pass: the bilinears' entries come from bit arithmetic on the masks, one sort
-orders them for every ladder, and each ladder sums its coefficients over the
-shared runs.  B_r moves the boson occupation by -e_k or +e_k, a shift no
-other ladder shares, so distinct blocks occupy disjoint entries.
+orders them for every ladder, and each ladder sums only its diagonal runs.
+B_r moves the boson occupation by -e_k or +e_k, a shift no other ladder
+shares, so distinct blocks occupy disjoint entries.
 
 ``build_model`` keeps the factors on the model (``Model.factors``, checked
 for hermiticity per ladder) and the free diagonal (``Model.free``), and
@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -294,34 +294,49 @@ Ladder = Tuple[str, int]  # (boson_kind, k_index)
 RESIDUE_TOL = 64 * np.finfo(float).eps
 
 
-def _bilinear_runs(keys: np.ndarray, basis: FockBasis) -> Tuple[np.ndarray, ...]:
+def _distinct(table: np.ndarray, names: Tuple[str, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(table[list(names)], return_inverse=True)``, from one code per row of its fields' ranks."""
+    values, ranks = zip(*(np.unique(table[name], return_inverse=True) for name in names))
+    _, first, inverse = np.unique(np.ravel_multi_index(ranks, [len(v) for v in values]), return_index=True,
+                                  return_inverse=True)
+    return table[list(names)][first], inverse
+
+
+def _bilinear_runs(keys: np.ndarray, live: np.ndarray, basis: FockBasis) -> Tuple[np.ndarray, ...]:
     """The entries of every bilinear key on the mask space, sorted by (row, column), ties in key order.
 
-    c_i c_j (either one a creator) acts on the masks m whose bit j it can move,
-    then bit i of m ^ bit_j, with the Jordan-Wigner signs of the occupied modes
-    below j on m and below i on m ^ bit_j; row m ^ bit_j ^ bit_i, column m.
-    Returns each entry's ``slot`` (2 b, 2 b + 1 if negative, for key b), the
-    ``starts`` of the runs of one position, their columns and the row pointer.
+    c_i c_j (either one a creator) has an entry in the rows with bit i as c_i
+    leaves it and, for j != i, bit j as c_j does; column row ^ bit_i ^ bit_j,
+    with the Jordan-Wigner signs of the occupied modes below j on the column m
+    and below i on m ^ bit_j.  The keys fixing one bit, then the ``live`` ones
+    fixing two (any other only adds runs every factor drops), are written a
+    group at a time and sorted at once.  Returns each entry's ``slot`` (2 b,
+    2 b + 1 if negative, for key b), the ``starts`` of the runs of one
+    position, their columns and the row pointer.
     """
-    dim, entries, signs = basis.fermion_dim, [], []
-    for kind, spin, spin_p, qi, qpi in keys.tolist():
-        (left, left_create), (right, right_create) = BILINEAR_FACTORS[kind]
-        i = basis.mode_index(FermionMode(left, spin, qi))
-        j = basis.mode_index(FermionMode(right, spin_p, qpi))
-        fixed = {i: not left_create, j: not right_create}  # bits of m: free ones count up
-        col = np.arange(dim >> len(fixed))
-        for p, bit in sorted(fixed.items()):
-            col = (col >> p << (p + 1)) | (col & ((1 << p) - 1)) | (bit << p)
-        mid = col ^ (1 << j)
-        signs.append((np.bitwise_count(col & ((1 << j) - 1)) + np.bitwise_count(mid & ((1 << i) - 1))) & 1)
-        entries.append((mid ^ (1 << i)) * dim + col)
-    slot = 2 * np.repeat(np.arange(len(keys)), [len(e) for e in entries]) + np.concatenate(signs)
-    entry = np.concatenate(entries)
-    order = np.argsort(entry, kind="stable")
-    entry = entry[order]
-    starts = np.flatnonzero(np.diff(entry, prepend=-1))
-    rows, cols = np.divmod(entry[starts], dim)
-    return slot[order], starts, cols, np.searchsorted(rows, np.arange(dim + 1))
+    dim, n_modes = basis.fermion_dim, basis.n_fermion_modes
+    mode_of = cache(lambda *mode: basis.mode_index(FermionMode(*mode)))
+    modes = np.array([(mode_of(left, spin, qi), mode_of(right, spin_p, qpi), left_create, right_create)
+                      for kind, spin, spin_p, qi, qpi in keys.tolist()
+                      for (left, left_create), (right, right_create) in [BILINEAR_FACTORS[kind]]])
+    fixed = np.where(modes[:, 0] == modes[:, 1], 1, np.where(live, 2, 0))  # row bits each key fixes; 0: left out
+    shift = (2 * len(keys) - 1).bit_length()  # (row, column, slot) in one int64, for up to six fermion points
+    parts = []
+    for n_fixed in (1, 2):
+        at = np.flatnonzero(fixed == n_fixed)
+        i, j, create_i, create_j = modes[at].T[..., None]
+        row = np.arange(dim >> n_fixed)
+        for p in np.sort(modes[at, :2], axis=1)[:, 2 - n_fixed:].T[..., None]:  # ascending bit positions
+            row = (row >> p << (p + 1)) | (row & ((1 << p) - 1)) | (np.where(p == i, create_i, create_j) << p)
+        col = row ^ (1 << i) ^ (1 << j)
+        sign = (np.bitwise_count(col & (((1 << i) - 1) ^ ((1 << j) - 1))) & 1) ^ (j < i)
+        parts.append(((((row << n_modes) | col) << shift) | (2 * at[:, None] + sign)).ravel())
+    entry = np.sort(np.concatenate(parts))
+    slot, entry = entry & ((1 << shift) - 1), entry >> shift
+    starts = np.flatnonzero(np.concatenate(([True], entry[1:] != entry[:-1])))
+    index = np.promote_types(np.int32, np.min_scalar_type(-dim))  # scipy's index dtype on this shape
+    head = entry[starts]
+    return slot, starts, (head & (dim - 1)).astype(index), np.searchsorted(head >> n_modes, np.arange(dim + 1))
 
 
 def ladder_factors(terms: np.recarray, basis: FockBasis) -> Dict[Ladder, sp.csr_matrix]:
@@ -332,15 +347,15 @@ def ladder_factors(terms: np.recarray, basis: FockBasis) -> Dict[Ladder, sp.csr_
     own sum in key order: a run holds one entry off the diagonal, and the
     diagonal bilinears all balance momentum at +-k, so a ladder has all or none
     of them.  Exact zeros and rounding residues (``RESIDUE_TOL``) are dropped on
-    every ladder alike.  The factors are float64 when every summed (ladder,
-    bilinear) coefficient is exactly real, complex otherwise (module docstring).
+    every ladder alike; a run of one entry is tested once, as its (ladder,
+    bilinear) sum.  The factors are float64 when every summed (ladder, bilinear)
+    coefficient is exactly real, complex otherwise (module docstring).
     """
     if len(terms) == 0:
         return {}
     dim = basis.fermion_dim
-    ladders, ladder_of = np.unique(terms[["k_index", "boson_kind"]], return_inverse=True)
-    keys, key_of = np.unique(terms[["fermion_kind", "spin", "spin_p", "q_index", "qp_index"]], return_inverse=True)
-    slot, starts, cols, row_ptr = _bilinear_runs(keys, basis)
+    ladders, ladder_of = _distinct(terms, ("k_index", "boson_kind"))
+    keys, key_of = _distinct(terms, ("fermion_kind", "spin", "spin_p", "q_index", "qp_index"))
 
     # rows of one ladder that share a bilinear b sum their coefficients and
     # magnitudes, into the ladder's slots 2 b (times +1) and 2 b + 1 (times -1)
@@ -351,19 +366,21 @@ def ladder_factors(terms: np.recarray, basis: FockBasis) -> Dict[Ladder, sp.csr_
         coefficient = coefficient + 1j * imag
     signed = (coefficient[:, None] * np.array([1.0, -1.0])).reshape(len(ladders), -1)
     magnitude = np.repeat(np.bincount(pair_of, np.abs(terms.coefficient), n_pairs), 2).reshape(len(ladders), -1)
+    single = np.where(np.abs(signed) > RESIDUE_TOL * magnitude, signed, 0)
+    slot, starts, cols, row_ptr = _bilinear_runs(keys, np.any(single, axis=0)[::2], basis)
 
-    # a run of one entry is that entry; only the runs of several (the diagonal ones) are summed
     lengths = np.diff(starts, append=len(slot))
     several = np.flatnonzero(lengths > 1)
     first, summed = slot[starts], slot[np.repeat(lengths > 1, lengths)]
     summed_starts = np.cumsum(lengths[several]) - lengths[several]
-    factors = {}
+    factors, total = {}, np.empty(len(starts), signed.dtype)
     for r, (k, bkind) in enumerate(ladders.tolist()):
-        total, bound = signed[r][first], magnitude[r][first]
-        total[several] = np.add.reduceat(signed[r][summed], summed_starts)
-        bound[several] = np.add.reduceat(magnitude[r][summed], summed_starts)
-        keep = np.abs(total) > RESIDUE_TOL * bound
-        indptr = np.concatenate(([0], np.cumsum(keep)))[row_ptr]
+        single[r].take(first, out=total, mode="clip")
+        sums = np.add.reduceat(signed[r][summed], summed_starts)
+        total[several] = np.where(np.abs(sums) > RESIDUE_TOL * np.add.reduceat(magnitude[r][summed], summed_starts),
+                                  sums, 0)
+        keep = total != 0
+        indptr = row_ptr - np.searchsorted(np.flatnonzero(~keep), row_ptr)
         factors[(bkind, k)] = sp.csr_matrix((total[keep], cols[keep], indptr), shape=(dim, dim))
     return factors
 
@@ -545,15 +562,18 @@ def interaction_hermiticity_defect(factors: Dict[Ladder, sp.csr_matrix], basis: 
 
     The a_k and a*_k blocks of H_int - H_int^H are (F_{a,k} - F_{a*,k}^H) (x) B_k
     and its adjoint.  Kron entries are products, so the defect is the largest
-    max|F_{a,k} - F_{a*,k}^H| * max|B_k|.  An absent ladder counts as zero.
+    max|F_{a,k} - F_{a*,k}^H| * max|B_k|, a difference of ``data`` when F_{a,k}
+    is canonical with the pattern of F_{a*,k}^T.  An absent ladder counts as zero.
     """
     zero = sp.csr_matrix((basis.fermion_dim,) * 2)
     _, _, lowering, mode = basis.boson_lowering
     defect = 0.0
     for k in sorted({k for _, k in factors}):
-        diff = factors.get(("a", k), zero) - factors.get(("a*", k), zero).conj().T
+        f_a, f_c = factors.get(("a", k), zero), factors.get(("a*", k), zero).tocsc()  # arrays of F_{a*,k}^T's CSR
+        same = np.array_equal(f_a.indptr, f_c.indptr) and np.array_equal(f_a.indices, f_c.indices)
+        diff = f_a.data - f_c.data.conj() if same and f_a.has_canonical_format else (f_a - f_c.conj().T).data
         scale = np.max(lowering[mode == k], initial=0.0)
-        defect = max(defect, float(np.max(np.abs(diff.data), initial=0.0)) * scale)
+        defect = max(defect, float(np.max(np.abs(diff), initial=0.0)) * scale)
     return defect
 
 

@@ -55,7 +55,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import CapacityError, ConvergenceError, ParameterError, check_iteration, check_seed
+from .errors import CapacityError, ConvergenceError, ParameterError, as_integer, check_iteration, check_seed
 from .fock import FockBasis
 from .hamiltonian import CHUNK_ENTRIES, ModelParams, build_model, chunks
 
@@ -142,10 +142,8 @@ def _check_dense(what: str, dim: int, cap: int) -> None:
 
 def dense_lowest(h, k: int, dense_cap: int = ORACLE_DENSE_CAP) -> SpectralResult:
     """Lowest ``k`` eigenpairs by LAPACK's subset driver; the oracle route under the cap."""
-    dim = h.shape[0]
+    k, dim = as_integer(k, "k", 1), h.shape[0]
     _check_dense("dense diagonalization", dim, dense_cap)
-    if k < 1:
-        raise ParameterError(f"need k >= 1, got {k}")
     k = min(k, dim)
     h = _as_operator(h)
     dense = h.toarray() if sp.issparse(h) else h
@@ -366,10 +364,7 @@ def lanczos_lowest(
     accepting nothing: when that is the first round, the result has no
     eigenvalues and ``ground_vector`` None.  Deterministic for a fixed seed.
     """
-    if k < 1:
-        raise ParameterError(f"need k >= 1, got {k}")
-    check_seed(seed)
-    check_iteration(tol, max_iter)
+    k, seed, max_iter = as_integer(k, "k", 1), check_seed(seed), check_iteration(tol, max_iter)
     h = _as_operator(h)
     dim = h.shape[0]
     k = min(k, dim)
@@ -455,10 +450,7 @@ def solve_lowest(
     blocks are invariant, so the residual reported is the winning block's
     own, that of the zero-padded ground vector on the whole matrix.
     """
-    if k < 1:
-        raise ParameterError(f"need k >= 1, got {k}")
-    check_seed(seed)
-    check_iteration(tol, max_iter)
+    k, seed, max_iter = as_integer(k, "k", 1), check_seed(seed), check_iteration(tol, max_iter)
     h = _as_operator(h)
     if h.shape[0] <= dense_cap:
         return dense_lowest(h, k, dense_cap)
@@ -553,7 +545,7 @@ def sector_minima(
         raise ParameterError(f"matrix of shape {h.shape} does not act on the basis of dimension {basis.dim}")
     if label not in ("charge", "number"):
         raise ParameterError(f"unknown sector label {label!r}")
-    check_seed(seed)
+    seed = check_seed(seed)
     member = np.repeat((basis.mask_charge if label == "charge" else basis.mask_fermion_number) == n, basis.boson_dim)
     inside = np.flatnonzero(member)
     if inside.size == 0:
@@ -575,16 +567,6 @@ def sector_minima(
 
 
 # -- refinement scans -------------------------------------------------------------
-
-
-def as_integer(value) -> int:
-    """An integral number, or a numeric string of one, as int; 1.7 and booleans raise."""
-    if type(value) is int:
-        return value
-    number = float(value)
-    if isinstance(value, bool) or not number.is_integer():
-        raise ParameterError(f"expected an integer, got {value!r}")
-    return int(number)
 
 
 # scan axis -> (ModelParams field, cast); "fermion_modes" keeps a prefix of
@@ -690,8 +672,7 @@ def converge_scan(
 
     Aborts with the partial report attached on the first non-converged step.
     """
-    check_seed(seed)
-    check_iteration(tol, max_iter)
+    k, seed, max_iter = as_integer(k, "k", 1), check_seed(seed), check_iteration(tol, max_iter)
     values = list(values)
     if not values:
         raise ParameterError("refinement list is empty")

@@ -365,6 +365,23 @@ class TestSampleBlocks:
         with pytest.raises(ParameterError, match="at least one field point"):
             verify_inequalities(build_model(minimal_params()), n_samples=10, n_field_points=points)
 
+    @pytest.mark.parametrize("value", [10.5, True, math.nan])
+    @pytest.mark.parametrize("name", ["n_samples", "n_field_points", "seed"])
+    def test_non_integers_raise_before_any_work(self, name, value, monkeypatch):
+        # n_samples = 10.5 and n_field_points = 2.5 used to raise a bare TypeError after the constants
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before the argument check")
+
+        monkeypatch.setattr(bounds, "compute_constants", computed)
+        with pytest.raises(ParameterError, match=f"{name} must be an integer, got {value!r}"):
+            verify_inequalities(build_model(minimal_params()), **{"n_samples": 10, name: value})
+
+    @pytest.mark.parametrize("three", [3.0, np.int64(3)])
+    def test_integral_values_pass(self, three):
+        model = build_model(minimal_params())
+        want = verify_inequalities(model, n_samples=3, n_field_points=3, seed=3).worst_ratios()
+        assert verify_inequalities(model, n_samples=three, n_field_points=three, seed=three).worst_ratios() == want
+
     def test_sample_cap_admits_exactly_the_cap(self, monkeypatch):
         model = build_model(minimal_params())
         monkeypatch.setattr(bounds, "SAMPLE_CAP", 64 * 30)

@@ -674,10 +674,14 @@ def pair_defect_oracle(factors, basis):
     return defect
 
 
+W2_POINTS = ((0, 0, 0), (0, 0, 1), (0, 0, -1))
 FACTOR_MODELS = {
     "w0": (minimal_params(coupling=0.5), "dirac"),
     "w1": (KERNEL_MODELS["w1"], "dirac"),
-    "w2_fermions": (two_point_params(fermion_points=((0, 0, 0), (0, 0, 1), (0, 0, -1))), "dirac"),
+    "w2_fermions": (two_point_params(fermion_points=W2_POINTS), "dirac"),
+    # the ten ladders of the W3 workload: the fermions of W2, bosons also at (0, +-1, 0)
+    "ten_ladders": (two_point_params(fermion_points=W2_POINTS, boson_points=W2_POINTS + ((0, 1, 0), (0, -1, 0))),
+                    "dirac"),
     "pruned_3": (two_point_params(chi_spatial=CutoffProfile.gaussian(3.0)), "dirac"),
     "pruned_6": (two_point_params(chi_spatial=CutoffProfile.gaussian(6.0)), "dirac"),
     "pruned_12": (two_point_params(chi_spatial=CutoffProfile.gaussian(12.0)), "dirac"),
@@ -695,6 +699,8 @@ class TestFactorBuild:
         assert list(model.factors) == list(oracle)
         for ladder, f_r in model.factors.items():
             assert_bitwise_equal(f_r, oracle[ladder])
+        if name == "ten_ladders":
+            assert len(model.factors) == 10
         if name.startswith("pruned"):  # some ladder lacks some bilinear the others have
             t = model.terms
             keys = {(b, k): frozenset(t[(t.boson_kind == b) & (t.k_index == k)][["fermion_kind", "spin", "spin_p",
@@ -702,7 +708,7 @@ class TestFactorBuild:
                     for b, k in model.factors}
             assert len(set(keys.values())) > 1
 
-    @pytest.mark.parametrize("name", ["w1", "pruned_12", "off_axis"])
+    @pytest.mark.parametrize("name", ["w1", "pruned_12", "off_axis", "ten_ladders"])
     def test_pair_defect_matches_block_defect_exactly(self, name):
         params, representation = FACTOR_MODELS[name]
         model = build_model(params, algebra=dirac_algebra(representation))
@@ -710,9 +716,53 @@ class TestFactorBuild:
         scaled = dict(model.factors)
         scaled[ladders[0]] = scaled[ladders[0]].copy()
         scaled[ladders[0]].data[::3] *= 1 + 1e-6
-        for factors in (model.factors, scaled, {r: f for r, f in model.factors.items() if r != ladders[-1]}):
+        # one entry dropped from an a* factor: the pair's patterns differ, so the sparse difference is taken
+        f_c = model.factors[("a*", ladders[0][1])].tocoo()
+        dropped = {**model.factors, ("a*", ladders[0][1]): sp.csr_matrix((f_c.data[1:], (f_c.row[1:], f_c.col[1:])),
+                                                                         shape=f_c.shape)}
+        absent = {r: f for r, f in model.factors.items() if r != ladders[-1]}
+        for factors in (model.factors, scaled, dropped, absent):
             assert interaction_hermiticity_defect(factors, model.basis) == pair_defect_oracle(factors, model.basis)
+        assert interaction_hermiticity_defect(dropped, model.basis) > 0
         assert interaction_hermiticity_defect(model.factors, model.basis) == 0.0
+
+    def test_bilinears_no_ladder_keeps_are_left_out_of_the_runs(self, monkeypatch):
+        """Off-diagonal bilinears that cancel on every ladder add no runs, and the factors keep their bits."""
+        model = build_model(FACTOR_MODELS["ten_ladders"][0])
+        runs, seen = hamiltonian._bilinear_runs, []
+
+        def every_key(keys, live, basis):
+            seen.append((keys, live))
+            return runs(keys, np.ones_like(live), basis)
+
+        monkeypatch.setattr(hamiltonian, "_bilinear_runs", every_key)
+        factors = ladder_factors(model.terms, model.basis)
+        keys, live = seen[0]
+        assert 0 < np.count_nonzero(~live) < len(live)
+        assert list(factors) == list(model.factors)
+        for ladder, f_r in model.factors.items():
+            assert_bitwise_equal(f_r, factors[ladder])
+        # with no key live, only the diagonal bilinears (one per mode, on half the masks each) add entries
+        slot, starts, cols, row_ptr = runs(keys, np.zeros_like(live), model.basis)
+        dim = model.basis.fermion_dim
+        diagonal = [kind in ("b*b", "dd*") and (s, q) == (s_p, q_p) for kind, s, s_p, q, q_p in keys.tolist()]
+        assert np.array_equal(np.bincount(slot // 2, minlength=len(keys)), np.where(diagonal, dim // 2, 0))
+        assert np.array_equal(cols, np.repeat(np.arange(dim), np.diff(row_ptr)))  # every run on the diagonal
+
+    def test_single_entry_residues_are_dropped_as_in_the_oracle(self):
+        """A one-entry sum that cancels to a rounding residue, not to zero, is dropped like an exact zero.
+
+        Nudging the terms of spinor component 0, the sums that cancel exactly become
+        residues on every ladder but ("a", 0), where they stay, so those bilinears remain in the runs.
+        """
+        model = build_model(FACTOR_MODELS["w2_fermions"][0])
+        terms = model.terms.copy()
+        kept, nudged = (terms.boson_kind == "a") & (terms.k_index == 0), terms.component == 0
+        terms.coefficient[nudged] *= np.where(kept[nudged], 1 + 1e-3, 1 + 2.0**-50)
+        factors, oracle = ladder_factors(terms, model.basis), product_factors_oracle(terms, model.basis)
+        for ladder, f_r in model.factors.items():
+            assert_bitwise_equal(factors[ladder], oracle[ladder])
+            assert (factors[ladder].nnz > f_r.nnz) if ladder == ("a", 0) else (factors[ladder].nnz == f_r.nnz)
 
     @pytest.mark.parametrize("name", ["w0", "w1", "off_axis"])
     def test_free_part_matches_sum_of_number_operators_bitwise(self, name):

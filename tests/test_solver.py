@@ -850,6 +850,69 @@ class TestSolverArguments:
             solve_lowest(np.ones(5), 1)
 
 
+NOT_INTEGERS = [1.5, True, False, math.nan, math.inf]
+
+
+class TestIntegerArguments:
+    """k, max_iter and seed take integral values only, checked before any work; 2.0 and np.int64(2) pass."""
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("name", ["k", "max_iter", "seed"])
+    def test_solvers_reject_them_on_either_route(self, name, value, monkeypatch):
+        # k = 1.5 gave one eigenvalue on the dense route and a bare TypeError above the cap
+        import yukawa_ed.solver as solver_mod
+
+        def converted(*args):
+            raise AssertionError("worked on the matrix before the argument check")
+
+        monkeypatch.setattr(solver_mod, "_as_operator", converted)
+        settings = {"k": 2, name: value}
+        message = f"{name} must be an integer, got {value!r}"
+        for dense_cap in (100, DEFAULT_DENSE_CAP):
+            with pytest.raises(ParameterError, match=message):
+                solve_lowest(tridiagonal(800 if dense_cap == 100 else 40), dense_cap=dense_cap, **settings)
+        with pytest.raises(ParameterError, match=message):
+            lanczos_lowest(tridiagonal(800), **settings)
+        if name == "k":
+            with pytest.raises(ParameterError, match=message):
+                dense_lowest(tridiagonal(40), value)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_sector_minima_rejects_a_seed(self, value):
+        model = build_model(minimal_params())
+        with pytest.raises(ParameterError, match=f"seed must be an integer, got {value!r}"):
+            sector_minima(model.hamiltonian(), model.basis, 1, seed=value)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("name", ["k", "max_iter", "seed"])
+    def test_converge_scan_rejects_them_before_building_a_model(self, name, value, monkeypatch):
+        import yukawa_ed.solver as solver_mod
+
+        def built(*args):
+            raise AssertionError("built a model before the argument check")
+
+        monkeypatch.setattr(solver_mod, "build_model", built)
+        with pytest.raises(ParameterError, match=f"{name} must be an integer, got {value!r}"):
+            converge_scan(minimal_params(), "n_max", [1, 2], **{name: value})
+
+    @pytest.mark.parametrize("k", [0, -1, 0.0])
+    def test_k_below_one_is_rejected(self, k):
+        for solve in (dense_lowest, solve_lowest, lanczos_lowest):
+            with pytest.raises(ParameterError, match="k must be >= 1"):
+                solve(tridiagonal(40), k)
+
+    @pytest.mark.parametrize("two", [2.0, np.int64(2), np.float64(2.0)])
+    def test_integral_values_pass(self, two):
+        for dense_cap in (100, DEFAULT_DENSE_CAP):
+            h = tridiagonal(800 if dense_cap == 100 else 40)
+            want = solve_lowest(h, 2, max_iter=400, seed=2, dense_cap=dense_cap)
+            got = solve_lowest(h, two, max_iter=200 * two, seed=two, dense_cap=dense_cap)
+            assert got.eigenvalues.tolist() == want.eigenvalues.tolist()
+        got = lanczos_lowest(tridiagonal(800), two, max_iter=200 * two, seed=two)
+        assert got.eigenvalues.tolist() == lanczos_lowest(tridiagonal(800), 2, seed=2).eigenvalues.tolist()
+        assert len(dense_lowest(tridiagonal(40), two).eigenvalues) == 2
+
+
 class TestSectorMinima:
     def test_free_charge_sectors_cost_one_mass_each(self):
         params = minimal_params(coupling=0.0)
