@@ -573,7 +573,7 @@ def interaction_hermiticity_defect(factors: Dict[Ladder, sp.csr_matrix], basis: 
         same = np.array_equal(f_a.indptr, f_c.indptr) and np.array_equal(f_a.indices, f_c.indices)
         diff = f_a.data - f_c.data.conj() if same and f_a.has_canonical_format else (f_a - f_c.conj().T).data
         scale = np.max(lowering[mode == k], initial=0.0)
-        defect = max(defect, float(np.max(np.abs(diff), initial=0.0)) * scale)
+        defect = max(defect, float(np.max(np.abs(diff), initial=0.0) * scale))
     return defect
 
 

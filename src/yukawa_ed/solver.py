@@ -16,16 +16,18 @@ components of its pattern, its invariant blocks (method ``"blocks"``; a
 connected matrix is one block, a diagonal one a block per state).  It
 solves them densely up to the cap and by Lanczos with partial
 reorthogonalization above it, in increasing Gershgorin bound, until a bound
-reaches the k-th value merged so far; a Lanczos block stops once a round is
-decided above it, and a block decided in its first round adds no pairs.  A
-single state's bound and dense solve are both its diagonal entry, so the
-block route reads a diagonal matrix (the free Hamiltonian above the cap)
-off exactly.  The search reads the matrix once, in chunks of whole rows of
-at most ``hamiltonian.CHUNK_ENTRIES`` stored entries, for the components'
-closure test and the Gershgorin row sums, so its scratch does not grow with
-nnz.  Every route reads its matrix through ``_as_operator``, which rejects
-an empty or non-square matrix and a non-finite entry with ``ParameterError``,
-naming its shape or row.
+reaches the k-th value merged so far.  A Lanczos block stops once a round is
+decided above that value; a dense block is decided above it, with no
+eigensolve, when its Cholesky factorization shifted just above the value
+completes.  A block decided at once adds no pairs but counts in
+``blocks_solved``.  A single state's bound and dense solve are both its
+diagonal entry, so the block route reads a diagonal matrix (the free
+Hamiltonian above the cap) off exactly.  The search reads the matrix once,
+in chunks of whole rows of at most ``hamiltonian.CHUNK_ENTRIES`` stored
+entries, for the components' closure test and the Gershgorin row sums, so
+its scratch does not grow with nnz.  Every route reads its matrix through
+``_as_operator``, which rejects an empty or non-square matrix and a
+non-finite entry with ``ParameterError``, naming its shape or row.
 
 Lanczos restarts in the orthogonal complement of converged eigenvectors, so
 degenerate levels keep their multiplicities and the routes can be compared
@@ -445,8 +447,10 @@ def solve_lowest(
     test and sums each row's |h_ij| for the floors.  Each block is cut
     from ``h`` by its rows, whose columns stay inside it, and solved densely
     up to the cap, by Lanczos above it.  Once ``k`` values are merged, a
-    Lanczos block is asked only for as many pairs as merged values lie
-    above its floor, and one decided above the k-th value adds none.  The
+    dense block is first factored by Cholesky, shifted just above the k-th
+    value, and skips its eigensolve when that completes; a Lanczos block is
+    asked only for as many pairs as merged values lie above its floor.  A
+    block decided above the k-th value adds none but counts as solved.  The
     blocks are invariant, so the residual reported is the winning block's
     own, that of the zero-padded ground vector on the whole matrix.
     """
@@ -480,12 +484,22 @@ def solve_lowest(
             rows = h[states]  # a copy, renumbered in place: h[states][:, states] raised ground-w2 peak RSS 2.6-3.5 MB
             np.take(local, rows.indices, out=rows.indices, mode="clip")
             sub = sp.csr_matrix((rows.data, rows.indices, rows.indptr), shape=(size, size))
+        solved += 1
         if size <= dense_cap:
+            sub = sub.toarray()  # one cut, for the certificate and the eigensolve
+            if len(values) == k:
+                # Cholesky of C = sub - (kth + delta) I completes only if every level lies above kth: in floating
+                # point it is exact for a matrix within (n+1)u tr(C) of C in norm, to first order (Demmel 1989;
+                # Rump, BIT 46, 2006), and forming C rounds each diagonal by u |sub_ii - kth - delta|.  The row
+                # sums bound sum_i |sub_ii|, so delta covers both twice over (eps = 2u), complex arithmetic too.
+                shifted = np.array(sub, order="F")  # potrf's layout, factored in place
+                shifted[np.diag_indices(size)] -= kth + (size + 2) * EPS * (row_sums[states].sum() + size * abs(kth))
+                if sla.get_lapack_funcs("potrf", (shifted,))(shifted, lower=True, overwrite_a=True, clean=0)[1] == 0:
+                    continue  # decided above the k-th value: nothing to merge
             part = dense_lowest(sub, k, dense_cap)
         else:  # once k values are merged, only those above this block's floor can be displaced
             need = int(np.sum(values > floors[block])) if len(values) == k else k
             part = lanczos_lowest(sub, need, tol, max_iter, seed, above=kth)
-        solved += 1
         work = {key: count + getattr(part, key) for key, count in work.items()}
         if not len(part.eigenvalues):  # decided above the k-th value: nothing to merge
             continue

@@ -726,6 +726,14 @@ class TestFactorBuild:
         assert interaction_hermiticity_defect(dropped, model.basis) > 0
         assert interaction_hermiticity_defect(model.factors, model.basis) == 0.0
 
+    def test_a_nonzero_defect_is_a_python_float(self):
+        # the off-axis pair of fermion points: complex factors whose defect is a rounding residue
+        params = two_point_params(coupling=0.5, fermion_points=((0, 0, 0), (1, 2, 1)), n_max=2, total_boson_cap=2)
+        model = build_model(params)
+        defect = interaction_hermiticity_defect(model.factors, model.basis)
+        assert type(defect) is float
+        assert 0.0 < defect == pair_defect_oracle(model.factors, model.basis)
+
     def test_bilinears_no_ladder_keeps_are_left_out_of_the_runs(self, monkeypatch):
         """Off-diagonal bilinears that cancel on every ladder add no runs, and the factors keep their bits."""
         model = build_model(FACTOR_MODELS["ten_ladders"][0])

@@ -597,6 +597,97 @@ class TestBlockRoute:
         assert np.array_equal(strong[1], weak[1])
 
 
+def spectrum_block(eigenvalues, rng, real):
+    """Hermitian block with the given spectrum in a random orthogonal (``real``) or unitary basis."""
+    if not real:
+        return hermitian_with_spectrum(eigenvalues, rng)
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
+    mat = (q * np.asarray(eigenvalues)) @ q.T
+    return (mat + mat.T) / 2
+
+
+def certificate_margin(block, kth):
+    """How far above ``kth`` the block route's Cholesky certificate shifts: (n + 2) eps (sum |b_ij| + n |kth|)."""
+    n = block.shape[0]
+    return (n + 2) * np.finfo(float).eps * (np.abs(block).sum() + n * abs(kth))
+
+
+def certificate_case(real, seed=61):
+    """Seven dense blocks, shuffled; K2 is K1's bitwise copy, every other size is distinct.
+
+    G holds 0, 0.4 and 1.2, K1 and K2 the level 1.  Wide spectra keep the
+    floors of G, then K1 and K2, lowest; H is a path whose weak couplings keep
+    its floor near its lowest level 0.7, so it comes last.  In between, N's
+    lowest level lies a quarter of the certificate's margin above K1's
+    computed 1, and A1 and A2 hold no level below 1.5.
+    """
+    rng = np.random.default_rng(seed)
+
+    def spaced(size, step, *low):  # the levels `low`, then steps of `step` above the last
+        return np.concatenate([low, low[-1] + step * np.arange(1, size + 1 - len(low))])
+
+    g = spectrum_block(spaced(10, 20.0, 0.0, 0.4, 1.2), rng, real)
+    k1 = spectrum_block(spaced(6, 10.0, 1.0), rng, real)
+    levels = spaced(7, 1.0, 1.0)
+    levels[0] += certificate_margin(spectrum_block(levels, np.random.default_rng(seed), real), 1.0) / 4
+    n = spectrum_block(levels, np.random.default_rng(seed), real)  # the basis the margin was taken in
+    a1 = spectrum_block(spaced(8, 1.0, 1.5, 2.0), rng, real)
+    a2 = spectrum_block(spaced(9, 1.0, 1.8), rng, real)
+    off = np.full(4, 1e-3)
+    h_block = np.diag([0.7, 2.0, 3.0, 4.0, 5.0]) + np.diag(off, 1) + np.diag(off, -1)
+    blocks = [g, k1, k1.copy(), n, a1, a2, h_block]  # G, K1, K2, N, A1, A2, H
+    perm = rng.permutation(sum(len(b) for b in blocks))
+    return sp.block_diag(blocks, format="csr")[perm][:, perm].tocsr()
+
+
+@pytest.fixture
+def dense_sizes(monkeypatch):
+    """The sizes of the matrices the solver hands to ``dense_lowest``, in call order."""
+    import yukawa_ed.solver as solver_mod
+
+    sizes = []
+
+    def spy(block, *args, **kwargs):
+        sizes.append(block.shape[0])
+        return dense_lowest(block, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "dense_lowest", spy)
+    return sizes
+
+
+class TestDenseCertificate:
+    """Dense blocks decided above the merged k-th value by one Cholesky factorization."""
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_blocks_above_kth_skip_their_eigensolve(self, real, k, dense_sizes):
+        h = certificate_case(real)
+        assert np.isrealobj(h) == real
+        result = solve_lowest(h, k, dense_cap=10)
+        oracle = dense_lowest(h, k).eigenvalues
+        assert np.allclose(oracle, [0.0, 0.4, 0.7, 1.0, 1.0][:k], rtol=0, atol=1e-5)  # H's couplings lower 0.7 by 8e-7
+        assert np.allclose(result.eigenvalues, oracle, rtol=0, atol=1e-10)
+        assert result.ground_multiplicity == 1 and result.residual < 1e-12
+        # G, K1, K2 (at k = 3 its lowest level is the k-th bitwise), N (within the margin at k = 3 and 4)
+        # and H (below the k-th, behind a high floor) are solved; the certificate alone decides A1 and A2
+        assert dense_sizes == [10, 6, 6, 7, 5]
+        assert (result.blocks, result.blocks_solved) == (7, 7)
+
+    def test_kappa_scan_model_solves_only_its_ground_block(self, dense_sizes):
+        # the kappa-scan-dense benchmark model: W1 at n_max 2, 1 536 states
+        model = build_model(replace(w1_params(), n_max=2, total_boson_cap=None))
+        solved, per_kappa = [], []
+        for kappa in (0.0, 0.5, 1.0):
+            start = len(dense_sizes)
+            solved.append(solve_lowest(model.hamiltonian(kappa), 2).stats())
+            per_kappa.append(dense_sizes[start:])
+        # four 144-state blocks at kappa 0.5 and 1 lie above the k-th value behind floors below it
+        assert per_kappa == [[1, 1], [216], [216]]
+        work = dict(method="blocks", iterations=0, matvecs=0, reorthogonalizations=0)
+        assert solved == [dict(work, blocks=1536, blocks_solved=2), dict(work, blocks=45, blocks_solved=5),
+                          dict(work, blocks=45, blocks_solved=5)]
+
+
 def one_sided_matrix(row, col, seed=5):
     """Hermitian blocks of 30 and 50 states and one entry (row, col) stored on one side only, joining them."""
     rng = np.random.default_rng(seed)
