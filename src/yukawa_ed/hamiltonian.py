@@ -15,15 +15,17 @@ is a fermion bilinear times one boson ladder operator B_r, r one of a_k or
 a*_k, so the assembled interaction is H_int = sum_r F_r (x) B_r with F_r on
 the 2^(4 N_f) fermion-mask space.  ``ladder_factors`` builds every F_r in one
 pass: the bilinears' entries come from bit arithmetic on the masks, one sort
-orders them for every ladder, and each ladder sums only its diagonal runs.
-B_r moves the boson occupation by -e_k or +e_k, a shift no other ladder
-shares, so distinct blocks occupy disjoint entries.
+orders them for every ladder, and every ladder sums only the diagonal runs,
+into one ``FactorTable``: U, the entries any ladder keeps, stored once as
+CSR, and a row of ``data`` on U per ladder.  B_r moves the boson occupation
+by -e_k or +e_k, a shift no other ladder shares, so distinct blocks occupy
+disjoint entries.
 
-``build_model`` keeps the factors on the model (``Model.factors``, checked
-for hermiticity per ladder) and the free diagonal (``Model.free``), and
-never assembles the full space.  ``assemble_interaction`` writes the CSR of
-sum_r F_r (x) B_r from them in one chunked pass over the mask rows' row
-groups when it is needed: ``Model.h_int`` on first access, and
+``build_model`` keeps the table on the model (``Model.factors``, checked
+for hermiticity on U) and the free diagonal (``Model.free``), and never
+assembles the full space.  ``assemble_interaction`` writes the CSR of
+sum_r F_r (x) B_r from U and ``data`` in one chunked pass over the mask
+rows' row groups when it is needed: ``Model.h_int`` on first access, and
 ``Model.hamiltonian(kappa)`` with the coupling and ``Model.free`` merged
 in, without ``h_int``.  Its chunks hold at most ``CHUNK_ENTRIES`` entries
 per scratch array, so its scratch is bounded by that budget and its
@@ -52,9 +54,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -289,6 +292,36 @@ def enumerate_interaction_terms(
 
 Ladder = Tuple[str, int]  # (boson_kind, k_index)
 
+
+@dataclass(frozen=True, eq=False)  # equality is the Mapping's, ladder by ladder
+class FactorTable(Mapping):
+    """The factors F_r of every ladder on U, the union of the entries any of them keeps.
+
+    U is stored once as CSR ``indptr`` and ``indices``; row r of ``data``
+    holds F_r on U for the r-th of ``ladders``, zero where F_r has no entry.
+    As a mapping it gives each ladder's own canonical CSR, zeros dropped.
+    """
+
+    ladders: Tuple[Ladder, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray  # (len(ladders), nnz U)
+
+    def __getitem__(self, ladder: Ladder) -> sp.csr_matrix:
+        if ladder not in self.ladders:
+            raise KeyError(ladder)
+        value = self.data[self.ladders.index(ladder)]
+        keep = value != 0
+        indptr = self.indptr - np.searchsorted(np.flatnonzero(~keep), self.indptr)
+        return sp.csr_matrix((value[keep], self.indices[keep], indptr), shape=(len(indptr) - 1,) * 2)
+
+    def __iter__(self) -> Iterator[Ladder]:
+        return iter(self.ladders)
+
+    def __len__(self) -> int:
+        return len(self.ladders)
+
+
 # an F_r entry at most this multiple of the summed magnitudes of its
 # contributions is the rounding residue of a sum that vanishes exactly
 RESIDUE_TOL = 64 * np.finfo(float).eps
@@ -339,21 +372,21 @@ def _bilinear_runs(keys: np.ndarray, live: np.ndarray, basis: FockBasis) -> Tupl
     return slot, starts, (head & (dim - 1)).astype(index), np.searchsorted(head >> n_modes, np.arange(dim + 1))
 
 
-def ladder_factors(terms: np.recarray, basis: FockBasis) -> Dict[Ladder, sp.csr_matrix]:
-    """The mask-space factor F_r of each boson ladder r = (boson_kind, k_index).
+def ladder_factors(terms: np.recarray, basis: FockBasis) -> FactorTable:
+    """The table of the mask-space factors F_r of the boson ladders r = (boson_kind, k_index).
 
     F_r sums the coefficient-weighted bilinears of the ladder's rows over the
     runs of ``_bilinear_runs``, a bilinear it lacks adding zeros.  That is its
     own sum in key order: a run holds one entry off the diagonal, and the
     diagonal bilinears all balance momentum at +-k, so a ladder has all or none
-    of them.  Exact zeros and rounding residues (``RESIDUE_TOL``) are dropped on
+    of them.  Exact zeros and rounding residues (``RESIDUE_TOL``) are zeros on
     every ladder alike; a run of one entry is tested once, as its (ladder,
-    bilinear) sum.  The factors are float64 when every summed (ladder, bilinear)
-    coefficient is exactly real, complex otherwise (module docstring).
+    bilinear) sum.  U is the runs some ladder keeps, the ladders come in
+    (k_index, boson_kind) order, and ``data`` is float64 when every summed
+    (ladder, bilinear) coefficient is exactly real, complex otherwise.
     """
     if len(terms) == 0:
-        return {}
-    dim = basis.fermion_dim
+        return FactorTable((), np.zeros(basis.fermion_dim + 1, int), np.zeros(0, np.int32), np.zeros((0, 0)))
     ladders, ladder_of = _distinct(terms, ("k_index", "boson_kind"))
     keys, key_of = _distinct(terms, ("fermion_kind", "spin", "spin_p", "q_index", "qp_index"))
 
@@ -373,44 +406,22 @@ def ladder_factors(terms: np.recarray, basis: FockBasis) -> Dict[Ladder, sp.csr_
     several = np.flatnonzero(lengths > 1)
     first, summed = slot[starts], slot[np.repeat(lengths > 1, lengths)]
     summed_starts = np.cumsum(lengths[several]) - lengths[several]
-    factors, total = {}, np.empty(len(starts), signed.dtype)
-    for r, (k, bkind) in enumerate(ladders.tolist()):
+    values = np.empty((len(ladders), len(starts)), signed.dtype)
+    for r, total in enumerate(values):
         single[r].take(first, out=total, mode="clip")
         sums = np.add.reduceat(signed[r][summed], summed_starts)
         total[several] = np.where(np.abs(sums) > RESIDUE_TOL * np.add.reduceat(magnitude[r][summed], summed_starts),
                                   sums, 0)
-        keep = total != 0
-        indptr = row_ptr - np.searchsorted(np.flatnonzero(~keep), row_ptr)
-        factors[(bkind, k)] = sp.csr_matrix((total[keep], cols[keep], indptr), shape=(dim, dim))
-    return factors
+    keep = np.any(values, axis=0)  # U: the runs some ladder keeps
+    indptr = row_ptr - np.searchsorted(np.flatnonzero(~keep), row_ptr)
+    return FactorTable(tuple((bkind, k) for k, bkind in ladders.tolist()), indptr, cols[keep], values[:, keep])
 
 
-def _union_values(factors: Dict[Ladder, sp.csr_matrix], n: int) -> Tuple[np.ndarray, np.ndarray, list]:
-    """The union U of the factor patterns as CSR (indptr, indices), and every
-    factor's values on U (zero where it has no entry): its own ``data`` when
-    every factor has the pattern U."""
-    mats = [sp.csr_matrix(f_r) for f_r in factors.values()]
-    for m in mats:
-        m.sum_duplicates()
-    first = mats[0] if mats else sp.csr_matrix((n, n))
-    # ladder_factors gives every factor one pattern, except where a wide spatial
-    # cutoff prunes off-balance terms (3 patterns among the 4 two-point factors at sigma = 3)
-    if all(np.array_equal(m.indptr, first.indptr) and np.array_equal(m.indices, first.indices) for m in mats):
-        return first.indptr, first.indices, [m.data for m in mats]
-    keys = [np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(m.indptr)) + m.indices for m in mats]
-    union = np.unique(np.concatenate(keys))
-    u_row, u_col = np.divmod(union, n)
-    values = [np.zeros(len(union), m.dtype) for m in mats]
-    for value, m, key in zip(values, mats, keys):
-        value[np.searchsorted(union, key)] = m.data
-    return np.searchsorted(u_row, np.arange(n + 1)), u_col, values
-
-
-def _boson_slots(factors: Dict[Ladder, sp.csr_matrix], basis: FockBasis) -> Tuple[np.ndarray, ...]:
+def _boson_slots(ladders: Sequence[Ladder], basis: FockBasis) -> Tuple[np.ndarray, ...]:
     """Every entry of every B_r as (row, col, value, ladder position r), sorted by (row, col)."""
     rows, cols, values, mode = basis.boson_lowering
     parts = [(np.zeros(0, int),) * 4]
-    for r, (bkind, k) in enumerate(factors):
+    for r, (bkind, k) in enumerate(ladders):
         at = mode == k
         row, col = (rows[at], cols[at]) if bkind == "a" else (cols[at], rows[at])
         parts.append((row, col, values[at], np.full(len(row), r)))
@@ -427,7 +438,7 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def assemble_interaction(
-    factors: Dict[Ladder, sp.csr_matrix],
+    factors: FactorTable,
     basis: FockBasis,
     coupling: Optional[float] = None,
     diagonal: Optional[np.ndarray] = None,
@@ -439,11 +450,11 @@ def assemble_interaction(
     is ``(diags(diagonal) + coupling * H_int).tocsr()`` to the last bit,
     without its intermediate matrices.
 
-    The blocks are disjoint (module docstring), every row of a B_r has at
-    most one entry and none on the diagonal.  With U the union of the factor
-    patterns, row (i, beta) is therefore (j in U_i) x (the slots of beta,
-    sorted by target), which fixes the sorted layout before any value
-    exists: the row group of mask row i (its rows (i, beta)) holds
+    U and ``data`` are read straight from the table.  The blocks are
+    disjoint (module docstring), every row of a B_r has at most one entry
+    and none on the diagonal.  So row (i, beta) is (j in U_i) x (the slots
+    of beta, sorted by target), which fixes the sorted layout before any
+    value exists: the row group of mask row i (its rows (i, beta)) holds
     |U_i| * nnz(B) entries plus its diagonal count, and ``indptr``, ``data``
     and ``indices`` are allocated once.
 
@@ -454,22 +465,22 @@ def assemble_interaction(
     gathers, from U_i times each distinct (ladder, slot value) product and
     from U_i's columns, and its diagonal by a scatter.  The gathers read the
     current kind's templates, cut from a table of the largest row group
-    when the kind changes.  Entries that come out zero (a factor without an
-    entry of U, explicit zeros) are dropped last by scipy's in-place
-    ``eliminate_zeros``; when over half survive it leaves ``data`` and
-    ``indices`` views of the full-length buffers, so they are copied to their
-    nnz entries.  So the scratch beyond the result is bounded by the budget
-    and the largest row group (or, when pruned, by that copy), plus arrays of
-    one entry per mask row or per entry of U or B; a small model is one chunk.
+    when the kind changes.  Entries that come out zero (a ladder's zero on
+    U) are dropped last by scipy's in-place ``eliminate_zeros``; when over
+    half survive it leaves ``data`` and ``indices`` views of the full-length
+    buffers, so they are copied to their nnz entries.  So the scratch beyond
+    the result is bounded by the budget and the largest row group (or, when
+    pruned, by that copy), plus arrays of one entry per mask row or per
+    entry of U or B; a small model is one chunk.
     """
     n_f, n_b = basis.fermion_dim, basis.boson_dim
-    u_ptr, u_col, values = _union_values(factors, n_f)
+    u_ptr, u_col, values = factors.indptr, factors.indices, factors.data
     u_len = np.diff(u_ptr)
     u_row = np.repeat(np.arange(n_f), u_len)
 
     # slot t of a boson row reads column s_pair[t] of a chunk's ``products``: one
     # column per distinct (ladder, value), F * b then * coupling, as a sparse product has it
-    s_row, s_col, s_val, s_ladder = _boson_slots(factors, basis)
+    s_row, s_col, s_val, s_ladder = _boson_slots(factors.ladders, basis)
     s_len = np.bincount(s_row, minlength=n_b)
     s_start = np.cumsum(s_len) - s_len  # of each boson row's slots
     b_values, b_of = np.unique(s_val, return_inverse=True)
@@ -482,7 +493,7 @@ def assemble_interaction(
     starts = np.concatenate(([0], np.cumsum(u_len * len(s_row) + on_count)))  # of each row group
     index = np.int32 if max(int(starts[-1]), basis.dim) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(basis.dim + 1, index)
-    dtype = np.result_type(s_val.dtype, *(v.dtype for v in values), diagonal.dtype)
+    dtype = np.result_type(s_val.dtype, values.dtype, diagonal.dtype)
     data = np.empty(starts[-1], dtype)
     indices = np.empty(starts[-1], index)
 
@@ -557,21 +568,31 @@ def hermiticity_defect(mat: sp.spmatrix) -> float:
     return 0.0 if diff.nnz == 0 else float(np.max(np.abs(diff.data)))
 
 
-def interaction_hermiticity_defect(factors: Dict[Ladder, sp.csr_matrix], basis: FockBasis) -> float:
-    """``hermiticity_defect`` of H_int, checked on the mask-space factors.
+def interaction_hermiticity_defect(factors: FactorTable, basis: FockBasis) -> float:
+    """``hermiticity_defect`` of H_int, checked on the factor table.
 
     The a_k and a*_k blocks of H_int - H_int^H are (F_{a,k} - F_{a*,k}^H) (x) B_k
     and its adjoint.  Kron entries are products, so the defect is the largest
-    max|F_{a,k} - F_{a*,k}^H| * max|B_k|, a difference of ``data`` when F_{a,k}
-    is canonical with the pattern of F_{a*,k}^T.  An absent ladder counts as zero.
+    max|F_{a,k} - F_{a*,k}^H| * max|B_k|.  Each entry (i, j) of U is compared
+    with its mirror (j, i), found once for every ladder; an entry without a
+    mirror in U is compared with zero in both factors.  An absent ladder
+    counts as zero.
     """
-    zero = sp.csr_matrix((basis.fermion_dim,) * 2)
+    n, nnz = len(factors.indptr) - 1, len(factors.indices)
+    # U valued above every position, plus its transpose valued by position + 1, in one scipy sum: U's
+    # entries keep their order and gain the position of their mirror (j, i), or -1 without one
+    own = sp.csr_matrix((np.full(nnz, nnz + 1), factors.indices, factors.indptr), shape=(n, n))
+    both = own + sp.csr_matrix((np.arange(1, nnz + 1), factors.indices, factors.indptr), shape=(n, n)).T
+    at = both.data[both.data > nnz] - nnz - 2
+    lone = np.flatnonzero(at < 0)
+    row_of, zero = dict(zip(factors.ladders, factors.data)), np.zeros(nnz, factors.data.dtype)
     _, _, lowering, mode = basis.boson_lowering
     defect = 0.0
     for k in sorted({k for _, k in factors}):
-        f_a, f_c = factors.get(("a", k), zero), factors.get(("a*", k), zero).tocsc()  # arrays of F_{a*,k}^T's CSR
-        same = np.array_equal(f_a.indptr, f_c.indptr) and np.array_equal(f_a.indices, f_c.indices)
-        diff = f_a.data - f_c.data.conj() if same and f_a.has_canonical_format else (f_a - f_c.conj().T).data
+        f_a, f_c = row_of.get(("a", k), zero), row_of.get(("a*", k), zero)
+        diff = f_a - f_c.take(at, mode="clip").conj()
+        diff[lone] = f_a[lone]
+        diff = np.concatenate((diff, f_c[lone]))
         scale = np.max(lowering[mode == k], initial=0.0)
         defect = max(defect, float(np.max(np.abs(diff), initial=0.0) * scale))
     return defect
@@ -584,7 +605,8 @@ class Model:
     ``free`` is the diagonal dGamma(Dirac) + dGamma(omega), one float64 per
     basis state, and ``h_free`` its CSR, built on first access.  No H_KG is
     kept: the bounds read dGamma(omega) off the basis occupations as a diagonal.
-    ``factors`` holds the mask-space factor F_r of each boson ladder, so
+    ``factors`` is the ``FactorTable`` of the boson ladders' mask-space
+    factors F_r, a mapping from each ladder to its own CSR, so
     H_int = sum_r F_r (x) B_r is never stored by ``build_model``:
     ``assemble_interaction`` writes it on demand, as ``h_int`` (built on
     first access, then cached) or straight into ``hamiltonian(kappa)``.
@@ -597,7 +619,7 @@ class Model:
     g: list
     h: DiscreteCoefficients
     free: np.ndarray
-    factors: Dict[Ladder, sp.csr_matrix]
+    factors: FactorTable
     terms: np.recarray       # one row per interaction monomial (TERM_DTYPE)
 
     @property

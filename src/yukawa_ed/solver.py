@@ -137,19 +137,20 @@ def _as_operator(h):
     return h
 
 
-def _check_dense(what: str, dim: int, cap: int) -> None:
+def _dense(what: str, h, cap: int) -> np.ndarray:
+    """``_as_operator(h)`` as an ndarray, its first dimension checked against ``cap`` first, for a nested list too."""
+    dim = np.shape(h)[0] if np.ndim(h) else 0
     if dim > cap:
         raise CapacityError(f"{what} of dimension {dim} exceeds cap {cap}", projected=dim, cap=cap)
+    h = _as_operator(h)
+    return h.toarray() if sp.issparse(h) else h
 
 
 def dense_lowest(h, k: int, dense_cap: int = ORACLE_DENSE_CAP) -> SpectralResult:
     """Lowest ``k`` eigenpairs by LAPACK's subset driver; the oracle route under the cap."""
-    k, dim = as_integer(k, "k", 1), h.shape[0]
-    _check_dense("dense diagonalization", dim, dense_cap)
-    k = min(k, dim)
-    h = _as_operator(h)
-    dense = h.toarray() if sp.issparse(h) else h
-    vals, vecs = sla.eigh(dense, subset_by_index=[0, k - 1])
+    k = as_integer(k, "k", 1)
+    dense = _dense("dense diagonalization", h, dense_cap)
+    vals, vecs = sla.eigh(dense, subset_by_index=[0, min(k, len(dense)) - 1])
     ground = vecs[:, 0]
     residual = float(np.linalg.norm(dense @ ground - vals[0] * ground))
     return SpectralResult(
@@ -514,9 +515,7 @@ def solve_lowest(
 
 def operator_norm_dense(h) -> float:
     """Spectral norm via dense Hermitian eigenvalues, up to ``ORACLE_DENSE_CAP``."""
-    _check_dense("dense norm", h.shape[0], ORACLE_DENSE_CAP)
-    h = _as_operator(h)
-    vals = np.linalg.eigvalsh(h.toarray() if sp.issparse(h) else h)
+    vals = np.linalg.eigvalsh(_dense("dense norm", h, ORACLE_DENSE_CAP))
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 

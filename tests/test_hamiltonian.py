@@ -22,6 +22,7 @@ from yukawa_ed.fock import (
     second_quantization,
 )
 from yukawa_ed.hamiltonian import (
+    FactorTable,
     ModelParams,
     boson_field,
     boson_field_block,
@@ -388,11 +389,11 @@ class TestAssembly:
         factors = ladder_factors(model.terms, model.basis)
         assert interaction_hermiticity_defect(factors, model.basis) == 0.0
         assert hermiticity_defect(assemble_interaction(factors, model.basis)) == 0.0
-        ladder = ("a", 1)
-        f_r = factors[ladder].tocoo()
-        f_r.data[0] *= 1 + 1e-6
-        broken = {**factors, ladder: f_r.tocsr()}
-        absent = {key: f for key, f in factors.items() if key != ("a*", 0)}
+        broken = replace(factors, data=factors.data.copy())
+        broken.data[factors.ladders.index(("a", 1)), 0] *= 1 + 1e-6
+        kept = [r != ("a*", 0) for r in factors]
+        absent = FactorTable(tuple(r for r, keep in zip(factors, kept) if keep), factors.indptr, factors.indices,
+                             factors.data[kept])
         for mutated in (broken, absent):
             full = hermiticity_defect(assemble_interaction(mutated, model.basis))
             assert full > 1e-12
@@ -430,17 +431,32 @@ def assert_bitwise_equal(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def table_of(factors, dim):
+    """A FactorTable of per-ladder matrices: U the union of their patterns, zero where a ladder has no entry."""
+    mats = {r: sp.csr_matrix(f_r) for r, f_r in factors.items()}
+    keys = {r: np.repeat(np.arange(dim, dtype=np.int64) * dim, np.diff(m.indptr)) + m.indices for r, m in mats.items()}
+    union = np.unique(np.concatenate([np.zeros(0, np.int64), *keys.values()]))
+    data = np.zeros((len(mats), len(union)), np.result_type(float, *(m.dtype for m in mats.values())))
+    for row, m, key in zip(data, mats.values(), keys.values()):
+        row[np.searchsorted(union, key)] = m.data
+    rows, cols = np.divmod(union, dim)
+    return FactorTable(tuple(mats), np.searchsorted(rows, np.arange(dim + 1)), cols.astype(np.int32), data)
+
+
 def mixed_pattern_factors(model):
-    """The model's factors with four different patterns: one thinned, one grown, one emptied."""
+    """The model's factor table with four different ladder patterns: one thinned, one grown, one emptied."""
     factors = dict(model.factors)
     thinned, grown, emptied = list(factors)[:3]
     f_r = factors[thinned].tocoo()
     factors[thinned] = sp.csr_matrix((f_r.data[::2], (f_r.row[::2], f_r.col[::2])), shape=f_r.shape)
     factors[grown] = factors[grown] + 0.25 * sp.eye(f_r.shape[0], format="csr")
     factors[emptied] = sp.csr_matrix(f_r.shape)
-    patterns = {(f.nnz, f.indices.tobytes()) for f in factors.values()}
-    assert len(patterns) == 4
-    return factors
+    table = table_of(factors, model.basis.fermion_dim)
+    assert len({(f.nnz, f.indices.tobytes()) for f in table.values()}) == 4
+    assert len(table.indices) > len(model.factors.indices)  # the grown diagonal joins U
+    for ladder, f_r in factors.items():
+        assert_bitwise_equal(table[ladder], f_r)
+    return table
 
 
 KERNEL_MODELS = {
@@ -529,10 +545,9 @@ class TestAssemblyKernel:
         factors = mixed_pattern_factors(model) if name == "mixed_patterns" else model.factors
         want = kron_sum_oracle(factors, model.basis)
         want_h = (model.h_free + 0.5 * want).tocsr()
-        union = sp.csr_matrix(sum(abs(f) for f in factors.values()) if factors else (1, 1))
-        if name == "pruned_3":  # the union of the factor patterns holds entries that come out zero
-            assert want.nnz < union.nnz * 2 * len(model.basis.boson_lowering[0])
-        assert name == "no_terms" or np.diff(union.indptr).max() * model.basis.boson_dim > 1  # a row group's table
+        if name == "pruned_3":  # the table's pattern U holds entries that come out zero
+            assert want.nnz < len(factors.indices) * 2 * len(model.basis.boson_lowering[0])
+        assert name == "no_terms" or np.diff(factors.indptr).max() * model.basis.boson_dim > 1  # a row group's table
         monkeypatch.setattr(hamiltonian, "CHUNK_ENTRIES", budget)
         assert_bitwise_equal(assemble_interaction(factors, model.basis), want)
         assert_bitwise_equal(assemble_interaction(factors, model.basis, 0.5, model.h_free.diagonal()), want_h)
@@ -612,9 +627,7 @@ class TestAssemblyKernel:
 
         def corrupted(terms, basis):
             factors = build_factors(terms, basis)
-            key = next(iter(factors))
-            factors[key] = factors[key].copy()
-            factors[key].data[0] *= 1 + 1e-6
+            factors.data[0, np.flatnonzero(factors.data[0])[0]] *= 1 + 1e-6
             return factors
 
         monkeypatch.setattr(hamiltonian, "ladder_factors", corrupted)
@@ -685,8 +698,12 @@ FACTOR_MODELS = {
     "pruned_3": (two_point_params(chi_spatial=CutoffProfile.gaussian(3.0)), "dirac"),
     "pruned_6": (two_point_params(chi_spatial=CutoffProfile.gaussian(6.0)), "dirac"),
     "pruned_12": (two_point_params(chi_spatial=CutoffProfile.gaussian(12.0)), "dirac"),
+    "pruned_w2_3": (two_point_params(fermion_points=W2_POINTS, chi_spatial=CutoffProfile.gaussian(3.0)), "dirac"),
     "chiral": (KERNEL_MODELS["w1"], "chiral"),
     "off_axis": (KERNEL_MODELS["off_axis"], "dirac"),
+    # the off-axis pair of fermion points: complex factors
+    "off_axis_pair": (two_point_params(coupling=0.5, fermion_points=((0, 0, 0), (1, 2, 1)), n_max=2,
+                                       total_boson_cap=2), "dirac"),
 }
 
 
@@ -696,9 +713,17 @@ class TestFactorBuild:
         params, representation = FACTOR_MODELS[name]
         model = build_model(params, algebra=dirac_algebra(representation))
         oracle = product_factors_oracle(model.terms, model.basis)
-        assert list(model.factors) == list(oracle)
-        for ladder, f_r in model.factors.items():
+        table = model.factors
+        assert list(table) == list(table.ladders) == list(oracle)
+        # one pattern U for every ladder, stored once, and a row of data per ladder on it
+        assert table.data.shape == (len(table.ladders), len(table.indices)) == (len(oracle), table.indptr[-1])
+        assert len(table.indptr) == model.basis.fermion_dim + 1
+        assert np.any(table.data, axis=0).all()  # every entry of U is kept by some ladder
+        for ladder, f_r in table.items():
             assert_bitwise_equal(f_r, oracle[ladder])
+        # U is every ladder's own pattern unless pruning drops some entries from some ladders
+        shared = all(f_r.nnz == len(table.indices) for f_r in oracle.values())
+        assert shared == (not name.startswith("pruned"))
         if name == "ten_ladders":
             assert len(model.factors) == 10
         if name.startswith("pruned"):  # some ladder lacks some bilinear the others have
@@ -708,23 +733,35 @@ class TestFactorBuild:
                     for b, k in model.factors}
             assert len(set(keys.values())) > 1
 
-    @pytest.mark.parametrize("name", ["w1", "pruned_12", "off_axis", "ten_ladders"])
+    @pytest.mark.parametrize("name", ["w1", "pruned_3", "pruned_12", "off_axis", "ten_ladders"])
     def test_pair_defect_matches_block_defect_exactly(self, name):
         params, representation = FACTOR_MODELS[name]
         model = build_model(params, algebra=dirac_algebra(representation))
-        ladders = list(model.factors)
-        scaled = dict(model.factors)
-        scaled[ladders[0]] = scaled[ladders[0]].copy()
-        scaled[ladders[0]].data[::3] *= 1 + 1e-6
-        # one entry dropped from an a* factor: the pair's patterns differ, so the sparse difference is taken
-        f_c = model.factors[("a*", ladders[0][1])].tocoo()
-        dropped = {**model.factors, ("a*", ladders[0][1]): sp.csr_matrix((f_c.data[1:], (f_c.row[1:], f_c.col[1:])),
-                                                                         shape=f_c.shape)}
-        absent = {r: f for r, f in model.factors.items() if r != ladders[-1]}
-        for factors in (model.factors, scaled, dropped, absent):
-            assert interaction_hermiticity_defect(factors, model.basis) == pair_defect_oracle(factors, model.basis)
-        assert interaction_hermiticity_defect(dropped, model.basis) > 0
-        assert interaction_hermiticity_defect(model.factors, model.basis) == 0.0
+        table, dim = model.factors, model.basis.fermion_dim
+        k = table.ladders[0][1]
+        a, c = table.ladders.index(("a", k)), table.ladders.index(("a*", k))
+        scaled = replace(table, data=table.data.copy())
+        at = np.flatnonzero(table.data[a])
+        scaled.data[a, at[len(at) // 3]] *= 1 + 1e-6
+        # an entry of F_{a*,k} set to zero: its mirror in F_{a,k} is compared with that zero
+        dropped = replace(table, data=table.data.copy())
+        dropped.data[c, np.flatnonzero(table.data[c])[0]] = 0
+        # an entry (i, j) whose mirror (j, i) is not in U, added to F_{a,k}, then to F_{a*,k}
+        rows = np.repeat(np.arange(dim), np.diff(table.indptr))
+        taken = set(zip(rows.tolist(), table.indices.tolist()))
+        i, j = next((i, j) for i in range(dim) for j in range(dim) if not {(i, j), (j, i)} & taken)
+        lone = sp.csr_matrix(([0.5], ([i], [j])), shape=(dim, dim))
+        unmirrored = [table_of({**table, r: table[r] + lone}, dim) for r in (("a", k), ("a*", k))]
+        assert all(len(t.indices) == len(table.indices) + 1 for t in unmirrored)
+        absent = FactorTable(table.ladders[:-1], table.indptr, table.indices, table.data[:-1])
+        empty = build_model(minimal_params(chi_hat_floor=2.0))  # no terms: the empty table
+        cases = [(t, model.basis) for t in (table, scaled, dropped, *unmirrored, absent)]
+        cases.append((empty.factors, empty.basis))
+        for factors, basis in cases:
+            assert interaction_hermiticity_defect(factors, basis) == pair_defect_oracle(factors, basis)
+        for factors in (scaled, dropped, *unmirrored, absent):
+            assert interaction_hermiticity_defect(factors, model.basis) > 0
+        assert interaction_hermiticity_defect(table, model.basis) == 0.0
 
     def test_a_nonzero_defect_is_a_python_float(self):
         # the off-axis pair of fermion points: complex factors whose defect is a rounding residue
@@ -785,6 +822,7 @@ class TestFactorBuild:
         # a floor above the transform's peak prunes every term
         model = build_model(minimal_params(chi_hat_floor=2.0))
         assert len(model.terms) == 0 and model.factors == {}
+        assert model.factors.data.shape == (0, 0) and not model.factors.indptr.any()
         assert model.h_int.shape == (model.basis.dim,) * 2 and model.h_int.nnz == 0
         assert_bitwise_equal(model.hamiltonian(), model.h_free)
         assert interaction_hermiticity_defect(model.factors, model.basis) == 0.0
@@ -905,13 +943,15 @@ class TestBalancePruning:
                 assert tuple(balance) not in balances
 
     @pytest.mark.parametrize("sigma", (3.0, 6.0, 12.0))
-    def test_pruned_factors_take_the_general_union_branch(self, sigma):
-        # pruning drops different entries from different ladders, so the
-        # factors stop sharing one pattern and assembly must merge them
+    def test_pruned_factors_keep_one_table_pattern(self, sigma):
+        # pruning drops different entries from different ladders: the table keeps
+        # their union once, with zeros where a ladder has no entry
         model = build_model(two_point_params(chi_spatial=CutoffProfile.gaussian(sigma)))
-        patterns = {(f.indptr.tobytes(), f.indices.tobytes()) for f in model.factors.values()}
-        assert (len(model.factors), len(patterns)) == (4, 3)
-        oracle = kron_sum_oracle(model.factors, model.basis)
+        table = model.factors
+        assert table.data.shape == (4, len(table.indices)) and not table.data.all()
+        patterns = {(f.indptr.tobytes(), f.indices.tobytes()) for f in table.values()}
+        assert len(patterns) == 3
+        oracle = kron_sum_oracle(table, model.basis)
         assert_bitwise_equal(model.h_int, oracle)
         for kappa in (model.params.coupling, -1.3):
             assert_bitwise_equal(model.hamiltonian(kappa), (model.h_free + kappa * oracle).tocsr())

@@ -135,6 +135,16 @@ class TestDenseLowest:
         result = dense_lowest(h, 2)
         assert result.residual < 1e-12
 
+    def test_nested_lists_as_solve_lowest_takes_them(self):
+        h = [[1.0, 0.0], [0.0, -2.0]]
+        assert dense_lowest(h, 1).eigenvalues.tolist() == solve_lowest(h, 1).eigenvalues.tolist() == [-2.0]
+        assert operator_norm_dense(h) == 2.0
+        with pytest.raises(CapacityError):
+            dense_lowest(h, 1, dense_cap=1)
+        for dense in (lambda m: dense_lowest(m, 1), operator_norm_dense):
+            with pytest.raises(ParameterError, match=r"square matrix, got shape \(1, 3\)"):
+                dense([[1.0, 2.0, 3.0]])
+
     @pytest.mark.parametrize("dim", [1, 7, 60])
     def test_subset_matches_full_eigvalsh(self, dim):
         h = random_hermitian(dim, RNG)
