@@ -34,7 +34,7 @@ from .errors import (
     check_seed,
 )
 from .hamiltonian import ModelParams, build_model
-from .solver import DEFAULT_DENSE_CAP, SOLVE_STATS, converge_scan, solve_lowest
+from .solver import DEFAULT_DENSE_CAP, SOLVE_STATS, check_dense_cap, converge_scan, solve_lowest
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "YUKAWA_ED_OUTPUT_DIR"
@@ -214,6 +214,7 @@ def config_from_dict(raw) -> RunConfig:
     try:
         check_seed(config.solver.seed)
         check_iteration(config.solver.tol, config.solver.max_iter)
+        check_dense_cap(config.solver.dense_cap)
     except ParameterError as err:
         raise ConfigError(f"solver.{err}") from err
     if not config.scan.kappa_grid:

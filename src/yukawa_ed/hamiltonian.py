@@ -27,16 +27,17 @@ assembles the full space.  ``assemble_interaction`` writes the CSR of
 sum_r F_r (x) B_r from U and ``data`` in one chunked pass over the mask
 rows' row groups when it is needed: ``Model.h_int`` on first access, and
 ``Model.hamiltonian(kappa)`` with the coupling and ``Model.free`` merged
-in, without ``h_int``.  Its chunks hold at most ``CHUNK_ENTRIES`` entries
-per scratch array, so its scratch is bounded by that budget and its
-largest row group, not by the operator it writes.  Entries that come out
-zero are dropped by scipy's ``eliminate_zeros`` on the result, and its
-``data`` and ``indices`` hold exactly their nnz entries.
+in, without ``h_int``; ``hamiltonian(0)`` is the CSR of ``free`` alone.
+Its chunks hold at most ``CHUNK_ENTRIES`` entries per scratch array, so
+its scratch is bounded by that budget and its largest row group, not by
+the operator it writes.  Entries that come out zero are dropped by
+scipy's ``eliminate_zeros`` on the result, and its ``data`` and
+``indices`` hold exactly their nnz entries.
 
 The ladder, number and identity operators are real, so the F_r alone decide
 the field: ``ladder_factors`` keeps them float64 when their summed
 coefficients are exactly real, which holds on every on-axis lattice, and
-``h_int``, ``h_free`` and ``hamiltonian(kappa)`` follow.  Off-axis points
+``h_int`` and ``hamiltonian(kappa)`` follow.  Off-axis points
 give complex coefficients and complex operators.
 
 No normal ordering is applied: the antiparticle bilinear is kept in the d d*
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterator, Optional, Sequence, Tuple
@@ -293,33 +293,18 @@ def enumerate_interaction_terms(
 Ladder = Tuple[str, int]  # (boson_kind, k_index)
 
 
-@dataclass(frozen=True, eq=False)  # equality is the Mapping's, ladder by ladder
-class FactorTable(Mapping):
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value
+class FactorTable:
     """The factors F_r of every ladder on U, the union of the entries any of them keeps.
 
     U is stored once as CSR ``indptr`` and ``indices``; row r of ``data``
     holds F_r on U for the r-th of ``ladders``, zero where F_r has no entry.
-    As a mapping it gives each ladder's own canonical CSR, zeros dropped.
     """
 
     ladders: Tuple[Ladder, ...]
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray  # (len(ladders), nnz U)
-
-    def __getitem__(self, ladder: Ladder) -> sp.csr_matrix:
-        if ladder not in self.ladders:
-            raise KeyError(ladder)
-        value = self.data[self.ladders.index(ladder)]
-        keep = value != 0
-        indptr = self.indptr - np.searchsorted(np.flatnonzero(~keep), self.indptr)
-        return sp.csr_matrix((value[keep], self.indices[keep], indptr), shape=(len(indptr) - 1,) * 2)
-
-    def __iter__(self) -> Iterator[Ladder]:
-        return iter(self.ladders)
-
-    def __len__(self) -> int:
-        return len(self.ladders)
 
 
 # an F_r entry at most this multiple of the summed magnitudes of its
@@ -440,15 +425,15 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def assemble_interaction(
     factors: FactorTable,
     basis: FockBasis,
-    coupling: Optional[float] = None,
+    coupling: float = 1.0,
     diagonal: Optional[np.ndarray] = None,
 ) -> sp.csr_matrix:
-    """The canonical CSR of sum_r F_r (x) B_r on the product basis, in one pass.
+    """The canonical CSR of diagonal + coupling * sum_r F_r (x) B_r on the product basis, in one pass.
 
-    With ``coupling`` every entry is (F_r * b) * coupling, and ``diagonal``
-    (one value per basis state; zeros are left out) is merged in: the result
-    is ``(diags(diagonal) + coupling * H_int).tocsr()`` to the last bit,
-    without its intermediate matrices.
+    Every entry is (F_r * b) * coupling, exactly F_r * b at the default 1.0,
+    and ``diagonal`` (one value per basis state; zeros are left out) is
+    merged in: the result is ``(diags(diagonal) + coupling * H_int).tocsr()``
+    to the last bit, without its intermediate matrices.
 
     U and ``data`` are read straight from the table.  The blocks are
     disjoint (module docstring), every row of a B_r has at most one entry
@@ -533,8 +518,7 @@ def assemble_interaction(
         u = _runs(u_ptr[rows], lens)
         products = np.zeros((len(u), 0)) if not pair_ladder else np.stack([values[r][u] for r in pair_ladder], -1)
         products *= pair_value
-        if coupling is not None:
-            products *= coupling
+        products *= coupling
         products += 0  # signed zeros read +0.0, as after a sparse sum
         pruned = pruned or not products.all()
         products = products.ravel()
@@ -588,7 +572,7 @@ def interaction_hermiticity_defect(factors: FactorTable, basis: FockBasis) -> fl
     row_of, zero = dict(zip(factors.ladders, factors.data)), np.zeros(nnz, factors.data.dtype)
     _, _, lowering, mode = basis.boson_lowering
     defect = 0.0
-    for k in sorted({k for _, k in factors}):
+    for k in sorted({k for _, k in factors.ladders}):
         f_a, f_c = row_of.get(("a", k), zero), row_of.get(("a*", k), zero)
         diff = f_a - f_c.take(at, mode="clip").conj()
         diff[lone] = f_a[lone]
@@ -603,10 +587,10 @@ class Model:
     """All ingredients of one parameter set; the interaction is kept factored.
 
     ``free`` is the diagonal dGamma(Dirac) + dGamma(omega), one float64 per
-    basis state, and ``h_free`` its CSR, built on first access.  No H_KG is
-    kept: the bounds read dGamma(omega) off the basis occupations as a diagonal.
+    basis state, and ``hamiltonian(0)`` its CSR.  No H_KG is kept: the
+    bounds read dGamma(omega) off the basis occupations as a diagonal.
     ``factors`` is the ``FactorTable`` of the boson ladders' mask-space
-    factors F_r, a mapping from each ladder to its own CSR, so
+    factors F_r on their shared pattern U, so
     H_int = sum_r F_r (x) B_r is never stored by ``build_model``:
     ``assemble_interaction`` writes it on demand, as ``h_int`` (built on
     first access, then cached) or straight into ``hamiltonian(kappa)``.
@@ -631,20 +615,16 @@ class Model:
         return self.basis.boson_lattice
 
     @cached_property
-    def h_free(self) -> sp.csr_matrix:
-        return sp.diags(self.free, format="csr")
-
-    @cached_property
     def h_int(self) -> sp.csr_matrix:
         return assemble_interaction(self.factors, self.basis)
 
     def hamiltonian(self, coupling: Optional[float] = None) -> sp.csr_matrix:
-        """h_free + coupling * h_int in one assembly pass; ``h_free`` itself at coupling 0."""
+        """diags(free) + coupling * h_int in one assembly pass; the CSR of ``free`` alone at coupling 0."""
         kappa = self.params.coupling if coupling is None else coupling
         if not math.isfinite(kappa):
             raise ParameterError(f"coupling must be finite, got {kappa}")
         if kappa == 0:
-            return self.h_free
+            return sp.diags(self.free, format="csr")
         return assemble_interaction(self.factors, self.basis, kappa, self.free)
 
 

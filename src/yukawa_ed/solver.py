@@ -146,10 +146,18 @@ def _dense(what: str, h, cap: int) -> np.ndarray:
     return h.toarray() if sp.issparse(h) else h
 
 
+def check_dense_cap(dense_cap) -> int:
+    """``dense_cap`` as int; one that is not integral, is negative or passes ``ORACLE_DENSE_CAP`` raises."""
+    dense_cap = as_integer(dense_cap, "dense_cap", 0)
+    if dense_cap > ORACLE_DENSE_CAP:
+        raise ParameterError(f"dense_cap must be <= {ORACLE_DENSE_CAP}, got {dense_cap}")
+    return dense_cap
+
+
 def dense_lowest(h, k: int, dense_cap: int = ORACLE_DENSE_CAP) -> SpectralResult:
     """Lowest ``k`` eigenpairs by LAPACK's subset driver; the oracle route under the cap."""
     k = as_integer(k, "k", 1)
-    dense = _dense("dense diagonalization", h, dense_cap)
+    dense = _dense("dense diagonalization", h, check_dense_cap(dense_cap))
     vals, vecs = sla.eigh(dense, subset_by_index=[0, min(k, len(dense)) - 1])
     ground = vecs[:, 0]
     residual = float(np.linalg.norm(dense @ ground - vals[0] * ground))
@@ -456,6 +464,7 @@ def solve_lowest(
     own, that of the zero-padded ground vector on the whole matrix.
     """
     k, seed, max_iter = as_integer(k, "k", 1), check_seed(seed), check_iteration(tol, max_iter)
+    dense_cap = check_dense_cap(dense_cap)
     h = _as_operator(h)
     if h.shape[0] <= dense_cap:
         return dense_lowest(h, k, dense_cap)
@@ -551,14 +560,14 @@ def sector_minima(
     beyond ``INVARIANCE_TOL`` has no well-defined restricted minimum and is
     reported with ``energy=None``; otherwise scipy's column cut of those
     rows drops such entries (stored zeros among them) and ``solve_lowest``
-    solves the rest, the matrix ``h[inside][:, inside]``.  A non-finite
-    entry in the sector's rows raises ``ParameterError``.
+    solves the rest, the matrix ``h[inside][:, inside]``.  A non-integral
+    ``n`` or a non-finite entry in the sector's rows raises ``ParameterError``.
     """
-    if h.shape != (basis.dim, basis.dim):
-        raise ParameterError(f"matrix of shape {h.shape} does not act on the basis of dimension {basis.dim}")
+    if np.shape(h) != (basis.dim, basis.dim):
+        raise ParameterError(f"matrix of shape {np.shape(h)} does not act on the basis of dimension {basis.dim}")
     if label not in ("charge", "number"):
         raise ParameterError(f"unknown sector label {label!r}")
-    seed = check_seed(seed)
+    seed, n = check_seed(seed), as_integer(n, "n")
     member = np.repeat((basis.mask_charge if label == "charge" else basis.mask_fermion_number) == n, basis.boson_dim)
     inside = np.flatnonzero(member)
     if inside.size == 0:
@@ -571,7 +580,7 @@ def sector_minima(
     energy = solve_lowest(rows[:, inside], 1, seed=seed).ground_energy if invariant else None
     return SectorResult(
         label=label,
-        value=int(n),
+        value=n,
         dimension=inside.size,
         invariant=invariant,
         mixing=mixing,
@@ -686,6 +695,7 @@ def converge_scan(
     Aborts with the partial report attached on the first non-converged step.
     """
     k, seed, max_iter = as_integer(k, "k", 1), check_seed(seed), check_iteration(tol, max_iter)
+    dense_cap = check_dense_cap(dense_cap)
     values = list(values)
     if not values:
         raise ParameterError("refinement list is empty")

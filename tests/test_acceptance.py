@@ -213,7 +213,7 @@ def test_criterion_6_ground_state_existence_shadow():
     """The iterative solver attains the bottom of the spectrum for every coupling."""
     params = minimal_params(coupling=0.0)
     model = build_model(params)
-    free_energy = dense_lowest(model.h_free, 1).ground_energy
+    free_energy = dense_lowest(model.hamiltonian(0.0), 1).ground_energy
     interaction_norm = operator_norm_dense(model.h_int)
     for kappa in np.arange(0.0, 2.0001, 0.1):
         h = model.hamiltonian(float(kappa))

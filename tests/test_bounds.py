@@ -148,19 +148,19 @@ class TestInequalities:
         model = build_model(two_point_params())
         rng = np.random.default_rng(4)
         psi = rng.standard_normal(model.basis.dim) + 1j * rng.standard_normal(model.basis.dim)
-        for op in (model.h_int, model.h_free, kg_operator(model)):
+        for op in (model.h_int, model.hamiltonian(0.0), kg_operator(model)):
             assert op.dtype == np.float64
             assert _apply(op, psi).tobytes() == (op.astype(complex) @ psi).tobytes()
         assert np.array_equal(_apply(model.h_int, psi.real), model.h_int @ psi.real)
 
     @pytest.mark.parametrize("points", [((0, 0, 0), (0, 0, 1)), ((0, 0, 0), (1, 2, 1))])
     def test_free_parts_act_as_their_diagonals(self, points):
-        # verify_inequalities applies H_KG, h_free and sqrt(H_KG) as vectors
+        # verify_inequalities applies H_KG, the free diagonal and sqrt(H_KG) as vectors
         model = build_model(two_point_params(fermion_points=points))
         rng = np.random.default_rng(6)
         psi = rng.standard_normal(model.basis.dim) + 1j * rng.standard_normal(model.basis.dim)
         h_kg = kg_operator(model)
-        for op in (model.h_free, h_kg):
+        for op in (model.hamiltonian(0.0), h_kg):
             coo = op.tocoo()
             assert np.array_equal(coo.row, coo.col)
             assert np.array_equal(op.diagonal() * psi, _apply(op, psi))
@@ -249,7 +249,7 @@ def complex_block_ratios(model, report, n_samples, n_field_points, seed):
 
     omega = np.array([boson_energy(k, model.params.boson_mass) for k in model.boson_lattice.points])
     kg = np.tile(boson_number_diagonal(model.basis, omega), model.basis.fermion_dim)
-    sqrt_kg, free = np.sqrt(kg), model.h_free.diagonal()
+    sqrt_kg, free = np.sqrt(kg), model.free
     slope, offset = report.form_bound_slope, report.form_bound_offset
     m_kg0, m_kg1 = report.kg_weighted_norms[0], report.kg_weighted_norms[1]
     worst = dict.fromkeys(

@@ -102,6 +102,10 @@ MALFORMED = [
     # the iterative solver needs a nonnegative tolerance and at least one step
     ("solver", {"tol": -1.0}),
     ("solver", {"max_iter": 0}),
+    # the dense route's cap stays within the oracle's memory guard
+    ("solver", {"dense_cap": 5000}),
+    ("solver", {"dense_cap": 10**9}),
+    ("solver", {"dense_cap": -3}),
 ]
 
 

@@ -156,7 +156,7 @@ class TestFreeHamiltonian:
     def test_vacuum_energy_zero_and_spectrum_contains_zero(self):
         params = minimal_params()
         basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-        h0 = build_model(params, basis=basis).h_free
+        h0 = build_model(params, basis=basis).hamiltonian(0.0)
         diag = h0.diagonal().real
         assert diag[0] == 0.0
         assert np.min(diag) == 0.0
@@ -165,13 +165,13 @@ class TestFreeHamiltonian:
         for M, m in [(1.0, 1.0), (1.0, 0.5), (0.3, 2.0)]:
             params = minimal_params(dirac_mass=M, boson_mass=m)
             basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-            diag = build_model(params, basis=basis).h_free.diagonal().real
+            diag = build_model(params, basis=basis).hamiltonian(0.0).diagonal().real
             assert np.min(diag[diag > 0]) == pytest.approx(min(M, m), abs=1e-15)
 
     def test_mixed_state_additivity(self):
         params = minimal_params(dirac_mass=0.8, boson_mass=1.7)
         basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-        diag = build_model(params, basis=basis).h_free.diagonal().real
+        diag = build_model(params, basis=basis).hamiltonian(0.0).diagonal().real
         idx = basis.index_of(FockState(0b0001, (1,)))  # one b-particle, one boson at rest
         assert diag[idx] == pytest.approx(0.8 + 1.7, rel=1e-15)
 
@@ -299,7 +299,7 @@ class TestAssembly:
         basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
         model = build_model(params, basis=basis)
         total = model.hamiltonian()
-        free = model.h_free
+        free = sp.diags(model.free)
         assert (total - free).nnz == 0
 
     @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
@@ -325,7 +325,7 @@ class TestAssembly:
         basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
         h_a = build_model(replace(params, coupling=0.3), basis=basis).hamiltonian()
         h_b = build_model(replace(params, coupling=1.1), basis=basis).hamiltonian()
-        h_free = build_model(params, basis=basis).h_free
+        h_free = build_model(params, basis=basis).hamiltonian(0.0)
         h_sum = build_model(replace(params, coupling=1.4), basis=basis).hamiltonian()
         defect = (h_a + h_b - h_free - h_sum).toarray()
         assert np.max(np.abs(defect)) < 1e-13
@@ -391,9 +391,9 @@ class TestAssembly:
         assert hermiticity_defect(assemble_interaction(factors, model.basis)) == 0.0
         broken = replace(factors, data=factors.data.copy())
         broken.data[factors.ladders.index(("a", 1)), 0] *= 1 + 1e-6
-        kept = [r != ("a*", 0) for r in factors]
-        absent = FactorTable(tuple(r for r, keep in zip(factors, kept) if keep), factors.indptr, factors.indices,
-                             factors.data[kept])
+        kept = [r != ("a*", 0) for r in factors.ladders]
+        absent = FactorTable(tuple(r for r, keep in zip(factors.ladders, kept) if keep), factors.indptr,
+                             factors.indices, factors.data[kept])
         for mutated in (broken, absent):
             full = hermiticity_defect(assemble_interaction(mutated, model.basis))
             assert full > 1e-12
@@ -425,10 +425,14 @@ def kron_sum_oracle(factors, basis):
 
 
 def assert_bitwise_equal(got, want):
-    assert got.shape == want.shape and got.dtype == want.dtype
+    """Equal CSR matrices, or equal factor tables, array by array to the byte."""
+    if sp.issparse(want):
+        assert got.shape == want.shape and got.dtype == want.dtype
+    else:
+        assert got.ladders == want.ladders
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def table_of(factors, dim):
@@ -444,19 +448,18 @@ def table_of(factors, dim):
 
 
 def mixed_pattern_factors(model):
-    """The model's factor table with four different ladder patterns: one thinned, one grown, one emptied."""
-    factors = dict(model.factors)
+    """The model's factors with one ladder thinned, one grown, one emptied: as a table and as per-ladder matrices."""
+    factors = product_factors_oracle(model.terms, model.basis)
     thinned, grown, emptied = list(factors)[:3]
     f_r = factors[thinned].tocoo()
     factors[thinned] = sp.csr_matrix((f_r.data[::2], (f_r.row[::2], f_r.col[::2])), shape=f_r.shape)
     factors[grown] = factors[grown] + 0.25 * sp.eye(f_r.shape[0], format="csr")
     factors[emptied] = sp.csr_matrix(f_r.shape)
     table = table_of(factors, model.basis.fermion_dim)
-    assert len({(f.nnz, f.indices.tobytes()) for f in table.values()}) == 4
+    assert len({(f.nnz, f.indices.tobytes()) for f in factors.values()}) == 4
     assert len(table.indices) > len(model.factors.indices)  # the grown diagonal joins U
-    for ladder, f_r in factors.items():
-        assert_bitwise_equal(table[ladder], f_r)
-    return table
+    assert np.count_nonzero(table.data, axis=1).tolist() == [f.nnz for f in factors.values()]
+    return table, factors
 
 
 KERNEL_MODELS = {
@@ -485,26 +488,26 @@ class TestAssemblyKernel:
     @pytest.mark.parametrize("name", list(KERNEL_MODELS))
     def test_kernel_matches_kron_sum_bitwise(self, name):
         model = build_model(KERNEL_MODELS[name])
-        assert_bitwise_equal(assemble_interaction(model.factors, model.basis), kron_sum_oracle(model.factors, model.basis))
-        assert_bitwise_equal(model.h_int, kron_sum_oracle(model.factors, model.basis))
+        want = kron_sum_oracle(product_factors_oracle(model.terms, model.basis), model.basis)
+        assert_bitwise_equal(assemble_interaction(model.factors, model.basis), want)
+        assert_bitwise_equal(model.h_int, want)
         assert model.h_int.has_canonical_format
 
     def test_kernel_on_factors_with_different_patterns(self):
         model = build_model(KERNEL_MODELS["w1"])
-        factors = mixed_pattern_factors(model)
-        got = assemble_interaction(factors, model.basis)
+        table, factors = mixed_pattern_factors(model)
+        got = assemble_interaction(table, model.basis)
         assert_bitwise_equal(got, kron_sum_oracle(factors, model.basis))
-        diagonal = model.h_free.diagonal()
-        want = (model.h_free + 0.5 * kron_sum_oracle(factors, model.basis)).tocsr()
-        assert_bitwise_equal(assemble_interaction(factors, model.basis, 0.5, diagonal), want)
+        want = (model.hamiltonian(0.0) + 0.5 * kron_sum_oracle(factors, model.basis)).tocsr()
+        assert_bitwise_equal(assemble_interaction(table, model.basis, 0.5, model.free), want)
 
     @pytest.mark.parametrize("name", list(KERNEL_MODELS))
     def test_hamiltonian_matches_sparse_sum_bitwise(self, name):
         model = build_model(KERNEL_MODELS[name])
         for kappa in (0.5, -1.3, model.params.coupling):
             if kappa != 0:
-                assert_bitwise_equal(model.hamiltonian(kappa), (model.h_free + kappa * model.h_int).tocsr())
-        assert model.hamiltonian(0.0) is model.h_free
+                assert_bitwise_equal(model.hamiltonian(kappa), (model.hamiltonian(0.0) + kappa * model.h_int).tocsr())
+        assert_bitwise_equal(model.hamiltonian(0.0), sp.diags(model.free, format="csr"))
 
     def test_assembly_is_lazy(self, monkeypatch):
         calls = []
@@ -525,10 +528,10 @@ class TestAssemblyKernel:
         assert len(calls) == 1
         assert model.h_int is model.h_int
         assert len(calls) == 2
-        assert model.hamiltonian(0.0) is model.h_free
+        model.hamiltonian(0.0)  # the free diagonal alone: no kernel call
         assert len(calls) == 2
         monkeypatch.setattr(sp, "kron", kron)
-        assert_bitwise_equal(model.h_int, kron_sum_oracle(model.factors, model.basis))
+        assert_bitwise_equal(model.h_int, kron_sum_oracle(product_factors_oracle(model.terms, model.basis), model.basis))
 
     def test_pruned_result_holds_only_its_entries(self):
         # scipy's eliminate_zeros leaves views of the full-length buffers when over half the entries survive
@@ -542,15 +545,16 @@ class TestAssemblyKernel:
     @pytest.mark.parametrize("budget", [1, 7, 300])
     def test_small_budgets_match_kron_sum_bitwise(self, name, budget, monkeypatch):
         model = build_model(CHUNK_CASES[name])
-        factors = mixed_pattern_factors(model) if name == "mixed_patterns" else model.factors
+        table, factors = (mixed_pattern_factors(model) if name == "mixed_patterns"
+                          else (model.factors, product_factors_oracle(model.terms, model.basis)))
         want = kron_sum_oracle(factors, model.basis)
-        want_h = (model.h_free + 0.5 * want).tocsr()
+        want_h = (model.hamiltonian(0.0) + 0.5 * want).tocsr()
         if name == "pruned_3":  # the table's pattern U holds entries that come out zero
-            assert want.nnz < len(factors.indices) * 2 * len(model.basis.boson_lowering[0])
-        assert name == "no_terms" or np.diff(factors.indptr).max() * model.basis.boson_dim > 1  # a row group's table
+            assert want.nnz < len(table.indices) * 2 * len(model.basis.boson_lowering[0])
+        assert name == "no_terms" or np.diff(table.indptr).max() * model.basis.boson_dim > 1  # a row group's table
         monkeypatch.setattr(hamiltonian, "CHUNK_ENTRIES", budget)
-        assert_bitwise_equal(assemble_interaction(factors, model.basis), want)
-        assert_bitwise_equal(assemble_interaction(factors, model.basis, 0.5, model.h_free.diagonal()), want_h)
+        assert_bitwise_equal(assemble_interaction(table, model.basis), want)
+        assert_bitwise_equal(assemble_interaction(table, model.basis, 0.5, model.free), want_h)
 
     @pytest.mark.parametrize("name", ["w1", "off_axis"])
     @pytest.mark.parametrize("budget", [1, 7, 300, None])
@@ -563,7 +567,8 @@ class TestAssemblyKernel:
         d.reshape(n_f, n_b)[1::7] = 0
         zeros = np.count_nonzero(d.reshape(n_f, n_b) == 0, axis=1)
         assert np.count_nonzero((zeros > 0) & (zeros < n_b)) > 50 and np.count_nonzero(zeros == n_b) > 30
-        want = (sp.diags(d, format="csr") + 0.5 * kron_sum_oracle(model.factors, model.basis)).tocsr()
+        want = (sp.diags(d, format="csr") + 0.5 * kron_sum_oracle(product_factors_oracle(model.terms, model.basis),
+                                                                   model.basis)).tocsr()
         if budget is not None:
             monkeypatch.setattr(hamiltonian, "CHUNK_ENTRIES", budget)
         assert_bitwise_equal(assemble_interaction(model.factors, model.basis, 0.5, d), want)
@@ -572,7 +577,7 @@ class TestAssemblyKernel:
     def test_hamiltonian_hands_the_kernel_the_stored_free_diagonal(self, name, monkeypatch):
         seen, kernel = [], hamiltonian.assemble_interaction
 
-        def recorded(factors, basis, coupling=None, diagonal=None):
+        def recorded(factors, basis, coupling=1.0, diagonal=None):
             seen.append(diagonal)
             return kernel(factors, basis, coupling, diagonal)
 
@@ -581,8 +586,8 @@ class TestAssemblyKernel:
         model.hamiltonian(0.5)
         assert len(seen) == 1 and seen[0] is model.free
         assert model.free.dtype == np.float64 and model.free.shape == (model.basis.dim,)
-        assert model.free.tobytes() == model.h_free.diagonal().tobytes()
-        assert model.hamiltonian(0.0) is model.h_free
+        assert model.free.tobytes() == model.hamiltonian(0.0).diagonal().tobytes()
+        assert len(seen) == 1  # the free diagonal alone needs no kernel call
 
     def test_small_model_is_one_chunk_of_each_pass(self, monkeypatch):
         spans, chunks = [], hamiltonian.chunks
@@ -610,7 +615,7 @@ class TestAssemblyKernel:
         extra, result = [], []
         for n_max in (3, 8):
             model = build_model(two_point_params(coupling=0.5, n_max=n_max, total_boson_cap=2 * n_max))
-            args = (0.5, model.h_free.diagonal()) if diagonal else ()
+            args = (0.5, model.free) if diagonal else ()
             tracemalloc.start()
             try:
                 h = assemble_interaction(model.factors, model.basis, *args)
@@ -676,9 +681,11 @@ def product_factors_oracle(terms, basis):
     return factors
 
 
-def pair_defect_oracle(factors, basis):
-    """The hermiticity defect of [[0, F_a], [F_a*, 0]] per boson mode, times max|B_k|."""
+def pair_defect_oracle(table, basis):
+    """The hermiticity defect of [[0, F_a], [F_a*, 0]] per boson mode, times max|B_k|; an absent ladder is zero."""
     zero = sp.csr_matrix((basis.fermion_dim,) * 2)
+    factors = {r: sp.csr_matrix((row, table.indices, table.indptr), shape=zero.shape)
+               for r, row in zip(table.ladders, table.data)}
     defect = 0.0
     for k in sorted({k for _, k in factors}):
         pair = sp.bmat([[None, factors.get(("a", k), zero)], [factors.get(("a*", k), zero), None]])
@@ -714,23 +721,22 @@ class TestFactorBuild:
         model = build_model(params, algebra=dirac_algebra(representation))
         oracle = product_factors_oracle(model.terms, model.basis)
         table = model.factors
-        assert list(table) == list(table.ladders) == list(oracle)
+        assert table.ladders == tuple(oracle)
         # one pattern U for every ladder, stored once, and a row of data per ladder on it
         assert table.data.shape == (len(table.ladders), len(table.indices)) == (len(oracle), table.indptr[-1])
         assert len(table.indptr) == model.basis.fermion_dim + 1
         assert np.any(table.data, axis=0).all()  # every entry of U is kept by some ladder
-        for ladder, f_r in table.items():
-            assert_bitwise_equal(f_r, oracle[ladder])
+        assert_bitwise_equal(table, table_of(oracle, model.basis.fermion_dim))
         # U is every ladder's own pattern unless pruning drops some entries from some ladders
         shared = all(f_r.nnz == len(table.indices) for f_r in oracle.values())
         assert shared == (not name.startswith("pruned"))
         if name == "ten_ladders":
-            assert len(model.factors) == 10
+            assert len(model.factors.ladders) == 10
         if name.startswith("pruned"):  # some ladder lacks some bilinear the others have
             t = model.terms
             keys = {(b, k): frozenset(t[(t.boson_kind == b) & (t.k_index == k)][["fermion_kind", "spin", "spin_p",
                                                                                 "q_index", "qp_index"]].tolist())
-                    for b, k in model.factors}
+                    for b, k in model.factors.ladders}
             assert len(set(keys.values())) > 1
 
     @pytest.mark.parametrize("name", ["w1", "pruned_3", "pruned_12", "off_axis", "ten_ladders"])
@@ -738,6 +744,7 @@ class TestFactorBuild:
         params, representation = FACTOR_MODELS[name]
         model = build_model(params, algebra=dirac_algebra(representation))
         table, dim = model.factors, model.basis.fermion_dim
+        oracle = product_factors_oracle(model.terms, model.basis)
         k = table.ladders[0][1]
         a, c = table.ladders.index(("a", k)), table.ladders.index(("a*", k))
         scaled = replace(table, data=table.data.copy())
@@ -751,7 +758,7 @@ class TestFactorBuild:
         taken = set(zip(rows.tolist(), table.indices.tolist()))
         i, j = next((i, j) for i in range(dim) for j in range(dim) if not {(i, j), (j, i)} & taken)
         lone = sp.csr_matrix(([0.5], ([i], [j])), shape=(dim, dim))
-        unmirrored = [table_of({**table, r: table[r] + lone}, dim) for r in (("a", k), ("a*", k))]
+        unmirrored = [table_of({**oracle, r: oracle[r] + lone}, dim) for r in (("a", k), ("a*", k))]
         assert all(len(t.indices) == len(table.indices) + 1 for t in unmirrored)
         absent = FactorTable(table.ladders[:-1], table.indptr, table.indices, table.data[:-1])
         empty = build_model(minimal_params(chi_hat_floor=2.0))  # no terms: the empty table
@@ -784,9 +791,7 @@ class TestFactorBuild:
         factors = ladder_factors(model.terms, model.basis)
         keys, live = seen[0]
         assert 0 < np.count_nonzero(~live) < len(live)
-        assert list(factors) == list(model.factors)
-        for ladder, f_r in model.factors.items():
-            assert_bitwise_equal(f_r, factors[ladder])
+        assert_bitwise_equal(factors, model.factors)
         # with no key live, only the diagonal bilinears (one per mode, on half the masks each) add entries
         slot, starts, cols, row_ptr = runs(keys, np.zeros_like(live), model.basis)
         dim = model.basis.fermion_dim
@@ -805,9 +810,11 @@ class TestFactorBuild:
         kept, nudged = (terms.boson_kind == "a") & (terms.k_index == 0), terms.component == 0
         terms.coefficient[nudged] *= np.where(kept[nudged], 1 + 1e-3, 1 + 2.0**-50)
         factors, oracle = ladder_factors(terms, model.basis), product_factors_oracle(terms, model.basis)
-        for ladder, f_r in model.factors.items():
-            assert_bitwise_equal(factors[ladder], oracle[ladder])
-            assert (factors[ladder].nnz > f_r.nnz) if ladder == ("a", 0) else (factors[ladder].nnz == f_r.nnz)
+        assert_bitwise_equal(factors, table_of(oracle, model.basis.fermion_dim))
+        assert factors.ladders == model.factors.ladders
+        for ladder, nnz, before in zip(factors.ladders, np.count_nonzero(factors.data, axis=1),
+                                       np.count_nonzero(model.factors.data, axis=1)):
+            assert (nnz > before) if ladder == ("a", 0) else (nnz == before)
 
     @pytest.mark.parametrize("name", ["w0", "w1", "off_axis"])
     def test_free_part_matches_sum_of_number_operators_bitwise(self, name):
@@ -816,15 +823,15 @@ class TestFactorBuild:
         basis, lat_f, lat_b = model.basis, model.fermion_lattice, model.boson_lattice
         h_dirac = second_quantization(discretize(lambda q: dirac_energy(q, params.dirac_mass), lat_f), basis, "fermion")
         h_kg = second_quantization(discretize(lambda k: boson_energy(k, params.boson_mass), lat_b), basis, "boson")
-        assert_bitwise_equal(model.h_free, (h_dirac + h_kg).tocsr())
+        assert_bitwise_equal(model.hamiltonian(0.0), (h_dirac + h_kg).tocsr())
 
     def test_empty_interaction(self):
         # a floor above the transform's peak prunes every term
         model = build_model(minimal_params(chi_hat_floor=2.0))
-        assert len(model.terms) == 0 and model.factors == {}
+        assert len(model.terms) == 0 and model.factors.ladders == ()
         assert model.factors.data.shape == (0, 0) and not model.factors.indptr.any()
         assert model.h_int.shape == (model.basis.dim,) * 2 and model.h_int.nnz == 0
-        assert_bitwise_equal(model.hamiltonian(), model.h_free)
+        assert_bitwise_equal(model.hamiltonian(), model.hamiltonian(0.0))
         assert interaction_hermiticity_defect(model.factors, model.basis) == 0.0
 
 
@@ -947,14 +954,15 @@ class TestBalancePruning:
         # pruning drops different entries from different ladders: the table keeps
         # their union once, with zeros where a ladder has no entry
         model = build_model(two_point_params(chi_spatial=CutoffProfile.gaussian(sigma)))
-        table = model.factors
+        table, factors = model.factors, product_factors_oracle(model.terms, model.basis)
         assert table.data.shape == (4, len(table.indices)) and not table.data.all()
-        patterns = {(f.indptr.tobytes(), f.indices.tobytes()) for f in table.values()}
+        patterns = {(f.indptr.tobytes(), f.indices.tobytes()) for f in factors.values()}
         assert len(patterns) == 3
-        oracle = kron_sum_oracle(table, model.basis)
+        assert_bitwise_equal(table, table_of(factors, model.basis.fermion_dim))
+        oracle = kron_sum_oracle(factors, model.basis)
         assert_bitwise_equal(model.h_int, oracle)
         for kappa in (model.params.coupling, -1.3):
-            assert_bitwise_equal(model.hamiltonian(kappa), (model.h_free + kappa * oracle).tocsr())
+            assert_bitwise_equal(model.hamiltonian(kappa), (model.hamiltonian(0.0) + kappa * oracle).tocsr())
 
 
 class TestAnalyticLimits:
@@ -978,7 +986,7 @@ class TestAnalyticLimits:
             dirac_mass=1.1, boson_mass=0.9, coupling=0.0, n_max=2, total_boson_cap=2
         )
         model = build_model(params)
-        free_diag = model.h_free.diagonal().real
+        free_diag = model.free
         column = model.h_int[:, 0].toarray().ravel()  # couplings out of the vacuum
         shift = sum(
             abs(column[n]) ** 2 / free_diag[n] for n in range(1, len(column)) if column[n] != 0

@@ -12,6 +12,7 @@ from yukawa_ed.fock import enumerate_basis
 from yukawa_ed.hamiltonian import ModelParams, build_model
 from yukawa_ed.solver import (
     DEFAULT_DENSE_CAP,
+    ORACLE_DENSE_CAP,
     SCAN_AXES,
     SEMI_ORTHOGONAL,
     _LanczosState,
@@ -113,7 +114,7 @@ class TestDenseLowest:
     def test_free_hamiltonian_minimal_basis(self):
         params = minimal_params(coupling=0.0)
         basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-        h0 = build_model(params, basis=basis).h_free
+        h0 = build_model(params, basis=basis).hamiltonian(0.0)
         result = dense_lowest(h0, 4)
         assert result.ground_energy == 0.0
         assert result.gap == pytest.approx(1.0, abs=1e-15)
@@ -181,7 +182,7 @@ class TestLanczosLowest:
     def test_zero_coupling_ground_state_is_exact_vacuum(self):
         params = minimal_params(coupling=0.0)
         basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-        h0 = build_model(params, basis=basis).h_free
+        h0 = build_model(params, basis=basis).hamiltonian(0.0)
         result = lanczos_lowest(h0, 2, tol=1e-12, seed=11)
         assert abs(result.ground_energy) < 1e-12
         assert result.residual < 1e-11
@@ -248,7 +249,7 @@ class TestRealRoute:
     def test_build_model_picks_the_field(self):
         for params in (w1_params(), minimal_params()):
             model = build_model(params)
-            for op in (model.h_int, model.h_free, model.hamiltonian()):
+            for op in (model.h_int, model.hamiltonian(0.0), model.hamiltonian()):
                 assert op.dtype == np.float64
         model = build_model(off_axis_params())
         for op in (model.h_int, model.hamiltonian()):
@@ -386,7 +387,7 @@ class TestDiagonalMatrices:
 
     @pytest.mark.parametrize("dense_cap, method", ROUTES)
     def test_free_hamiltonian_is_read_off_exactly(self, dense_cap, method):
-        h0 = build_model(minimal_params(coupling=0.0)).h_free
+        h0 = build_model(minimal_params(coupling=0.0)).hamiltonian(0.0)
         result = solve_lowest(h0, 2, dense_cap=dense_cap)
         assert result.method == method
         assert result.eigenvalues.tolist() == [0.0, 1.0]
@@ -852,7 +853,7 @@ class TestPerturbationBound:
     def test_ground_energy_shift_bounded_by_coupling_times_norm(self):
         model = build_model(strong_coupling_params())
         hnorm = operator_norm_dense(model.h_int)
-        e0_free = dense_lowest(model.h_free, 1).ground_energy
+        e0_free = dense_lowest(model.hamiltonian(0.0), 1).ground_energy
         for kappa in (0.1, 0.5, 1.0, 2.0):
             e0 = dense_lowest(model.hamiltonian(kappa), 1).ground_energy
             assert abs(e0 - e0_free) <= kappa * hnorm * (1 + 1e-12)
@@ -1014,6 +1015,40 @@ class TestIntegerArguments:
         assert len(dense_lowest(tridiagonal(40), two).eigenvalues) == 2
 
 
+class TestDenseCap:
+    """dense_cap is an integer from 0 to the oracle's memory guard, checked before any work on every route."""
+
+    BAD = [(ORACLE_DENSE_CAP + 1, f"dense_cap must be <= {ORACLE_DENSE_CAP}, got {ORACLE_DENSE_CAP + 1}"),
+           (10**9, f"dense_cap must be <= {ORACLE_DENSE_CAP}, got {10**9}"),
+           (-3, "dense_cap must be >= 0, got -3")]
+    BAD += [(value, f"dense_cap must be an integer, got {value!r}") for value in NOT_INTEGERS]
+
+    @pytest.mark.parametrize("value, message", BAD)
+    def test_solvers_reject_it_before_any_work(self, value, message, monkeypatch):
+        # 5000 took a 4 200-state matrix past the guard to the dense route
+        import yukawa_ed.solver as solver_mod
+
+        def refused(*args):
+            raise AssertionError("worked before the dense_cap check")
+
+        monkeypatch.setattr(solver_mod, "_as_operator", refused)
+        monkeypatch.setattr(solver_mod, "build_model", refused)
+        for solve in (solve_lowest, dense_lowest):
+            with pytest.raises(ParameterError, match=message):
+                solve(tridiagonal(40), 2, dense_cap=value)
+        with pytest.raises(ParameterError, match=message):
+            converge_scan(minimal_params(), "n_max", [1, 2], dense_cap=value)
+
+    def test_caps_up_to_the_guard_pass(self):
+        h = tridiagonal(40)
+        want = solve_lowest(h, 2).eigenvalues
+        assert solve_lowest(h, 2, dense_cap=ORACLE_DENSE_CAP).eigenvalues.tolist() == want.tolist()
+        assert solve_lowest(h, 2, dense_cap=40.0).method == "dense"
+        lanczos = solve_lowest(h, 2, dense_cap=0, tol=1e-11)
+        assert lanczos.method == "blocks" and lanczos.matvecs > 0
+        assert np.allclose(lanczos.eigenvalues, want, atol=1e-10)
+
+
 class TestSectorMinima:
     def test_free_charge_sectors_cost_one_mass_each(self):
         params = minimal_params(coupling=0.0)
@@ -1055,6 +1090,21 @@ class TestSectorMinima:
         model = build_model(minimal_params())
         with pytest.raises(ParameterError):
             sector_minima(model.hamiltonian(), model.basis, 7, label="charge")
+
+    def test_a_nested_list_is_solved_as_its_sparse_matrix(self):
+        # the shape check read h.shape, an AttributeError on a list
+        model = build_model(minimal_params(coupling=0.5))
+        h = model.hamiltonian()
+        for n in (-1, 0, 2):
+            assert sector_minima(h.toarray().tolist(), model.basis, n) == sector_minima(h, model.basis, n)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_a_label_value_that_is_not_an_integer_is_rejected(self, value):
+        # True was read as charge 1
+        model = build_model(minimal_params())
+        with pytest.raises(ParameterError, match=f"n must be an integer, got {value!r}"):
+            sector_minima(model.hamiltonian(), model.basis, value)
+        assert sector_minima(model.hamiltonian(), model.basis, np.int64(1)).value == 1
 
     @pytest.mark.parametrize("dim", [32, 128])
     def test_matrix_must_act_on_the_basis(self, dim):
