@@ -1,13 +1,14 @@
 """Explicit relative-bound constants and numerical inequality verification.
 
-All constants are computed from the same discrete coefficient vectors the
-operators are built from, so every inequality checked here is a theorem of
-the discrete model: a worst-case ratio above 1 + 1e-9 falsifies the build,
-not the sampling.  The states are random, so each worst ratio is only a
-lower bound on its operator's sup (the sampled interaction-relative ratio
-can sit far below the exact one).  The free-relative check runs over the
-epsilons ``EPS_GRID``.  The field and ladder operators A (x) I and I (x) B are
-checked on their factor A or B, never on the lift.
+All constants are computed from the same discrete coefficient vectors and
+boson energies (``Model.omega``) the operators are built from, so every
+inequality checked here is a theorem of the discrete model: a worst-case
+ratio above 1 + 1e-9 falsifies the build, not the sampling.  The states
+are random, so each worst ratio is only a lower bound on its operator's
+sup (the sampled interaction-relative ratio can sit far below the exact
+one).  The free-relative check runs over the epsilons ``EPS_GRID``.  The
+field and ladder operators A (x) I and I (x) B are checked on their factor
+A or B, never on the lift.
 
 Sampling contract: every batch of states is drawn as its real block and
 then its imaginary block, each ``standard_normal((count, dim))``, and the
@@ -42,11 +43,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import CapacityError, ParameterError, as_integer, check_seed, size_text
+from .errors import CapacityError, as_integer, check_seed, size_text
 from .fock import boson_number_diagonal, smeared_boson_block
 from .hamiltonian import CHUNK_ENTRIES, Model, boson_field_block, chi_spatial_l1_norm, dirac_field_mask
 from .lattice import DiscreteCoefficients
-from .spinor import boson_energy
 
 RATIO_TOL = 1e-9
 # draws in the interaction batch, n_samples * dim: a bound on the sampling work
@@ -119,14 +119,9 @@ def compute_constants(model: Model) -> BoundReport:
             total += model.f[si][l].norm + model.g[si][l].norm
         dirac_norms.append(total)
 
-    omega = np.array(
-        [boson_energy(k, model.params.boson_mass) for k in model.boson_lattice.points]
-    )
     kg_norms = {}
     for j in (0, 1, 2):
-        weighted = DiscreteCoefficients(
-            model.h.values / omega ** (j / 2.0), model.boson_lattice
-        )
+        weighted = DiscreteCoefficients(model.h.values / model.omega ** (j / 2.0), model.basis.boson_lattice)
         kg_norms[j] = weighted.norm
 
     l1 = chi_spatial_l1_norm(model.params.chi_spatial)
@@ -228,11 +223,7 @@ def verify_inequalities(
     above 1 + 1e-9 falsifies the build, and the caller (test suite, CLI)
     decides how loudly to fail.
     """
-    n_samples, n_field_points = as_integer(n_samples, "n_samples"), as_integer(n_field_points, "n_field_points")
-    if n_samples < 1:
-        raise ParameterError(f"need at least one sample, got {n_samples}")
-    if n_field_points < 1:
-        raise ParameterError(f"need at least one field point, got {n_field_points}")
+    n_samples, n_field_points = as_integer(n_samples, "n_samples", 1), as_integer(n_field_points, "n_field_points", 1)
     seed = check_seed(seed)
     dim = model.basis.dim
     if n_samples * dim > SAMPLE_CAP:
@@ -246,10 +237,7 @@ def verify_inequalities(
     rng = np.random.default_rng(seed)
     report.eps_grid = list(EPS_GRID)
 
-    h_int = model.h_int
-    omega = np.array(
-        [boson_energy(k, model.params.boson_mass) for k in model.boson_lattice.points]
-    )
+    h_int, omega, boson_lattice = model.h_int, model.omega, model.basis.boson_lattice
     # the free parts are diagonal and act elementwise; H_KG = dGamma(omega) repeats over the masks
     kg = np.tile(boson_number_diagonal(model.basis, omega), model.basis.fermion_dim)
     free = model.free
@@ -271,11 +259,9 @@ def verify_inequalities(
 
     # smeared ladder bounds on random coefficient vectors and states
     for _ in range(max(1, n_samples // 20)):
-        eta = DiscreteCoefficients(
-            rng.standard_normal(len(omega)) + 1j * rng.standard_normal(len(omega)),
-            model.boson_lattice,
-        )
-        weighted = DiscreteCoefficients(eta.values / np.sqrt(omega), model.boson_lattice)
+        eta = DiscreteCoefficients(rng.standard_normal(len(omega)) + 1j * rng.standard_normal(len(omega)),
+                                   boson_lattice)
+        weighted = DiscreteCoefficients(eta.values / np.sqrt(omega), boson_lattice)
         ann = smeared_boson_block(eta, model.basis)
         cre = ann.conj().T.tocsr()
         for block in _state_blocks(rng, dim, 5, rows):

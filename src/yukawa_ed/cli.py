@@ -24,6 +24,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import yaml
@@ -157,9 +158,11 @@ SECTIONS = {
         "truncation": {"n_max": ("n_max", as_integer), "total": ("total_boson_cap", _optional(as_integer))},
     },
     "limits": _same(basis_cap=as_integer, point_cap=as_integer, chi_hat_floor=_real),
-    "solver": _same(k=as_integer, tol=_real, max_iter=as_integer, seed=as_integer, dense_cap=as_integer),
+    "solver": _same(k=partial(as_integer, name="k", low=1), tol=_real, max_iter=as_integer, seed=as_integer,
+                    dense_cap=as_integer),
     "scan": _same(kappa_grid=_list(_real), axis=_instance(str), values=_list(_number)),
-    "verify": _same(samples=as_integer, field_points=as_integer),
+    "verify": _same(samples=partial(as_integer, name="samples", low=1),
+                    field_points=partial(as_integer, name="field_points", low=1)),
     "output": {"path": ("output_path", _instance(str, type(None))),
                "record_timings": ("record_timings", _instance(bool))},
 }
@@ -209,8 +212,6 @@ def config_from_dict(raw) -> RunConfig:
     except ParameterError as err:
         raise ConfigError(f"invalid model parameters: {err}") from err
     config = RunConfig(params, take(SolverConfig), take(ScanConfig), take(VerifyConfig), **given)
-    if config.solver.k < 1:
-        raise ConfigError(f"solver.k must be >= 1, got {config.solver.k}")
     try:
         check_seed(config.solver.seed)
         check_iteration(config.solver.tol, config.solver.max_iter)
@@ -222,10 +223,6 @@ def config_from_dict(raw) -> RunConfig:
     values = config.scan.values
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("scan.values must be strictly increasing")
-    if config.verify.samples < 1:
-        raise ConfigError("verify.samples must be >= 1")
-    if config.verify.field_points < 1:
-        raise ConfigError("verify.field_points must be >= 1")
     return config
 
 

@@ -4,6 +4,7 @@ The CLI maps these onto process exit codes, so new error conditions should
 reuse one of the classes below rather than raising bare ValueError.
 """
 
+import math
 from decimal import Decimal
 from typing import Optional
 
@@ -18,9 +19,12 @@ class ParameterError(ValueError):
 
 
 def as_integer(value, name: str = "", low: Optional[int] = None) -> int:
-    """An integral number, or a numeric string of one, as int; 1.7, booleans and a value below ``low`` raise."""
+    """An integral number, or a numeric string of one, as int; anything else, or one below ``low``, raises."""
     if type(value) is not int:
-        number = float(value)
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
         if isinstance(value, bool) or not number.is_integer():
             raise ParameterError(f"{name + ' must be' if name else 'expected'} an integer, got {value!r}")
         value = int(number)

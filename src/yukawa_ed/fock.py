@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CapacityError, LatticeMismatchError, ParameterError, size_text
+from .errors import CapacityError, LatticeMismatchError, ParameterError, as_integer, size_text
 from .lattice import DiscreteCoefficients, MomentumLattice
 from .spinor import SPINS
 
@@ -113,11 +113,8 @@ class FockBasis:
         boson_lattice: Optional[MomentumLattice] = None,
         basis_cap: int = DEFAULT_BASIS_CAP,
     ):
-        if n_max < 0:
-            raise ParameterError(f"n_max must be >= 0, got {n_max}")
-        total_cap = n_max if total_cap is None else total_cap
-        if total_cap < 0:
-            raise ParameterError(f"total boson cap must be >= 0, got {total_cap}")
+        n_max = as_integer(n_max, "n_max", 0)
+        total_cap = n_max if total_cap is None else as_integer(total_cap, "total boson cap", 0)
         boson_lattice = boson_lattice or fermion_lattice
 
         self.fermion_lattice = fermion_lattice

@@ -21,18 +21,20 @@ CSR, and a row of ``data`` on U per ladder.  B_r moves the boson occupation
 by -e_k or +e_k, a shift no other ladder shares, so distinct blocks occupy
 disjoint entries.
 
-``build_model`` keeps the table on the model (``Model.factors``, checked
-for hermiticity on U) and the free diagonal (``Model.free``), and never
-assembles the full space.  ``assemble_interaction`` writes the CSR of
-sum_r F_r (x) B_r from U and ``data`` in one chunked pass over the mask
-rows' row groups when it is needed: ``Model.h_int`` on first access, and
-``Model.hamiltonian(kappa)`` with the coupling and ``Model.free`` merged
-in, without ``h_int``; ``hamiltonian(0)`` is the CSR of ``free`` alone.
-Its chunks hold at most ``CHUNK_ENTRIES`` entries per scratch array, so
-its scratch is bounded by that budget and its largest row group, not by
-the operator it writes.  Entries that come out zero are dropped by
-scipy's ``eliminate_zeros`` on the result, and its ``data`` and
-``indices`` hold exactly their nnz entries.
+``build_model`` enumerates the basis from the parameters (the model reads
+its lattices there), samples omega(k) once (``Model.omega``), keeps the
+table on the model (``Model.factors``, checked for hermiticity on U) and
+the free diagonal (``Model.free``), and never assembles the full space.
+``assemble_interaction`` writes the CSR of sum_r F_r (x) B_r from U and
+``data`` in one chunked pass over the mask rows' row groups when it is
+needed: ``Model.h_int`` on first access, and ``Model.hamiltonian(kappa)``
+with the coupling and ``Model.free`` merged in, without ``h_int``;
+``hamiltonian(0)`` is the CSR of ``free`` alone.  Its chunks hold at most
+``CHUNK_ENTRIES`` entries per scratch array, so its scratch is bounded by
+that budget and its largest row group, not by the operator it writes.
+Entries that come out zero are dropped by scipy's ``eliminate_zeros`` on
+the result, and its ``data`` and ``indices`` hold exactly their nnz
+entries.
 
 The ladder, number and identity operators are real, so the F_r alone decide
 the field: ``ladder_factors`` keeps them float64 when their summed
@@ -55,7 +57,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -144,9 +147,13 @@ class ModelParams:
     basis_cap: int = DEFAULT_BASIS_CAP
 
     def __post_init__(self):
-        for name, value in vars(self).items():  # masses, coupling, V, L and chi_hat_floor
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value}")
+        for f in fields(self):  # masses, coupling, V, L and chi_hat_floor; None where the field is optional
+            value = getattr(self, f.name)
+            if f.type == "float" or f.type == "Optional[float]" and value is not None:
+                # a bool is an int; an int is compared with the largest float exactly, as it may not convert
+                if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                        abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)):
+                    raise ParameterError(f"{f.name} must be a finite real number, got {value!r}")
         counts = {"n_max": self.n_max, "point_cap": self.point_cap, "basis_cap": self.basis_cap}
         if self.total_boson_cap is not None:
             counts["total_boson_cap"] = self.total_boson_cap
@@ -586,6 +593,8 @@ def interaction_hermiticity_defect(factors: FactorTable, basis: FockBasis) -> fl
 class Model:
     """All ingredients of one parameter set; the interaction is kept factored.
 
+    The lattices are read through ``basis`` alone.  ``omega`` holds the
+    boson mode energies omega(k) on ``basis.boson_lattice`` as float64.
     ``free`` is the diagonal dGamma(Dirac) + dGamma(omega), one float64 per
     basis state, and ``hamiltonian(0)`` its CSR.  No H_KG is kept: the
     bounds read dGamma(omega) off the basis occupations as a diagonal.
@@ -602,17 +611,10 @@ class Model:
     f: list
     g: list
     h: DiscreteCoefficients
+    omega: np.ndarray
     free: np.ndarray
     factors: FactorTable
     terms: np.recarray       # one row per interaction monomial (TERM_DTYPE)
-
-    @property
-    def fermion_lattice(self) -> MomentumLattice:
-        return self.basis.fermion_lattice
-
-    @property
-    def boson_lattice(self) -> MomentumLattice:
-        return self.basis.boson_lattice
 
     @cached_property
     def h_int(self) -> sp.csr_matrix:
@@ -628,34 +630,24 @@ class Model:
         return assemble_interaction(self.factors, self.basis, kappa, self.free)
 
 
-def build_model(
-    params: ModelParams,
-    algebra: Optional[DiracAlgebra] = None,
-    basis: Optional[FockBasis] = None,
-) -> Model:
-    """Sample coefficients, enumerate the basis, sum the free diagonal and build the checked ladder factors."""
+def build_model(params: ModelParams, algebra: Optional[DiracAlgebra] = None) -> Model:
+    """Enumerate the basis, sample coefficients and energies, sum the free diagonal, build the checked factors."""
     algebra = algebra or dirac_algebra()
-    if basis is None:
-        basis = enumerate_basis(
-            params.build_fermion_lattice(),
-            params.n_max,
-            params.total_boson_cap,
-            boson_lattice=params.build_boson_lattice(),
-            basis_cap=params.basis_cap,
-        )
+    basis = enumerate_basis(params.build_fermion_lattice(), params.n_max, params.total_boson_cap,
+                            boson_lattice=params.build_boson_lattice(), basis_cap=params.basis_cap)
     f, g = fermion_coefficients(basis.fermion_lattice, params.dirac_mass, params.chi_dirac, algebra)
     h = boson_coefficients(basis.boson_lattice, params.boson_mass, params.chi_kg)
 
     dirac = discretize(lambda q: dirac_energy(q, params.dirac_mass), basis.fermion_lattice)
-    kg = discretize(lambda k: boson_energy(k, params.boson_mass), basis.boson_lattice)
+    omega = discretize(lambda k: boson_energy(k, params.boson_mass), basis.boson_lattice).values.real
     # one diagonal, fermion-mask major as the basis is ordered
-    free = np.add.outer(fermion_number_diagonal(basis, dirac.values), boson_number_diagonal(basis, kg.values))
+    free = np.add.outer(fermion_number_diagonal(basis, dirac.values), boson_number_diagonal(basis, omega))
     terms = enumerate_interaction_terms(params, f, g, h, algebra.beta)
     factors = ladder_factors(terms, basis)
     defect = interaction_hermiticity_defect(factors, basis)
     if defect > 1e-12:
         raise AssemblyError(f"interaction matrix hermiticity defect {defect:.3e} exceeds 1e-12")
-    return Model(params=params, algebra=algebra, basis=basis, f=f, g=g, h=h,
+    return Model(params=params, algebra=algebra, basis=basis, f=f, g=g, h=h, omega=omega,
                  free=free.ravel(), factors=factors, terms=terms)
 
 
@@ -664,7 +656,7 @@ def build_model(
 
 def dirac_field_mask(model: Model, component: int, x: np.ndarray) -> sp.csr_matrix:
     """psi_l(x) on the fermion-mask factor: b(f_x) + d*(g_x) summed over spins, as one COO."""
-    lat = model.fermion_lattice
+    lat = model.basis.fermion_lattice
     phase = np.exp(-1j * (lat.points @ np.asarray(x, dtype=float)))
     # modes are family-major, families b then d, each by spin (FermionMode.family)
     coefficients = np.stack([c[si][component].values for c in (model.f, model.g) for si in range(len(SPINS))])
@@ -680,7 +672,7 @@ def dirac_field_component(model: Model, component: int, x: np.ndarray) -> sp.csr
 
 def boson_field_block(model: Model, x: np.ndarray) -> sp.csr_matrix:
     """The field phi(x) = (a(h_x) + a*(h_x)) / sqrt(2) on the boson block."""
-    lat = model.boson_lattice
+    lat = model.basis.boson_lattice
     phase = np.exp(1j * (lat.points @ np.asarray(x, dtype=float)))
     ann = smeared_boson_block(DiscreteCoefficients(model.h.values * phase, lat), model.basis)
     return (ann + ann.conj().T.tocsr()) / math.sqrt(2.0)
@@ -704,7 +696,7 @@ def interaction_form_quadrature(
     the assembled matrix.  Validation path; cost grows with n_nodes^3.
     """
     basis = model.basis
-    lat_f, lat_b = model.fermion_lattice, model.boson_lattice
+    lat_f, lat_b = model.basis.fermion_lattice, model.basis.boson_lattice
     root_wf = math.sqrt(lat_f.cell_volume)
     root_wb = math.sqrt(lat_b.cell_volume)
     gamma0 = model.algebra.beta

@@ -64,8 +64,8 @@ class MomentumLattice:
         Used for hand-picked mode sets (nested refinement studies, tests)
         where the box-intersection rule would produce too many points.
         """
-        if V <= 0 or L <= 0:
-            raise ParameterError(f"lattice parameters must be positive, got V={V}, L={L}")
+        if not (0 < V < np.inf and 0 < L < np.inf):
+            raise ParameterError(f"lattice parameters must be finite and positive, got V={V}, L={L}")
         try:
             given = np.asarray(integer_points)
             with np.errstate(invalid="ignore"):  # NaN and ±inf fail the comparison below
@@ -93,8 +93,8 @@ def build_lattice(V: float, L: float, point_cap: int = DEFAULT_POINT_CAP) -> Mom
     on every axis.  A cell that merely touches the box boundary contributes
     zero L2 weight and is excluded.
     """
-    if V <= 0 or L <= 0:
-        raise ParameterError(f"lattice parameters must be positive, got V={V}, L={L}")
+    if not (0 < V < np.inf and 0 < L < np.inf):
+        raise ParameterError(f"lattice parameters must be finite and positive, got V={V}, L={L}")
     half_cell = np.pi / V
     spacing = 2.0 * np.pi / V
     # per-axis integer range is symmetric: |spacing * n| < L + half_cell, strictly

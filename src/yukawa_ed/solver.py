@@ -2,14 +2,15 @@
 
 Two routes to the bottom of the spectrum, chosen by size alone.  LAPACK's
 subset driver (dense; only the lowest k eigenpairs) runs up to
-``DEFAULT_DENSE_CAP``, the measured break-even dimension.  The dense route
-doubles as the oracle up to ``ORACLE_DENSE_CAP``, which also caps
-``operator_norm_dense``.  ``sector_minima`` cuts a sector's rows once and,
-when its coupling to the rest is at most ``INVARIANCE_TOL``, solves scipy's
-column cut of them with ``solve_lowest``'s defaults.  The dense and Lanczos
-solves work in the matrix's own dtype: ``build_model`` assembles float64
-operators for real models, which get a real start vector, Krylov block and
-subset driver, and complex ones for off-axis models.
+``DEFAULT_DENSE_CAP``, the measured break-even dimension.  Every dense
+route (``dense_lowest``, the oracle, and ``operator_norm_dense``) guards at
+``ORACLE_DENSE_CAP``, which bounds any ``dense_cap`` too.
+``sector_minima`` cuts a sector's rows once and, when its coupling to the
+rest is at most ``INVARIANCE_TOL``, solves scipy's column cut of them with
+``solve_lowest``'s defaults.  The dense and Lanczos solves work in the
+matrix's own dtype: ``build_model`` assembles float64 operators for real
+models, which get a real start vector, Krylov block and subset driver,
+and complex ones for off-axis models.
 
 Above the dense cap ``solve_lowest`` splits the matrix into the connected
 components of its pattern, its invariant blocks (method ``"blocks"``; a
@@ -137,11 +138,11 @@ def _as_operator(h):
     return h
 
 
-def _dense(what: str, h, cap: int) -> np.ndarray:
-    """``_as_operator(h)`` as an ndarray, its first dimension checked against ``cap`` first, for a nested list too."""
-    dim = np.shape(h)[0] if np.ndim(h) else 0
-    if dim > cap:
-        raise CapacityError(f"{what} of dimension {dim} exceeds cap {cap}", projected=dim, cap=cap)
+def _dense(what: str, h) -> np.ndarray:
+    """``_as_operator(h)`` as an ndarray, its first dimension checked against ``ORACLE_DENSE_CAP`` first."""
+    dim = np.shape(h)[0] if np.ndim(h) else 0  # a nested list too
+    if dim > ORACLE_DENSE_CAP:
+        raise CapacityError(f"{what} of dimension {dim} exceeds cap {ORACLE_DENSE_CAP}", dim, ORACLE_DENSE_CAP)
     h = _as_operator(h)
     return h.toarray() if sp.issparse(h) else h
 
@@ -154,10 +155,10 @@ def check_dense_cap(dense_cap) -> int:
     return dense_cap
 
 
-def dense_lowest(h, k: int, dense_cap: int = ORACLE_DENSE_CAP) -> SpectralResult:
-    """Lowest ``k`` eigenpairs by LAPACK's subset driver; the oracle route under the cap."""
+def dense_lowest(h, k: int) -> SpectralResult:
+    """Lowest ``k`` eigenpairs by LAPACK's subset driver; the oracle route up to ``ORACLE_DENSE_CAP``."""
     k = as_integer(k, "k", 1)
-    dense = _dense("dense diagonalization", h, check_dense_cap(dense_cap))
+    dense = _dense("dense diagonalization", h)
     vals, vecs = sla.eigh(dense, subset_by_index=[0, min(k, len(dense)) - 1])
     ground = vecs[:, 0]
     residual = float(np.linalg.norm(dense @ ground - vals[0] * ground))
@@ -467,7 +468,7 @@ def solve_lowest(
     dense_cap = check_dense_cap(dense_cap)
     h = _as_operator(h)
     if h.shape[0] <= dense_cap:
-        return dense_lowest(h, k, dense_cap)
+        return dense_lowest(h, k)
     # imported here: csgraph adds ~1.5 MB of RSS to processes that never need it
     from scipy.sparse.csgraph import connected_components
     h = sp.csr_matrix(h)
@@ -506,7 +507,7 @@ def solve_lowest(
                 shifted[np.diag_indices(size)] -= kth + (size + 2) * EPS * (row_sums[states].sum() + size * abs(kth))
                 if sla.get_lapack_funcs("potrf", (shifted,))(shifted, lower=True, overwrite_a=True, clean=0)[1] == 0:
                     continue  # decided above the k-th value: nothing to merge
-            part = dense_lowest(sub, k, dense_cap)
+            part = dense_lowest(sub, k)
         else:  # once k values are merged, only those above this block's floor can be displaced
             need = int(np.sum(values > floors[block])) if len(values) == k else k
             part = lanczos_lowest(sub, need, tol, max_iter, seed, above=kth)
@@ -524,7 +525,7 @@ def solve_lowest(
 
 def operator_norm_dense(h) -> float:
     """Spectral norm via dense Hermitian eigenvalues, up to ``ORACLE_DENSE_CAP``."""
-    vals = np.linalg.eigvalsh(_dense("dense norm", h, ORACLE_DENSE_CAP))
+    vals = np.linalg.eigvalsh(_dense("dense norm", h))
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 

@@ -145,7 +145,7 @@ def test_criterion_3_free_spectrum():
     for M, m in [(1.0, 1.0), (1.0, 0.5), (0.3, 2.0)]:
         params = minimal_params(dirac_mass=M, boson_mass=m, coupling=0.0)
         model = build_model(params)
-        assert np.any(np.all(model.fermion_lattice.integer_points == 0, axis=1))
+        assert np.any(np.all(model.basis.fermion_lattice.integer_points == 0, axis=1))
         result = dense_lowest(model.hamiltonian(), 2)
         assert result.ground_energy == 0.0
         assert abs(result.gap - min(M, m)) <= 1e-12

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -43,7 +44,7 @@ def on_block(block, psi):
 
 def kg_operator(model):
     """H_KG = dGamma(omega) on the product basis."""
-    omega = discretize(lambda k: boson_energy(k, model.params.boson_mass), model.boson_lattice)
+    omega = discretize(lambda k: boson_energy(k, model.params.boson_mass), model.basis.boson_lattice)
     return second_quantization(omega, model.basis, "boson")
 
 
@@ -164,9 +165,10 @@ class TestInequalities:
             coo = op.tocoo()
             assert np.array_equal(coo.row, coo.col)
             assert np.array_equal(op.diagonal() * psi, _apply(op, psi))
-        # the KG diagonal verify_inequalities builds is H_KG's, bitwise
-        omega = np.array([boson_energy(k, model.params.boson_mass) for k in model.boson_lattice.points])
-        kg = np.tile(boson_number_diagonal(model.basis, omega), model.basis.fermion_dim)
+        # the KG diagonal verify_inequalities builds from model.omega is H_KG's, bitwise
+        omega = np.array([boson_energy(k, model.params.boson_mass) for k in model.basis.boson_lattice.points])
+        assert model.omega.dtype == np.float64 and model.omega.tobytes() == omega.tobytes()
+        kg = np.tile(boson_number_diagonal(model.basis, model.omega), model.basis.fermion_dim)
         assert kg.tobytes() == h_kg.diagonal().tobytes()
 
 
@@ -184,8 +186,8 @@ class TestTensorFactorRoute:
         model = build_model(params)
         rng = np.random.default_rng(8)
         states = rng.standard_normal((3, model.basis.dim)) + 1j * rng.standard_normal((3, model.basis.dim))
-        n = model.boson_lattice.n_points
-        eta = DiscreteCoefficients(rng.standard_normal(n) + 1j * rng.standard_normal(n), model.boson_lattice)
+        n = model.basis.boson_lattice.n_points
+        eta = DiscreteCoefficients(rng.standard_normal(n) + 1j * rng.standard_normal(n), model.basis.boson_lattice)
         ann = smeared_boson_block(eta, model.basis)
         for block in (ann, ann.conj().T.tocsr(), boson_field_block(model, np.array([0.4, -0.3, 1.2]))):
             got = _apply(block, states.reshape(-1, model.basis.boson_dim)).reshape(states.shape)
@@ -247,7 +249,7 @@ def complex_block_ratios(model, report, n_samples, n_field_points, seed):
     def states(count):
         return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
 
-    omega = np.array([boson_energy(k, model.params.boson_mass) for k in model.boson_lattice.points])
+    omega = np.array([boson_energy(k, model.params.boson_mass) for k in model.basis.boson_lattice.points])
     kg = np.tile(boson_number_diagonal(model.basis, omega), model.basis.fermion_dim)
     sqrt_kg, free = np.sqrt(kg), model.free
     slope, offset = report.form_bound_slope, report.form_bound_offset
@@ -259,9 +261,9 @@ def complex_block_ratios(model, report, n_samples, n_field_points, seed):
     )
     for _ in range(max(1, n_samples // 20)):
         eta = DiscreteCoefficients(
-            rng.standard_normal(len(omega)) + 1j * rng.standard_normal(len(omega)), model.boson_lattice
+            rng.standard_normal(len(omega)) + 1j * rng.standard_normal(len(omega)), model.basis.boson_lattice
         )
-        weighted = DiscreteCoefficients(eta.values / np.sqrt(omega), model.boson_lattice)
+        weighted = DiscreteCoefficients(eta.values / np.sqrt(omega), model.basis.boson_lattice)
         ann = smeared_boson_block(eta, model.basis)
         cre = ann.conj().T.tocsr()
         for psi in states(5):
@@ -362,19 +364,25 @@ class TestSampleBlocks:
     @pytest.mark.parametrize("points", [0, -2])
     def test_no_field_point_is_rejected(self, points):
         # without a point the field checks would report a pass they never ran
-        with pytest.raises(ParameterError, match="at least one field point"):
+        with pytest.raises(ParameterError, match=f"n_field_points must be >= 1, got {points}"):
             verify_inequalities(build_model(minimal_params()), n_samples=10, n_field_points=points)
 
-    @pytest.mark.parametrize("value", [10.5, True, math.nan])
+    @pytest.mark.parametrize("value", [10.5, True, math.nan, "x", None, [2]])
     @pytest.mark.parametrize("name", ["n_samples", "n_field_points", "seed"])
     def test_non_integers_raise_before_any_work(self, name, value, monkeypatch):
-        # n_samples = 10.5 and n_field_points = 2.5 used to raise a bare TypeError after the constants
+        # n_samples = 10.5 and n_field_points = 2.5 used to raise a bare TypeError after the constants, and
+        # "x", None and [2] float()'s own ValueError or TypeError
         def computed(*args, **kwargs):
             raise AssertionError("computed before the argument check")
 
         monkeypatch.setattr(bounds, "compute_constants", computed)
-        with pytest.raises(ParameterError, match=f"{name} must be an integer, got {value!r}"):
+        with pytest.raises(ParameterError, match=re.escape(f"{name} must be an integer, got {value!r}")):
             verify_inequalities(build_model(minimal_params()), **{"n_samples": 10, name: value})
+
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_no_sample_is_rejected(self, samples):
+        with pytest.raises(ParameterError, match=f"n_samples must be >= 1, got {samples}"):
+            verify_inequalities(build_model(minimal_params()), n_samples=samples)
 
     @pytest.mark.parametrize("three", [3.0, np.int64(3)])
     def test_integral_values_pass(self, three):

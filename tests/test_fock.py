@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from yukawa_ed.errors import CapacityError, LatticeMismatchError, ParameterError
 from yukawa_ed.fock import (
     FermionMode,
+    FockBasis,
     FockState,
     boson_annihilator,
     boson_creator,
@@ -105,6 +106,22 @@ class TestBasisEnumeration:
         with pytest.raises(CapacityError) as err:
             enumerate_basis(lat, n_max=3, basis_cap=10_000)
         assert err.value.projected == 2**20 * count_boson_occupations(5, 3, 3)
+
+    @pytest.mark.parametrize(
+        "n_max, total_cap, message",
+        [(2.5, None, "n_max must be an integer, got 2.5"), (True, None, "n_max must be an integer, got True"),
+         ("x", None, "n_max must be an integer, got 'x'"), (-1, None, "n_max must be >= 0, got -1"),
+         (2, 1.5, "total boson cap must be an integer, got 1.5"), (2, -1, "total boson cap must be >= 0, got -1")],
+    )
+    def test_caps_are_read_as_counts(self, n_max, total_cap, message):
+        # n_max = 2.5 died in the occupation count with a bare TypeError, and n_max = True built a basis
+        with pytest.raises(ParameterError, match=message):
+            FockBasis(minimal_lattice(), n_max, total_cap)
+
+    def test_integral_caps_pass_as_int(self):
+        basis = FockBasis(minimal_lattice(), np.int64(2), 3.0)
+        assert (basis.n_max, basis.total_cap) == (2, 3) and type(basis.n_max) is type(basis.total_cap) is int
+        assert basis.dim == enumerate_basis(minimal_lattice(), 2, 3).dim
 
     def test_capacity_check_counts_any_number_of_modes(self):
         # 1 331 points (the default lattice at fermion_L = 5) once overflowed

@@ -13,7 +13,6 @@ from yukawa_ed.fock import (
     boson_annihilator,
     boson_block_annihilator,
     boson_creator,
-    enumerate_basis,
     fermion_annihilator,
     fermion_creator,
     lift_boson,
@@ -110,11 +109,19 @@ class TestModelParams:
             ModelParams(dirac_mass=1.0, boson_mass=-2.0, coupling=0.0)
 
     @pytest.mark.parametrize("key", ["coupling", "chi_hat_floor", "dirac_mass", "fermion_L", "boson_V"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, np.float32("nan"), np.float32("inf"), "1.0", 1 + 0j, True, 10**400],
+        ids=lambda value: repr(value)[:20],
+    )
     def test_non_finite_floats_rejected(self, key, value):
-        # a NaN coupling used to build NaN interaction entries, a NaN floor an empty h_int
-        with pytest.raises(ParameterError, match=key):
+        # a NaN coupling used to build NaN interaction entries, a NaN floor an empty h_int; a float32 NaN floor
+        # built an empty h_int too, float32 NaN and inf and strings raised bare errors, and 1 + 0j was accepted
+        with pytest.raises(ParameterError, match=f"{key} must be a finite real number"):
             minimal_params(**{key: value})
+
+    def test_real_numbers_of_any_type_pass(self):
+        params = minimal_params(coupling=np.float32(0.5), fermion_L=1, boson_V=None, chi_hat_floor=np.float64(0))
+        assert params.coupling == 0.5 and params.boson_V is None
 
     @pytest.mark.parametrize(
         "key, value",
@@ -154,25 +161,20 @@ class TestModelParams:
 
 class TestFreeHamiltonian:
     def test_vacuum_energy_zero_and_spectrum_contains_zero(self):
-        params = minimal_params()
-        basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-        h0 = build_model(params, basis=basis).hamiltonian(0.0)
+        h0 = build_model(minimal_params()).hamiltonian(0.0)
         diag = h0.diagonal().real
         assert diag[0] == 0.0
         assert np.min(diag) == 0.0
 
     def test_lowest_nonzero_entry_is_smaller_mass(self):
         for M, m in [(1.0, 1.0), (1.0, 0.5), (0.3, 2.0)]:
-            params = minimal_params(dirac_mass=M, boson_mass=m)
-            basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-            diag = build_model(params, basis=basis).hamiltonian(0.0).diagonal().real
+            diag = build_model(minimal_params(dirac_mass=M, boson_mass=m)).hamiltonian(0.0).diagonal().real
             assert np.min(diag[diag > 0]) == pytest.approx(min(M, m), abs=1e-15)
 
     def test_mixed_state_additivity(self):
-        params = minimal_params(dirac_mass=0.8, boson_mass=1.7)
-        basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-        diag = build_model(params, basis=basis).hamiltonian(0.0).diagonal().real
-        idx = basis.index_of(FockState(0b0001, (1,)))  # one b-particle, one boson at rest
+        model = build_model(minimal_params(dirac_mass=0.8, boson_mass=1.7))
+        diag = model.hamiltonian(0.0).diagonal().real
+        idx = model.basis.index_of(FockState(0b0001, (1,)))  # one b-particle, one boson at rest
         assert diag[idx] == pytest.approx(0.8 + 1.7, rel=1e-15)
 
 
@@ -239,8 +241,8 @@ class TestInteractionTerms:
         algebra = dirac_algebra(representation)
         model = build_model(two_point_params(fermion_points=((0, 0, 0), (1, 2, 1))), algebra=algebra)
         f, g, h = model.f, model.g, model.h
-        q, k = model.fermion_lattice.points, model.boson_lattice.points
-        lat_f, lat_b = model.fermion_lattice, model.boson_lattice
+        q, k = model.basis.fermion_lattice.points, model.basis.boson_lattice.points
+        lat_f, lat_b = model.basis.fermion_lattice, model.basis.boson_lattice
         base = lat_f.cell_volume * math.sqrt(lat_b.cell_volume) / math.sqrt(2.0)
         spin = {0.5: 0, -0.5: 1}
         assert len(model.terms) > 0
@@ -295,9 +297,7 @@ def independent_minimal_interaction(params):
 
 class TestAssembly:
     def test_zero_coupling_returns_free_part_exactly(self):
-        params = minimal_params(coupling=0.0)
-        basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-        model = build_model(params, basis=basis)
+        model = build_model(minimal_params(coupling=0.0))
         total = model.hamiltonian()
         free = sp.diags(model.free)
         assert (total - free).nnz == 0
@@ -322,11 +322,10 @@ class TestAssembly:
 
     def test_coupling_linearity(self):
         params = minimal_params()
-        basis = enumerate_basis(params.build_fermion_lattice(), 3, 3)
-        h_a = build_model(replace(params, coupling=0.3), basis=basis).hamiltonian()
-        h_b = build_model(replace(params, coupling=1.1), basis=basis).hamiltonian()
-        h_free = build_model(params, basis=basis).hamiltonian(0.0)
-        h_sum = build_model(replace(params, coupling=1.4), basis=basis).hamiltonian()
+        h_a = build_model(replace(params, coupling=0.3)).hamiltonian()
+        h_b = build_model(replace(params, coupling=1.1)).hamiltonian()
+        h_free = build_model(params).hamiltonian(0.0)
+        h_sum = build_model(replace(params, coupling=1.4)).hamiltonian()
         defect = (h_a + h_b - h_free - h_sum).toarray()
         assert np.max(np.abs(defect)) < 1e-13
 
@@ -820,7 +819,7 @@ class TestFactorBuild:
     def test_free_part_matches_sum_of_number_operators_bitwise(self, name):
         params, _ = FACTOR_MODELS[name]
         model = build_model(params)
-        basis, lat_f, lat_b = model.basis, model.fermion_lattice, model.boson_lattice
+        basis, lat_f, lat_b = model.basis, model.basis.fermion_lattice, model.basis.boson_lattice
         h_dirac = second_quantization(discretize(lambda q: dirac_energy(q, params.dirac_mass), lat_f), basis, "fermion")
         h_kg = second_quantization(discretize(lambda k: boson_energy(k, params.boson_mass), lat_b), basis, "boson")
         assert_bitwise_equal(model.hamiltonian(0.0), (h_dirac + h_kg).tocsr())
@@ -837,7 +836,7 @@ class TestFactorBuild:
 
 def dirac_field_oracle(model, component, x):
     """psi_l(x) as a CSR sum of weighted elementary ladders on the product basis."""
-    basis, lat_f = model.basis, model.fermion_lattice
+    basis, lat_f = model.basis, model.basis.fermion_lattice
     phase = np.exp(-1j * (lat_f.points @ x))
     psi = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     for si, s in enumerate(SPINS):
@@ -853,7 +852,7 @@ def dirac_field_oracle(model, component, x):
 
 def boson_field_oracle(model, x):
     """phi(x) as a CSR sum of weighted elementary ladders on the product basis."""
-    basis, lat_b = model.basis, model.boson_lattice
+    basis, lat_b = model.basis, model.basis.boson_lattice
     w_a = np.conj(model.h.values * np.exp(1j * (lat_b.points @ x))) * np.sqrt(lat_b.cell_volume)
     ann = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     for k in range(lat_b.n_points):

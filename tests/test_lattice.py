@@ -65,11 +65,17 @@ def test_zero_point_present_and_ordering_deterministic():
     assert any(np.all(row == 0) for row in a.integer_points)
 
 
-def test_invalid_parameters_rejected():
-    with pytest.raises(ParameterError):
-        build_lattice(-1.0, 1.0)
-    with pytest.raises(ParameterError):
-        build_lattice(2 * np.pi, 0.0)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "V, L", [(-1.0, 1.0), (2 * np.pi, 0.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf),
+             (np.float32("nan"), 1.0)],
+)
+def test_invalid_parameters_rejected(V, L):
+    # NaN and inf gave NaN momenta from explicit points, a bare ValueError or OverflowError from the box
+    with pytest.raises(ParameterError, match="finite and positive"):
+        build_lattice(V, L)
+    with pytest.raises(ParameterError, match="finite and positive"):
+        MomentumLattice.from_integer_points(V, L, [[0, 0, 1]])
 
 
 def test_point_cap_enforced():
