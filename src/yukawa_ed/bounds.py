@@ -112,12 +112,10 @@ def compute_constants(model: Model) -> BoundReport:
     The norms are taken on the model's lattices, so the constants describe
     this truncated model rather than the continuum.
     """
-    dirac_norms = []
-    for l in range(4):
-        total = 0.0
-        for si in range(2):
-            total += model.f[si][l].norm + model.g[si][l].norm
-        dirac_norms.append(total)
+    lattice = model.basis.fermion_lattice
+    # per component, the b plus d norm of each spin, summed in spin order
+    dirac_norms = [sum(sum(DiscreteCoefficients(c[si, l], lattice).norm for c in (model.f, model.g))
+                       for si in range(len(model.f))) for l in range(4)]
 
     kg_norms = {}
     for j in (0, 1, 2):

@@ -5,6 +5,8 @@ reuse one of the classes below rather than raising bare ValueError.
 """
 
 import math
+import numbers
+import sys
 from decimal import Decimal
 from typing import Optional
 
@@ -31,6 +33,13 @@ def as_integer(value, name: str = "", low: Optional[int] = None) -> int:
     if low is not None and value < low:
         raise ParameterError(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def is_finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number of any numeric type; a bool is none, and an int is compared
+    with the largest float exactly, as it may not convert."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and (
+        abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value))
 
 
 def check_seed(seed) -> int:

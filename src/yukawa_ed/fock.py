@@ -1,9 +1,10 @@
 """Truncated boson-fermion Fock basis and sparse ladder operators.
 
 The fermionic sector is the full exterior algebra over 4 modes per lattice
-point (particle/antiparticle x spin up/down), encoded as occupation bitmasks,
-so the anticommutation relations hold exactly as stored matrices.  The
-bosonic sector is truncated: at most ``n_max`` quanta per mode and
+point (particle/antiparticle x spin up/down), one bit of an occupation bitmask
+each (``FockBasis.modes``; ``FockBasis.mask_labels`` holds each mask's charge
+and fermion number), so the anticommutation relations hold exactly as stored
+matrices.  The bosonic sector is truncated: at most ``n_max`` quanta per mode and
 ``total_cap`` in total, which breaks the commutation relations only on
 top-occupation states.
 
@@ -53,13 +54,6 @@ class FermionMode:
             raise ParameterError(f"species must be 'b' or 'd', got {self.species!r}")
         if self.spin not in SPINS:
             raise ParameterError(f"spin must be +-0.5, got {self.spin}")
-
-    def family(self) -> int:
-        return 2 * SPECIES.index(self.species) + SPINS.index(self.spin)
-
-    def index(self, n_points: int) -> int:
-        """Global mode index: families are contiguous blocks of lattice points."""
-        return self.family() * n_points + self.point
 
 
 @dataclass(frozen=True)
@@ -122,6 +116,8 @@ class FockBasis:
         self.n_max = n_max
         self.total_cap = total_cap
         self.n_fermion_modes = 4 * fermion_lattice.n_points
+        # the mask bit of each (species b/d, spin as SPINS, point): family-major, b below d
+        self.modes = np.arange(self.n_fermion_modes).reshape(len(SPECIES), len(SPINS), fermion_lattice.n_points)
         self.n_boson_modes = boson_lattice.n_points
         self.fermion_dim = 1 << self.n_fermion_modes
 
@@ -145,15 +141,9 @@ class FockBasis:
         self.boson_lowering = (rows, cols, np.sqrt(self.boson_occupations[cols, mode].astype(float)), mode)
 
         masks = np.arange(self.fermion_dim, dtype=np.int64)
-        n = fermion_lattice.n_points
-        b_bits = (1 << (2 * n)) - 1          # families 0,1 occupy the low 2n bits
-        d_bits = ((1 << (4 * n)) - 1) ^ b_bits
-        # fermion number and charge of each mask; the per-state labels repeat them
-        self.mask_fermion_number = np.bitwise_count(masks)
-        self.mask_charge = (
-            np.bitwise_count(masks & b_bits).astype(np.int64)
-            - np.bitwise_count(masks & d_bits).astype(np.int64)
-        )
+        b, d = (np.bitwise_count(masks & np.bitwise_or.reduce(1 << bits, None)).astype(np.int64) for bits in self.modes)
+        # the sector labels of each mask; a basis state has the label of its mask
+        self.mask_labels = {"charge": b - d, "number": b + d}
 
     # -- state access -------------------------------------------------------
 
@@ -165,19 +155,10 @@ class FockBasis:
         return state.fermion_mask * self.boson_dim + self.boson_index[state.boson_occupation]
 
     def mode_index(self, mode: FermionMode) -> int:
-        if mode.point >= self.fermion_lattice.n_points:
-            raise ParameterError(f"point index {mode.point} outside lattice")
-        return mode.index(self.fermion_lattice.n_points)
-
-    # -- per-state diagnostics ----------------------------------------------
-
-    def fermion_number(self) -> np.ndarray:
-        """Total fermion occupation (particles + antiparticles) per basis state."""
-        return np.repeat(self.mask_fermion_number, self.boson_dim)
-
-    def charge(self) -> np.ndarray:
-        """Particle minus antiparticle number per basis state (conserved by the coupling)."""
-        return np.repeat(self.mask_charge, self.boson_dim)
+        point = as_integer(mode.point, "point", 0)
+        if point >= self.fermion_lattice.n_points:
+            raise ParameterError(f"point index {point} outside lattice")
+        return int(self.modes[SPECIES.index(mode.species), SPINS.index(mode.spin), point])
 
 
 def enumerate_basis(
@@ -274,9 +255,9 @@ def smeared_fermion(
     if not same_lattice(xi.lattice, basis.fermion_lattice):
         raise LatticeMismatchError("coefficients sampled on a different lattice than the basis")
     root_w = np.sqrt(basis.fermion_lattice.cell_volume)
-    n = basis.fermion_lattice.n_points
-    modes = FermionMode(species, spin, 0).family() * n + np.arange(n)
-    mask_op = smeared_mask_ladder(basis.n_fermion_modes, modes, np.conj(xi.values) * root_w, [create] * n)
+    FermionMode(species, spin, 0)  # rejects an unknown species or spin
+    modes = basis.modes[SPECIES.index(species), SPINS.index(spin)]
+    mask_op = smeared_mask_ladder(basis.n_fermion_modes, modes, np.conj(xi.values) * root_w, [create] * len(modes))
     return lift_fermion(basis, mask_op)
 
 
@@ -317,8 +298,9 @@ def fermion_number_diagonal(basis: FockBasis, point_energies: np.ndarray) -> np.
         raise ParameterError("need one energy per fermion lattice point")
     masks = np.arange(basis.fermion_dim, dtype=np.int64)
     diag = np.zeros(basis.fermion_dim)
-    for mode in range(basis.n_fermion_modes):  # family-major: point = mode % n_points
-        diag += energies[mode % len(energies)] * ((masks >> mode) & 1)
+    # all four modes at a point carry its energy
+    for mode, energy in zip(basis.modes.ravel(), np.broadcast_to(energies, basis.modes.shape).ravel()):
+        diag += energy * ((masks >> mode) & 1)
     return diag
 
 

@@ -42,6 +42,9 @@ coefficients are exactly real, which holds on every on-axis lattice, and
 ``h_int`` and ``hamiltonian(kappa)`` follow.  Off-axis points
 give complex coefficients and complex operators.
 
+Fermion modes are read off the basis's table ``FockBasis.modes`` (species,
+spin, point), the amplitudes ``Model.f`` and ``Model.g`` on its axes.
+
 No normal ordering is applied: the antiparticle bilinear is kept in the d d*
 order in which the density is written, so the assembled matrix contains the
 induced one-boson (tadpole) contribution.
@@ -57,17 +60,17 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AssemblyError, ParameterError
+from .errors import AssemblyError, ParameterError, is_finite_real
 from .fock import (
     DEFAULT_BASIS_CAP,
+    SPECIES,
     FermionMode,
     FockBasis,
     boson_annihilator,
@@ -149,11 +152,8 @@ class ModelParams:
     def __post_init__(self):
         for f in fields(self):  # masses, coupling, V, L and chi_hat_floor; None where the field is optional
             value = getattr(self, f.name)
-            if f.type == "float" or f.type == "Optional[float]" and value is not None:
-                # a bool is an int; an int is compared with the largest float exactly, as it may not convert
-                if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-                        abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)):
-                    raise ParameterError(f"{f.name} must be a finite real number, got {value!r}")
+            if (f.type == "float" or f.type == "Optional[float]" and value is not None) and not is_finite_real(value):
+                raise ParameterError(f"{f.name} must be a finite real number, got {value!r}")
         counts = {"n_max": self.n_max, "point_cap": self.point_cap, "basis_cap": self.basis_cap}
         if self.total_boson_cap is not None:
             counts["total_boson_cap"] = self.total_boson_cap
@@ -247,8 +247,9 @@ AXIS_LABELS = {"spin": SPINS, "spin_p": SPINS, "fermion_kind": FERMION_KINDS, "b
 
 def enumerate_interaction_terms(
     params: ModelParams,
-    f: Sequence[Sequence[DiscreteCoefficients]],
-    g: Sequence[Sequence[DiscreteCoefficients]],
+    fermion_lattice: MomentumLattice,
+    f: np.ndarray,
+    g: np.ndarray,
     h: DiscreteCoefficients,
     gamma0: np.ndarray,
 ) -> np.recarray:
@@ -263,13 +264,13 @@ def enumerate_interaction_terms(
     closed under taking adjoints with conjugated coefficients, which keeps
     the assembled matrix Hermitian.
     """
-    lat_f, lat_b = f[0][0].lattice, h.lattice
+    lat_f, lat_b = fermion_lattice, h.lattice
     floor = params.chi_hat_floor * chi_spatial_l1_norm(params.chi_spatial)
     base = lat_f.cell_volume * math.sqrt(lat_b.cell_volume) / math.sqrt(2.0)
 
     def leg(species: str, create: bool) -> Tuple[np.ndarray, float]:
         """(spin, component, q) amplitudes and momentum sign of one fermion ladder factor."""
-        amp = np.array([[c.values for c in row] for row in (f if species == "b" else g)])
+        amp = f if species == "b" else g
         return (amp, -1.0) if create else (amp.conj(), 1.0)
 
     # left factor from the conjugated field, right factor from the plain one
@@ -339,9 +340,9 @@ def _bilinear_runs(keys: np.ndarray, live: np.ndarray, basis: FockBasis) -> Tupl
     2 b + 1 if negative, for key b), the ``starts`` of the runs of one
     position, their columns and the row pointer.
     """
-    dim, n_modes = basis.fermion_dim, basis.n_fermion_modes
-    mode_of = cache(lambda *mode: basis.mode_index(FermionMode(*mode)))
-    modes = np.array([(mode_of(left, spin, qi), mode_of(right, spin_p, qpi), left_create, right_create)
+    dim, n_modes, table = basis.fermion_dim, basis.n_fermion_modes, basis.modes
+    modes = np.array([(table[SPECIES.index(left), SPINS.index(spin), qi],
+                       table[SPECIES.index(right), SPINS.index(spin_p), qpi], left_create, right_create)
                       for kind, spin, spin_p, qi, qpi in keys.tolist()
                       for (left, left_create), (right, right_create) in [BILINEAR_FACTORS[kind]]])
     fixed = np.where(modes[:, 0] == modes[:, 1], 1, np.where(live, 2, 0))  # row bits each key fixes; 0: left out
@@ -608,8 +609,8 @@ class Model:
     params: ModelParams
     algebra: DiracAlgebra
     basis: FockBasis
-    f: list
-    g: list
+    f: np.ndarray            # (spin, component, point) amplitudes of the b modes
+    g: np.ndarray            # the same of the d modes
     h: DiscreteCoefficients
     omega: np.ndarray
     free: np.ndarray
@@ -642,7 +643,7 @@ def build_model(params: ModelParams, algebra: Optional[DiracAlgebra] = None) -> 
     omega = discretize(lambda k: boson_energy(k, params.boson_mass), basis.boson_lattice).values.real
     # one diagonal, fermion-mask major as the basis is ordered
     free = np.add.outer(fermion_number_diagonal(basis, dirac.values), boson_number_diagonal(basis, omega))
-    terms = enumerate_interaction_terms(params, f, g, h, algebra.beta)
+    terms = enumerate_interaction_terms(params, basis.fermion_lattice, f, g, h, algebra.beta)
     factors = ladder_factors(terms, basis)
     defect = interaction_hermiticity_defect(factors, basis)
     if defect > 1e-12:
@@ -656,13 +657,12 @@ def build_model(params: ModelParams, algebra: Optional[DiracAlgebra] = None) -> 
 
 def dirac_field_mask(model: Model, component: int, x: np.ndarray) -> sp.csr_matrix:
     """psi_l(x) on the fermion-mask factor: b(f_x) + d*(g_x) summed over spins, as one COO."""
-    lat = model.basis.fermion_lattice
+    basis, lat = model.basis, model.basis.fermion_lattice
     phase = np.exp(-1j * (lat.points @ np.asarray(x, dtype=float)))
-    # modes are family-major, families b then d, each by spin (FermionMode.family)
-    coefficients = np.stack([c[si][component].values for c in (model.f, model.g) for si in range(len(SPINS))])
-    weights = np.conj(coefficients * phase).ravel() * np.sqrt(lat.cell_volume)
-    modes = np.arange(len(weights))
-    return smeared_mask_ladder(model.basis.n_fermion_modes, modes, weights, modes >= 2 * lat.n_points)
+    # the amplitudes of b and d on the axes of basis.modes: (species, spin, point)
+    weights = np.conj(np.stack((model.f, model.g))[:, :, component] * phase) * np.sqrt(lat.cell_volume)
+    create = np.broadcast_to(np.asarray(SPECIES)[:, None, None] == "d", basis.modes.shape)  # d creators
+    return smeared_mask_ladder(basis.n_fermion_modes, basis.modes.ravel(), weights.ravel(), create.ravel())
 
 
 def dirac_field_component(model: Model, component: int, x: np.ndarray) -> sp.csr_matrix:
@@ -707,9 +707,9 @@ def interaction_form_quadrature(
     ferm_ops = []
     for si, s in enumerate(SPINS):
         for qi in range(lat_f.n_points):
-            c_b = root_wf * np.array([np.conj(model.f[si][l].values[qi]) for l in range(4)])
+            c_b = root_wf * np.conj(model.f[si, :, qi])
             ferm_ops.append((c_b, +1.0, lat_f.points[qi], fermion_annihilator(FermionMode("b", s, qi), basis)))
-            c_d = root_wf * np.array([model.g[si][l].values[qi] for l in range(4)])
+            c_d = root_wf * model.g[si, :, qi]
             ferm_ops.append((c_d, -1.0, lat_f.points[qi], fermion_creator(FermionMode("d", s, qi), basis)))
 
     # phi(x) = sum_r u_r exp(i e_r k_r . x) B_r

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, EvaluationError, ParameterError, size_text
+from .errors import CapacityError, EvaluationError, ParameterError, as_integer, is_finite_real, size_text
 
 DEFAULT_POINT_CAP = 250_000
 
@@ -64,7 +64,7 @@ class MomentumLattice:
         Used for hand-picked mode sets (nested refinement studies, tests)
         where the box-intersection rule would produce too many points.
         """
-        if not (0 < V < np.inf and 0 < L < np.inf):
+        if not (is_finite_real(V) and is_finite_real(L) and V > 0 and L > 0):
             raise ParameterError(f"lattice parameters must be finite and positive, got V={V}, L={L}")
         try:
             given = np.asarray(integer_points)
@@ -93,8 +93,9 @@ def build_lattice(V: float, L: float, point_cap: int = DEFAULT_POINT_CAP) -> Mom
     on every axis.  A cell that merely touches the box boundary contributes
     zero L2 weight and is excluded.
     """
-    if not (0 < V < np.inf and 0 < L < np.inf):
+    if not (is_finite_real(V) and is_finite_real(L) and V > 0 and L > 0):
         raise ParameterError(f"lattice parameters must be finite and positive, got V={V}, L={L}")
+    point_cap = as_integer(point_cap, "point_cap")
     half_cell = np.pi / V
     spacing = 2.0 * np.pi / V
     # per-axis integer range is symmetric: |spacing * n| < L + half_cell, strictly

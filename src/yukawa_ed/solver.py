@@ -5,9 +5,9 @@ subset driver (dense; only the lowest k eigenpairs) runs up to
 ``DEFAULT_DENSE_CAP``, the measured break-even dimension.  Every dense
 route (``dense_lowest``, the oracle, and ``operator_norm_dense``) guards at
 ``ORACLE_DENSE_CAP``, which bounds any ``dense_cap`` too.
-``sector_minima`` cuts a sector's rows once and, when its coupling to the
-rest is at most ``INVARIANCE_TOL``, solves scipy's column cut of them with
-``solve_lowest``'s defaults.  The dense and Lanczos solves work in the
+``sector_minima`` reads a sector off ``FockBasis.mask_labels``, cuts its
+rows once and, when its coupling to the rest is at most ``INVARIANCE_TOL``,
+solves scipy's column cut of them with ``solve_lowest``'s defaults.  The dense and Lanczos solves work in the
 matrix's own dtype: ``build_model`` assembles float64 operators for real
 models, which get a real start vector, Krylov block and subset driver,
 and complex ones for off-axis models.
@@ -554,7 +554,7 @@ def sector_minima(
     """Lowest energy in the sector with label value ``n``.
 
     The sector is the boson blocks of the fermion masks with that label, read
-    off the per-mask labels of ``basis``.  Its rows are cut from ``h`` once.
+    off ``basis.mask_labels``.  Its rows are cut from ``h`` once.
     An entry whose column leaves the sector, found by one gather of the
     states' membership, is measured: the largest is ``mixing``, how strongly
     the Hamiltonian couples the sector to its complement.  A sector mixed
@@ -566,10 +566,10 @@ def sector_minima(
     """
     if np.shape(h) != (basis.dim, basis.dim):
         raise ParameterError(f"matrix of shape {np.shape(h)} does not act on the basis of dimension {basis.dim}")
-    if label not in ("charge", "number"):
+    if label not in tuple(basis.mask_labels):
         raise ParameterError(f"unknown sector label {label!r}")
     seed, n = check_seed(seed), as_integer(n, "n")
-    member = np.repeat((basis.mask_charge if label == "charge" else basis.mask_fermion_number) == n, basis.boson_dim)
+    member = np.repeat(basis.mask_labels[label] == n, basis.boson_dim)
     inside = np.flatnonzero(member)
     if inside.size == 0:
         raise ParameterError(f"no basis states with {label} = {n}")

@@ -5,6 +5,8 @@ sqrt(p^2 + M^2), each twice degenerate.  The positive-energy pair u_s(p) and
 the negative-energy pair (stored as v_s evaluated at -p, which is what the
 coefficient functions need at argument p) are fixed deterministically by
 projecting canonical basis vectors onto the eigenspaces and orthonormalizing.
+The coefficients f (of the b modes) and g (of the d modes) are arrays over
+(spin, component, point), the spin and point axes of ``FockBasis.modes``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError
+from .errors import EvaluationError, ParameterError, is_finite_real
 from .lattice import DiscreteCoefficients, MomentumLattice, discretize
 
 # spin order of the spinor columns, the fermion modes and the term table's spin axis
@@ -159,8 +161,8 @@ class CutoffProfile:
     def __post_init__(self):
         if self.kind not in ("sharp-ball", "gaussian", "zero"):
             raise ParameterError(f"unknown cutoff kind {self.kind!r}")
-        if not np.isfinite(self.scale) or (self.kind != "zero" and self.scale <= 0):
-            raise ParameterError(f"cutoff scale must be finite and positive, got {self.scale}")
+        if not is_finite_real(self.scale) or (self.kind != "zero" and self.scale <= 0):
+            raise ParameterError(f"cutoff scale must be finite and positive, got {self.scale!r}")
 
     @classmethod
     def gaussian(cls, scale: float) -> "CutoffProfile":
@@ -191,23 +193,16 @@ def fermion_coefficients(
 ):
     """Sample the particle and antiparticle coefficient functions on a lattice.
 
-    Returns (f, g): each a (2, 4) nested list over (spin, component) of
-    DiscreteCoefficients, with
+    Returns (f, g): each a complex array of shape (2, 4, n_points) over
+    (spin as ``SPINS``, component, point), with
 
-        f[s][l](p) = cutoff(p) * u_s^l(p)   / sqrt((2 pi)^3 E(p))
-        g[s][l](p) = cutoff(p) * v_s^l(-p)  / sqrt((2 pi)^3 E(p))
+        f[s, l, p] = cutoff(p) * u_s^l(p)   / sqrt((2 pi)^3 E(p))
+        g[s, l, p] = cutoff(p) * v_s^l(-p)  / sqrt((2 pi)^3 E(p))
     """
     pref = (2.0 * np.pi) ** 1.5
     pairs = [spinors_at(p, mass, algebra) for p in lattice.points]
     scales = np.array([cutoff(p) / (pref * np.sqrt(sp.energy)) for p, sp in zip(lattice.points, pairs)])
-    f = [[None] * 4 for _ in range(2)]
-    g = [[None] * 4 for _ in range(2)]
-    for si in range(2):
-        for l in range(4):
-            fu = np.array([sp.u[si][l] for sp in pairs]) * scales
-            gv = np.array([sp.v[si][l] for sp in pairs]) * scales
-            f[si][l] = DiscreteCoefficients(fu, lattice)
-            g[si][l] = DiscreteCoefficients(gv, lattice)
+    f, g = (np.stack([getattr(sp, side) for sp in pairs], axis=-1) * scales for side in ("u", "v"))
     return f, g
 
 

@@ -196,7 +196,7 @@ def test_criterion_5_sector_gap_bound():
             h = model.hamiltonian()
             assert h.shape[0] <= 4096
             e0 = dense_lowest(h, 1).ground_energy
-            charges = sorted(set(model.basis.charge().tolist()))
+            charges = sorted(set(np.repeat(model.basis.mask_labels["charge"], model.basis.boson_dim).tolist()))
             checked = 0
             for n in charges:
                 if n < 1:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from yukawa_ed.errors import CapacityError, LatticeMismatchError, ParameterError
 from yukawa_ed.fock import (
+    SPECIES,
     FermionMode,
     FockBasis,
     FockState,
@@ -24,7 +25,7 @@ from yukawa_ed.fock import (
     smeared_fermion,
 )
 from yukawa_ed.lattice import DiscreteCoefficients, MomentumLattice, build_lattice, discretize
-from yukawa_ed.spinor import boson_energy, dirac_energy
+from yukawa_ed.spinor import SPINS, boson_energy, dirac_energy
 
 RNG = np.random.default_rng(7)
 
@@ -149,11 +150,48 @@ class TestBasisEnumeration:
         mode_d = basis.mode_index(FermionMode("d", -0.5, 0))
         state = FockState((1 << mode_b) | (1 << mode_d), (0,))
         i = basis.index_of(state)
-        assert basis.fermion_number()[i] == 2
-        assert basis.charge()[i] == 0
+        assert np.repeat(basis.mask_labels["number"], basis.boson_dim)[i] == 2
+        assert np.repeat(basis.mask_labels["charge"], basis.boson_dim)[i] == 0
         only_d = basis.index_of(FockState(1 << mode_d, (1,)))
-        assert basis.charge()[only_d] == -1
+        assert np.repeat(basis.mask_labels["charge"], basis.boson_dim)[only_d] == -1
         assert basis.boson_occupations[only_d % basis.boson_dim].sum() == 1
+
+
+    @pytest.mark.parametrize("lattice", [minimal_lattice, two_point_lattice])
+    def test_mode_table_is_a_permutation_named_by_fermion_modes(self, lattice):
+        basis = enumerate_basis(lattice(), n_max=0)
+        n = basis.fermion_lattice.n_points
+        assert basis.modes.shape == (len(SPECIES), len(SPINS), n)
+        assert sorted(basis.modes.ravel().tolist()) == list(range(basis.n_fermion_modes))
+        for (a, species), (b, spin), q in itertools.product(enumerate(SPECIES), enumerate(SPINS), range(n)):
+            assert basis.mode_index(FermionMode(species, spin, q)) == basis.modes[a, b, q]
+
+    @pytest.mark.parametrize("lattice", [minimal_lattice, two_point_lattice])
+    def test_mask_labels_count_the_species_bits(self, lattice):
+        basis = enumerate_basis(lattice(), n_max=0)
+        n = basis.fermion_lattice.n_points
+        b_modes = [basis.mode_index(FermionMode("b", s, q)) for s in SPINS for q in range(n)]
+        d_modes = [basis.mode_index(FermionMode("d", s, q)) for s in SPINS for q in range(n)]
+        for mask in range(basis.fermion_dim):
+            b = sum(mask >> m & 1 for m in b_modes)
+            d = sum(mask >> m & 1 for m in d_modes)
+            assert basis.mask_labels["charge"][mask] == b - d
+            assert basis.mask_labels["number"][mask] == b + d == bin(mask).count("1")
+
+    @pytest.mark.parametrize("point, message", [(-1, "point must be >= 0"), (-2, "point must be >= 0"),
+                                                (2, "outside lattice"), (0.5, "point must be an integer"),
+                                                (True, "point must be an integer"), ("x", "point must be an integer")])
+    def test_mode_point_outside_the_lattice_is_rejected(self, point, message):
+        # a negative point used to wrap onto another species, spin or point
+        basis = enumerate_basis(two_point_lattice(), n_max=0)
+        with pytest.raises(ParameterError, match=message):
+            basis.mode_index(FermionMode("b", -0.5, point))
+        with pytest.raises(ParameterError, match=message):
+            fermion_annihilator(FermionMode("d", 0.5, point), basis)
+
+    def test_integral_point_passes_as_int(self):
+        basis = enumerate_basis(two_point_lattice(), n_max=0)
+        assert basis.mode_index(FermionMode("b", 0.5, np.int64(1))) == basis.mode_index(FermionMode("b", 0.5, 1.0))
 
 
 class TestFermionOperators:

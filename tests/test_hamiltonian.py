@@ -180,7 +180,7 @@ class TestFreeHamiltonian:
 
 def brute_force_nonzero_combinations(f, g, h, gamma0):
     """Independent count of surviving monomials from the coefficient arrays."""
-    n_f = f[0][0].lattice.n_points
+    n_f = f.shape[-1]  # (spin, component, point)
     n_b = h.lattice.n_points
     count = 0
     for si in range(2):
@@ -192,10 +192,10 @@ def brute_force_nonzero_combinations(f, g, h, gamma0):
                             if gamma0[l, lp] == 0:
                                 continue
                             products = [
-                                f[si][l].values[qi] * np.conj(f[spi][lp].values[qpi]),
-                                f[si][l].values[qi] * g[spi][lp].values[qpi],
-                                np.conj(g[si][l].values[qi]) * np.conj(f[spi][lp].values[qpi]),
-                                np.conj(g[si][l].values[qi]) * g[spi][lp].values[qpi],
+                                f[si, l, qi] * np.conj(f[spi, lp, qpi]),
+                                f[si, l, qi] * g[spi, lp, qpi],
+                                np.conj(g[si, l, qi]) * np.conj(f[spi, lp, qpi]),
+                                np.conj(g[si, l, qi]) * g[spi, lp, qpi],
                             ]
                             alive = sum(1 for p in products if p != 0)
                             for ki in range(n_b):
@@ -249,10 +249,10 @@ class TestInteractionTerms:
         for t in model.terms:
             si, spi, l, lp, qi, qpi = spin[t.spin], spin[t.spin_p], t.component, t.component_p, t.q_index, t.qp_index
             spinor = {
-                "b*b": f[si][l].values[qi] * np.conj(f[spi][lp].values[qpi]),
-                "b*d*": f[si][l].values[qi] * g[spi][lp].values[qpi],
-                "db": np.conj(g[si][l].values[qi]) * np.conj(f[spi][lp].values[qpi]),
-                "dd*": np.conj(g[si][l].values[qi]) * g[spi][lp].values[qpi],
+                "b*b": f[si, l, qi] * np.conj(f[spi, lp, qpi]),
+                "b*d*": f[si, l, qi] * g[spi, lp, qpi],
+                "db": np.conj(g[si, l, qi]) * np.conj(f[spi, lp, qpi]),
+                "dd*": np.conj(g[si, l, qi]) * g[spi, lp, qpi],
             }[t.fermion_kind]
             phase = {"b*b": -q[qi] + q[qpi], "b*d*": -q[qi] - q[qpi], "db": q[qi] + q[qpi], "dd*": q[qi] - q[qpi]}
             if t.boson_kind == "a":
@@ -407,7 +407,7 @@ class TestAssembly:
 
     def test_interaction_conserves_charge(self):
         model = build_model(two_point_params())
-        charge = model.basis.charge()
+        charge = np.repeat(model.basis.mask_labels["charge"], model.basis.boson_dim)
         coo = model.h_int.tocoo()
         assert np.all(charge[coo.row] == charge[coo.col])
 
@@ -840,8 +840,8 @@ def dirac_field_oracle(model, component, x):
     phase = np.exp(-1j * (lat_f.points @ x))
     psi = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     for si, s in enumerate(SPINS):
-        w_b = np.conj(model.f[si][component].values * phase) * np.sqrt(lat_f.cell_volume)
-        w_d = np.conj(model.g[si][component].values * phase) * np.sqrt(lat_f.cell_volume)
+        w_b = np.conj(model.f[si, component] * phase) * np.sqrt(lat_f.cell_volume)
+        w_d = np.conj(model.g[si, component] * phase) * np.sqrt(lat_f.cell_volume)
         for q in range(lat_f.n_points):
             if w_b[q] != 0:
                 psi = psi + w_b[q] * fermion_annihilator(FermionMode("b", s, q), basis)

@@ -68,10 +68,11 @@ def test_zero_point_present_and_ordering_deterministic():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "V, L", [(-1.0, 1.0), (2 * np.pi, 0.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf),
-             (np.float32("nan"), 1.0)],
+             (np.float32("nan"), 1.0), ("x", 1.0), (1.0, None), (True, 1.0), (1.0, 1 + 0j)],
 )
 def test_invalid_parameters_rejected(V, L):
-    # NaN and inf gave NaN momenta from explicit points, a bare ValueError or OverflowError from the box
+    # NaN and inf gave NaN momenta from explicit points, a bare ValueError or OverflowError from the box;
+    # a string, None or complex number a bare TypeError, and True was read as 1
     with pytest.raises(ParameterError, match="finite and positive"):
         build_lattice(V, L)
     with pytest.raises(ParameterError, match="finite and positive"):
@@ -82,6 +83,19 @@ def test_point_cap_enforced():
     with pytest.raises(CapacityError) as err:
         build_lattice(200.0, 10.0, point_cap=1000)
     assert err.value.projected > 1000
+
+
+@pytest.mark.parametrize("cap", [2.5, "x", True, None])
+def test_point_cap_is_read_as_a_count(cap):
+    with pytest.raises(ParameterError, match="point_cap must be an integer"):
+        build_lattice(2 * np.pi, 0.5, point_cap=cap)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_point_cap_below_one_point_refuses_every_lattice(cap):
+    with pytest.raises(CapacityError):
+        build_lattice(2 * np.pi, 0.5, point_cap=cap)
+    assert build_lattice(2 * np.pi, 0.5, point_cap=np.int64(1)).n_points == 1
 
 
 def test_lattice_past_the_cap_is_refused_before_it_allocates():

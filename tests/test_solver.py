@@ -273,7 +273,7 @@ class TestRealRoute:
 
     def test_off_axis_model_keeps_complex_arithmetic(self):
         model = build_model(off_axis_params())
-        inside = np.flatnonzero(model.basis.charge() == 3)
+        inside = np.flatnonzero(np.repeat(model.basis.mask_labels["charge"], model.basis.boson_dim) == 3)
         block = model.hamiltonian()[np.ix_(inside, inside)]
         assert 1e-4 < np.max(np.abs(block.data.imag)) < 1e-3
         oracle = dense_lowest(block, 2)
@@ -831,7 +831,7 @@ class TestNonFiniteEntries:
     def test_sector_minima_rejects_them(self, kind, case):
         params = {"minimal": minimal_params, "w1": w1_params}[case]()
         model = build_model(params)
-        charge = model.basis.charge()
+        charge = np.repeat(model.basis.mask_labels["charge"], model.basis.boson_dim)
         inside, outside = np.flatnonzero(charge == 0), np.flatnonzero(charge != 0)
         h = model.hamiltonian().tolil()
         a, b = inside[0], inside[-1]
@@ -1087,6 +1087,12 @@ class TestSectorMinima:
         with pytest.raises(ParameterError):
             sector_minima(model.hamiltonian(), model.basis, 7, label="charge")
 
+    @pytest.mark.parametrize("label", ["parity", "Charge", ["charge"], None])
+    def test_unknown_label_rejected(self, label):
+        model = build_model(minimal_params())
+        with pytest.raises(ParameterError, match=re.escape(f"unknown sector label {label!r}")):
+            sector_minima(model.hamiltonian(), model.basis, 0, label=label)
+
     def test_a_nested_list_is_solved_as_its_sparse_matrix(self):
         # the shape check read h.shape, an AttributeError on a list
         model = build_model(minimal_params(coupling=0.5))
@@ -1119,7 +1125,7 @@ def sector_case(case, label):
     """A model's Hamiltonian and labels; for the number label, only the part of H that conserves it."""
     model = build_model({"w1": w1_params, "off_axis": off_axis_params, "pruned_3": pruned_w1_params}[case]())
     h = model.hamiltonian()
-    labels = model.basis.charge() if label == "charge" else model.basis.fermion_number()
+    labels = np.repeat(model.basis.mask_labels[label], model.basis.boson_dim)
     if label == "number":  # the interaction changes the fermion number by pairs
         coo = h.tocoo()
         same = labels[coo.row] == labels[coo.col]
@@ -1185,7 +1191,7 @@ class TestSectorCut:
     def test_mixing_is_the_largest_entry_leaving_the_sector(self, params, label):
         model = build_model(params())
         h = model.hamiltonian()
-        labels = model.basis.charge() if label == "charge" else model.basis.fermion_number()
+        labels = np.repeat(model.basis.mask_labels[label], model.basis.boson_dim)
         for n in sorted(set(labels.tolist())):
             inside = labels == n
             cut = h[np.flatnonzero(inside)][:, np.flatnonzero(~inside)]

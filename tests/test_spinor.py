@@ -125,17 +125,31 @@ class TestCutoffProfiles:
             with pytest.raises(ParameterError, match="finite"):
                 CutoffProfile.gaussian(scale)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "sharp-ball", "zero"])
+    @pytest.mark.parametrize("scale", ["x", "1.0", None, 1 + 0j, True, np.bool_(True),
+                                       pytest.param(10**400, id="10**400")])
+    def test_non_real_scales_rejected(self, kind, scale):
+        with pytest.raises(ParameterError, match="cutoff scale must be finite"):
+            CutoffProfile(kind, scale)
+
+    @pytest.mark.parametrize("scale", [2, np.float32(0.5), np.int64(3), pytest.param(10**300, id="10**300")])
+    def test_real_scales_of_any_type_pass(self, scale):
+        assert CutoffProfile.gaussian(scale).scale == scale
+        assert CutoffProfile("zero", 0).scale == 0
+
 
 class TestCoefficients:
     def test_rest_frame_particle_coefficient(self):
         lat = build_lattice(2 * np.pi, 0.5)
         f, g = fermion_coefficients(lat, mass=1.0, cutoff=CutoffProfile.gaussian(1.0))
+        assert f.shape == g.shape == (2, 4, lat.n_points)  # (spin, component, point)
+        assert f.dtype == g.dtype == complex
         expected = 1.0 / np.sqrt((2 * np.pi) ** 3)
-        assert f[0][0].values[0] == pytest.approx(expected, rel=1e-14)
-        assert f[0][2].values[0] == 0
+        assert f[0, 0, 0] == pytest.approx(expected, rel=1e-14)
+        assert f[0, 2, 0] == 0
         # antiparticle coefficients live on the lower components at rest
-        assert abs(g[0][2].values[0]) == pytest.approx(expected, rel=1e-14)
-        assert g[0][0].values[0] == 0
+        assert abs(g[0, 2, 0]) == pytest.approx(expected, rel=1e-14)
+        assert g[0, 0, 0] == 0
 
     def test_component_sum_matches_cutoff_over_energy(self):
         lat = build_lattice(np.pi, 2.5)
@@ -145,8 +159,8 @@ class TestCoefficients:
             energy = dirac_energy(p, 0.9)
             expected = chi(p) ** 2 / ((2 * np.pi) ** 3 * energy)
             for si in range(2):
-                total_f = sum(abs(f[si][l].values[i]) ** 2 for l in range(4))
-                total_g = sum(abs(g[si][l].values[i]) ** 2 for l in range(4))
+                total_f = sum(abs(f[si, l, i]) ** 2 for l in range(4))
+                total_g = sum(abs(g[si, l, i]) ** 2 for l in range(4))
                 assert total_f == pytest.approx(expected, rel=1e-12, abs=1e-18)
                 assert total_g == pytest.approx(expected, rel=1e-12, abs=1e-18)
 
